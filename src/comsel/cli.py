@@ -1,9 +1,9 @@
 """Command-line interface and the JSON instance format.
 
 Exit codes: 0 for an optimal committee or a passing check, 1 for an
-infeasible instance or a failing check, 2 for any contract, budget, or
-input problem.  Parse errors carry a short machine-readable code printed
-as ``error[code]: message`` on stderr.
+infeasible instance or a failing check, 2 for any input, contract, budget,
+I/O or internal problem.  Errors carry a short machine-readable code
+printed as ``error[code]: message`` on stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -37,23 +38,38 @@ from .generators import (
 from .instances import (
     ORDER_KINDS,
     ElectionInstance,
+    Rule,
     StvRule,
     WeaklySeparableRule,
 )
 from .result import SolveResult
 from .solve import SOLVERS, solve_instance
-from .stv import VARIANTS
 
 _TOP_FIELDS = frozenset(
     {"candidates", "voters", "k", "labels", "constraints", "rule", "order",
      "reference"}
 )
+# exact field sets of the typed records, in the order messages list them
+_CONSTRAINT_FIELDS = {
+    "interval": ("type", "label", "min", "max"),
+    "dominance": ("type", "over", "under"),
+}
+_RULE_FIELDS = {
+    "weakly_separable": ("type", "gamma"),
+    "stv": ("type", "variant"),
+}
 
 
 def _require(doc: dict, field: str) -> Any:
     if field not in doc:
         raise ParseError("missing-field", f"missing field {field!r}")
     return doc[field]
+
+
+def _typed(value: Any, kind: type, field: str, noun: str) -> Any:
+    if not isinstance(value, kind):
+        raise ParseError("malformed-field", f"field {field!r} must be {noun}")
+    return value
 
 
 def _string_list(value: Any, field: str) -> list[str]:
@@ -66,170 +82,45 @@ def _string_list(value: Any, field: str) -> list[str]:
     return value
 
 
-def _parse_profile(doc: dict) -> ElectionProfile:
-    candidates = _string_list(_require(doc, "candidates"), "candidates")
-    if not candidates:
-        raise ParseError("empty-profile", "field 'candidates' is empty")
-    if len(set(candidates)) != len(candidates):
-        dupe = next(c for c in candidates if candidates.count(c) > 1)
-        raise ParseError("duplicate-candidate", f"candidate {dupe!r} repeats")
-    voters = _require(doc, "voters")
-    if not isinstance(voters, list):
-        raise ParseError("malformed-field", "field 'voters' must be a list")
-    if not voters:
-        raise ParseError("empty-profile", "field 'voters' is empty")
-    universe = set(candidates)
-    rankings = []
-    for index, ranking in enumerate(voters):
-        entry = _string_list(ranking, f"voters[{index}]")
-        if len(entry) != len(universe) or set(entry) != universe:
-            raise ParseError(
-                "non-permutation-ranking",
-                f"non-permutation ranking, voter index {index}",
-            )
-        rankings.append(tuple(entry))
-    k = _require(doc, "k")
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ParseError("invalid-k", "field 'k' must be an integer")
-    if not 0 <= k <= len(candidates):
-        raise ParseError(
-            "invalid-k", f"committee size {k} outside 0..{len(candidates)}"
-        )
-    return ElectionProfile(tuple(candidates), tuple(rankings), k)
-
-
-def _parse_labels(doc: dict, universe: set[str]) -> dict[str, tuple[str, ...]]:
-    raw = doc.get("labels", {})
-    if not isinstance(raw, dict):
-        raise ParseError("malformed-field", "field 'labels' must be an object")
-    groups: dict[str, tuple[str, ...]] = {}
-    for name in raw:
-        if not isinstance(name, str) or not name:
-            raise ParseError("empty-label", "label names must be nonempty strings")
-        members = _string_list(raw[name], f"labels[{name!r}]")
-        if not members:
-            raise ParseError("empty-label", f"label {name!r} has no members")
-        for member in members:
-            if member not in universe:
-                raise ParseError(
-                    "unknown-candidate",
-                    f"label {name!r} names unknown candidate {member!r}",
-                )
-        groups[name] = tuple(members)
-    return groups
-
-
-def _parse_constraints(
-    doc: dict, labels: dict[str, tuple[str, ...]]
-) -> tuple[list[Interval], list[Dominance]]:
-    raw = doc.get("constraints", [])
-    if not isinstance(raw, list):
-        raise ParseError("malformed-field", "field 'constraints' must be a list")
-    intervals: list[Interval] = []
-    dominances: list[Dominance] = []
-    for position, entry in enumerate(raw):
-        where = f"constraints[{position}]"
-        if not isinstance(entry, dict):
-            raise ParseError("invalid-constraint", f"{where} must be an object")
-        kind = entry.get("type")
-        if kind == "interval":
-            extra = sorted(set(entry) - {"type", "label", "min", "max"})
-            if extra or not {"label", "min", "max"} <= set(entry):
-                raise ParseError(
-                    "invalid-constraint",
-                    f"{where} needs exactly the fields type, label, min, max",
-                )
-            label = entry["label"]
-            if label not in labels:
-                raise ParseError(
-                    "unknown-label", f"{where} names unknown label {label!r}"
-                )
-            low, high = entry["min"], entry["max"]
-            for bound in (low, high):
-                if not isinstance(bound, int) or isinstance(bound, bool):
-                    raise ParseError(
-                        "invalid-interval-bounds",
-                        f"{where} bounds must be integers",
-                    )
-            if low < 0 or high < low:
-                raise ParseError(
-                    "invalid-interval-bounds",
-                    f"invalid interval bounds [{low}, {high}] in {where}",
-                )
-            intervals.append(Interval(label, low, high))
-        elif kind == "dominance":
-            extra = sorted(set(entry) - {"type", "over", "under"})
-            if extra or not {"over", "under"} <= set(entry):
-                raise ParseError(
-                    "invalid-constraint",
-                    f"{where} needs exactly the fields type, over, under",
-                )
-            for side in ("over", "under"):
-                name = entry[side]
-                if name not in labels:
-                    raise ParseError(
-                        "unknown-label",
-                        f"{where} names unknown label {name!r}",
-                    )
-            dominances.append(Dominance(entry["over"], entry["under"]))
-        else:
-            raise ParseError(
-                "invalid-constraint",
-                f"{where} has unsupported type {kind!r}",
-            )
-    return intervals, dominances
-
-
-def _parse_rule(doc: dict, num_candidates: int) -> WeaklySeparableRule | StvRule:
-    raw = _require(doc, "rule")
-    if not isinstance(raw, dict):
-        raise ParseError("malformed-field", "field 'rule' must be an object")
+def _record_kind(
+    raw: dict, shapes: dict[str, tuple[str, ...]], code: str, where: str
+) -> str:
+    """The record's ``type``, once its fields are exactly the ones that
+    type takes."""
     kind = raw.get("type")
-    if kind == "weakly_separable":
-        if set(raw) != {"type", "gamma"}:
-            raise ParseError(
-                "invalid-rule",
-                "a weakly_separable rule needs exactly the fields type, gamma",
-            )
-        gamma = raw["gamma"]
-        if isinstance(gamma, str):
-            try:
-                return WeaklySeparableRule(gamma)
-            except InputError as exc:
-                raise ParseError("invalid-gamma", str(exc)) from None
-        if not isinstance(gamma, list):
-            raise ParseError(
-                "invalid-gamma", "field 'gamma' must be a preset name or a list"
-            )
-        for value in gamma:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ParseError(
-                    "invalid-gamma", "scoring vector entries must be numbers"
-                )
-        if len(gamma) != num_candidates:
-            raise ParseError(
-                "invalid-gamma",
-                f"scoring vector has {len(gamma)} entries for "
-                f"{num_candidates} candidates",
-            )
-        return WeaklySeparableRule(tuple(gamma))
-    if kind == "stv":
-        if set(raw) != {"type", "variant"}:
-            raise ParseError(
-                "invalid-rule",
-                "an stv rule needs exactly the fields type, variant",
-            )
-        variant = raw["variant"]
-        if variant not in VARIANTS:
-            raise ParseError(
-                "invalid-rule", f"unknown stv variant {variant!r}"
-            )
-        return StvRule(variant)
-    raise ParseError("invalid-rule", f"unsupported rule type {kind!r}")
+    fields = shapes.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ParseError(code, f"{where} has unsupported type {kind!r}")
+    if set(raw) != set(fields):
+        raise ParseError(
+            code, f"{where} needs exactly the fields {', '.join(fields)}"
+        )
+    return kind
+
+
+def _parse_constraint(entry: Any, where: str) -> Interval | Dominance:
+    if not isinstance(entry, dict):
+        raise ParseError("invalid-constraint", f"{where} must be an object")
+    kind = _record_kind(entry, _CONSTRAINT_FIELDS, "invalid-constraint", where)
+    if kind == "interval":
+        return Interval(entry["label"], entry["min"], entry["max"])
+    return Dominance(entry["over"], entry["under"])
+
+
+def _parse_rule(raw: Any) -> Rule:
+    _typed(raw, dict, "rule", "an object")
+    if _record_kind(raw, _RULE_FIELDS, "invalid-rule", "rule") == "stv":
+        return StvRule(raw["variant"])
+    return WeaklySeparableRule(raw["gamma"])
 
 
 def parse_instance(text: str) -> ElectionInstance:
-    """Validate a JSON instance document, naming the first violation."""
+    """Read a JSON instance document, naming the first violation.
+
+    The parser checks the document's shape only: field types, required
+    fields and exact field sets.  Every semantic check is made by the model
+    constructors, whose ``InputError`` codes become ``ParseError`` codes.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -239,44 +130,38 @@ def parse_instance(text: str) -> ElectionInstance:
     unknown = sorted(set(doc) - _TOP_FIELDS)
     if unknown:
         raise ParseError("unknown-field", f"unknown field {unknown[0]!r}")
-    profile = _parse_profile(doc)
-    universe = set(profile.candidates)
-    labels = _parse_labels(doc, universe)
-    intervals, dominances = _parse_constraints(doc, labels)
-    rule = _parse_rule(doc, profile.num_candidates)
-    order = doc.get("order", "score")
-    if order not in ORDER_KINDS:
-        raise ParseError("invalid-order", f"unknown order {order!r}")
-    if order == "score" and isinstance(rule, StvRule):
-        raise ParseError(
-            "order-rule-mismatch",
-            "the score order cannot pair with an stv rule",
-        )
-    reference: tuple[str, ...] = ()
-    if "reference" in doc:
-        listed = _string_list(doc["reference"], "reference")
-        if len(set(listed)) != len(listed):
-            raise ParseError(
-                "invalid-reference", "reference members must be distinct"
-            )
-        stray = sorted(set(listed) - universe)
-        if stray:
-            raise ParseError(
-                "invalid-reference",
-                f"reference names unknown candidate {stray[0]!r}",
-            )
-        if len(listed) != profile.k:
-            raise ParseError(
-                "invalid-reference",
-                f"reference has {len(listed)} members, expected {profile.k}",
-            )
-        reference = tuple(listed)
     try:
-        constraints = ConstraintSet.build(labels, intervals, dominances)
-        return ElectionInstance(profile, constraints, rule, order, reference)
+        candidates = _string_list(_require(doc, "candidates"), "candidates")
+        voters = _typed(_require(doc, "voters"), list, "voters", "a list")
+        rankings = tuple(
+            tuple(_string_list(ranking, f"voters[{index}]"))
+            for index, ranking in enumerate(voters)
+        )
+        profile = ElectionProfile(tuple(candidates), rankings, _require(doc, "k"))
+        labels = _typed(doc.get("labels", {}), dict, "labels", "an object")
+        groups = {
+            name: _string_list(members, f"labels[{name!r}]")
+            for name, members in labels.items()
+        }
+        entries = _typed(doc.get("constraints", []), list, "constraints", "a list")
+        records = [
+            _parse_constraint(entry, f"constraints[{position}]")
+            for position, entry in enumerate(entries)
+        ]
+        constraints = ConstraintSet.build(
+            groups,
+            [r for r in records if isinstance(r, Interval)],
+            [r for r in records if isinstance(r, Dominance)],
+        )
+        rule = _parse_rule(_require(doc, "rule"))
+        reference = (
+            _string_list(doc["reference"], "reference") if "reference" in doc else ()
+        )
+        return ElectionInstance(
+            profile, constraints, rule, doc.get("order", "score"), tuple(reference)
+        )
     except InputError as exc:
-        # parser checks above should catch everything; keep a safety net
-        raise ParseError("invalid-instance", str(exc)) from None
+        raise ParseError(exc.code, str(exc)) from None
 
 
 def _json_number(value: Score) -> int | float:
@@ -363,8 +248,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     instance = parse_instance(_read_text(args.input))
     budget = None
     if args.budget is not None:
-        if args.budget < 1:
-            raise InputError("budget must be positive")
         # a user-specified budget caps enumeration only, not the pool size
         budget = OracleBudget(
             max_candidates=max(14, instance.profile.num_candidates),
@@ -493,7 +376,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_gen(args)
-    except ParseError as exc:
+    except InputError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:
@@ -502,14 +385,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ContractViolation as exc:
         print(f"error[contract]: {exc}", file=sys.stderr)
         return 2
-    except InputError as exc:
-        print(f"error[invalid-input]: {exc}", file=sys.stderr)
-        return 2
     except ComselError as exc:
         print(f"error[internal]: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # a crash must not exit 1, which would read as "infeasible"
+        print(f"error[internal]: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 2
 
 

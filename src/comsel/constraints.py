@@ -10,6 +10,7 @@ need its transitive closure, its cycle structure, or a forest layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import ContractViolation, InputError
@@ -22,10 +23,12 @@ class Labeling:
         named: dict[str, frozenset[str]] = {}
         for name, members in groups.items():
             if not isinstance(name, str) or not name:
-                raise InputError("label names must be nonempty strings")
+                raise InputError(
+                    "label names must be nonempty strings", code="empty-label"
+                )
             group = frozenset(members)
             if not group:
-                raise InputError(f"label {name!r} has no members")
+                raise InputError(f"label {name!r} has no members", code="empty-label")
             named[name] = group
         self._groups = dict(sorted(named.items()))
 
@@ -37,7 +40,7 @@ class Labeling:
         return len(self._groups)
 
     def __contains__(self, name: object) -> bool:
-        return name in self._groups
+        return isinstance(name, str) and name in self._groups
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Labeling):
@@ -54,7 +57,7 @@ class Labeling:
         try:
             return self._groups[name]
         except KeyError:
-            raise InputError(f"unknown label {name!r}") from None
+            raise InputError(f"unknown label {name!r}", code="unknown-label") from None
 
     @property
     def labeled(self) -> frozenset[str]:
@@ -87,7 +90,10 @@ class Labeling:
             stray = group - universe
             if stray:
                 shown = ", ".join(sorted(stray))
-                raise InputError(f"label {name!r} names unknown candidates: {shown}")
+                raise InputError(
+                    f"label {name!r} names unknown candidates: {shown}",
+                    code="unknown-candidate",
+                )
 
 
 @dataclass(frozen=True)
@@ -101,11 +107,14 @@ class Interval:
     def __post_init__(self) -> None:
         for bound in (self.lower, self.upper):
             if not isinstance(bound, int) or isinstance(bound, bool):
-                raise InputError("interval bounds must be integers")
+                raise InputError(
+                    "interval bounds must be integers", code="invalid-interval-bounds"
+                )
         if self.lower < 0 or self.upper < self.lower:
             raise InputError(
                 f"interval for label {self.label!r} needs 0 <= lower <= upper, "
-                f"got [{self.lower}, {self.upper}]"
+                f"got [{self.lower}, {self.upper}]",
+                code="invalid-interval-bounds",
             )
 
 
@@ -128,7 +137,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """A labeling together with the constraints stated over it."""
+    """A labeling together with the constraints stated over it.
+
+    The dominance analysis (closure and tree-likeness witness) is computed
+    on first use and cached, so every solver stage shares one copy.
+    """
 
     labeling: Labeling
     intervals: tuple[Interval, ...] = ()
@@ -137,11 +150,17 @@ class ConstraintSet:
     def __post_init__(self) -> None:
         for interval in self.intervals:
             if interval.label not in self.labeling:
-                raise InputError(f"interval names unknown label {interval.label!r}")
+                raise InputError(
+                    f"interval names unknown label {interval.label!r}",
+                    code="unknown-label",
+                )
         for dominance in self.dominances:
             for name in (dominance.over, dominance.under):
                 if name not in self.labeling:
-                    raise InputError(f"dominance names unknown label {name!r}")
+                    raise InputError(
+                        f"dominance names unknown label {name!r}",
+                        code="unknown-label",
+                    )
 
     @classmethod
     def build(
@@ -156,8 +175,26 @@ class ConstraintSet:
     def empty(cls) -> "ConstraintSet":
         return cls(Labeling({}))
 
-    def validate_against(self, candidates: Iterable[str]) -> None:
-        self.labeling.validate_against(candidates)
+    @cached_property
+    def reach(self) -> dict[str, frozenset[str]]:
+        """Transitive closure of the dominance graph."""
+        return transitive_closure(
+            build_dominance_graph(self.labeling, self.dominances)
+        )
+
+    @cached_property
+    def chain_violation(self) -> tuple[str, str, str] | None:
+        """Two incomparable labels that both dominate a third, or None when
+        the dominance relation is tree-like."""
+        reach = self.reach
+        names = sorted(reach)
+        for target in names:
+            above = [a for a in names if a != target and target in reach[a]]
+            for i, first in enumerate(above):
+                for second in above[i + 1 :]:
+                    if second not in reach[first] and first not in reach[second]:
+                        return first, second, target
+        return None
 
 
 def check_committee(
@@ -224,24 +261,10 @@ def transitive_closure(
     return closed
 
 
-def _chain_violation(
-    reach: Mapping[str, frozenset[str]]
-) -> tuple[str, str, str] | None:
-    # Two incomparable labels both dominating a third rule out a forest layout.
-    names = sorted(reach)
-    for target in names:
-        above = [a for a in names if a != target and target in reach[a]]
-        for i, first in enumerate(above):
-            for second in above[i + 1 :]:
-                if second not in reach[first] and first not in reach[second]:
-                    return first, second, target
-    return None
-
-
 def is_tree_like(labeling: Labeling, dominances: Iterable[Dominance]) -> bool:
     """Whether, per label, all labels dominating it form a chain."""
-    reach = transitive_closure(build_dominance_graph(labeling, dominances))
-    return _chain_violation(reach) is None
+    constraints = ConstraintSet(labeling, dominances=tuple(dominances))
+    return constraints.chain_violation is None
 
 
 @dataclass(frozen=True)
@@ -271,18 +294,16 @@ class DominanceForest:
         object.__setattr__(self, "roots", tuple(tops))
 
     @classmethod
-    def build(
-        cls, labeling: Labeling, dominances: Iterable[Dominance]
-    ) -> "DominanceForest":
-        graph = build_dominance_graph(labeling, dominances)
-        reach = transitive_closure(graph)
-        witness = _chain_violation(reach)
+    def build(cls, constraints: ConstraintSet) -> "DominanceForest":
+        witness = constraints.chain_violation
         if witness is not None:
             first, second, target = witness
             raise ContractViolation(
                 f"dominance is not tree-like: labels {first!r} and {second!r} "
                 f"both dominate {target!r} but neither dominates the other"
             )
+        labeling = constraints.labeling
+        reach = constraints.reach
         groups: dict[frozenset[str], None] = {}
         for name in labeling.names:
             cycle = frozenset(

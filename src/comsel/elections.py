@@ -17,12 +17,12 @@ PRESET_NAMES = ("sntv", "borda", "bloc")
 def as_score(value: object) -> Score:
     """Coerce a number to a score, keeping integral values exact."""
     if isinstance(value, bool):
-        raise InputError("scores must be numbers, got a boolean")
+        raise InputError("scores must be numbers, got a boolean", code="invalid-gamma")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, float):
         return value
-    raise InputError(f"unsupported score value {value!r}")
+    raise InputError(f"unsupported score value {value!r}", code="invalid-gamma")
 
 
 @dataclass(frozen=True)
@@ -39,20 +39,33 @@ class ElectionProfile:
 
     def __post_init__(self) -> None:
         if not self.candidates:
-            raise InputError("a profile needs at least one candidate")
-        if len(set(self.candidates)) != len(self.candidates):
-            raise InputError("candidate identifiers must be distinct")
-        if not self.voters:
-            raise InputError("a profile needs at least one voter")
+            raise InputError(
+                "a profile needs at least one candidate", code="empty-profile"
+            )
         universe = frozenset(self.candidates)
+        if len(universe) != len(self.candidates):
+            dupe = next(c for c in self.candidates if self.candidates.count(c) > 1)
+            raise InputError(
+                f"candidate identifiers must be distinct; {dupe!r} repeats",
+                code="duplicate-candidate",
+            )
+        if not self.voters:
+            raise InputError("a profile needs at least one voter", code="empty-profile")
         for index, ranking in enumerate(self.voters):
             if len(ranking) != len(universe) or frozenset(ranking) != universe:
                 raise InputError(
-                    f"voter {index}: ranking is not a permutation of the candidate set"
+                    f"voter {index}: ranking is not a permutation of the candidate "
+                    f"set (voter index {index}, counting from 0)",
+                    code="non-permutation-ranking",
                 )
+        if not isinstance(self.k, int) or isinstance(self.k, bool):
+            raise InputError(
+                f"committee size must be an integer, got {self.k!r}", code="invalid-k"
+            )
         if not 0 <= self.k <= len(self.candidates):
             raise InputError(
-                f"committee size {self.k} outside 0..{len(self.candidates)}"
+                f"committee size {self.k} outside 0..{len(self.candidates)}",
+                code="invalid-k",
             )
 
     @classmethod
@@ -94,7 +107,9 @@ class ScoringFunction:
 
     def __post_init__(self) -> None:
         if not self.gamma:
-            raise InputError("a scoring function needs at least one position")
+            raise InputError(
+                "a scoring function needs at least one position", code="invalid-gamma"
+            )
         object.__setattr__(self, "gamma", tuple(as_score(v) for v in self.gamma))
 
     @classmethod
@@ -108,7 +123,9 @@ class ScoringFunction:
     @classmethod
     def bloc(cls, num_candidates: int, k: int) -> "ScoringFunction":
         if not 0 <= k <= num_candidates:
-            raise InputError(f"bloc size {k} outside 0..{num_candidates}")
+            raise InputError(
+                f"bloc size {k} outside 0..{num_candidates}", code="invalid-k"
+            )
         return cls((1,) * k + (0,) * (num_candidates - k))
 
     @classmethod
@@ -119,7 +136,7 @@ class ScoringFunction:
             return cls.borda(num_candidates)
         if name == "bloc":
             return cls.bloc(num_candidates, k)
-        raise InputError(f"unknown scoring preset {name!r}")
+        raise InputError(f"unknown scoring preset {name!r}", code="invalid-gamma")
 
     def __len__(self) -> int:
         return len(self.gamma)
@@ -134,7 +151,8 @@ def _require_match(profile: ElectionProfile, scoring: ScoringFunction) -> None:
     if len(scoring) != profile.num_candidates:
         raise InputError(
             f"scoring function has {len(scoring)} positions for "
-            f"{profile.num_candidates} candidates"
+            f"{profile.num_candidates} candidates",
+            code="invalid-gamma",
         )
 
 

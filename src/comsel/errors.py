@@ -8,7 +8,15 @@ class ComselError(Exception):
 
 
 class InputError(ComselError, ValueError):
-    """Invalid input data: unknown identifiers, malformed values, bad bounds."""
+    """Invalid input data: unknown identifiers, malformed values, bad bounds.
+
+    ``code`` is a short machine-readable name for the problem; the CLI
+    prints it as ``error[code]``.
+    """
+
+    def __init__(self, message: str, code: str = "invalid-input"):
+        super().__init__(message)
+        self.code = code
 
 
 class ContractViolation(ComselError):
@@ -20,12 +28,8 @@ class BudgetExceededError(ComselError):
 
 
 class ParseError(InputError):
-    """A document failed schema validation.
-
-    Carries a short machine-readable code alongside the human-readable
-    message naming the first offending field.
-    """
+    """A document failed validation; the message names the first offending
+    field."""
 
     def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
+        super().__init__(message, code)

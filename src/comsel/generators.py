@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .constraints import ConstraintSet, Dominance, Interval, is_tree_like
+from .constraints import ConstraintSet, Dominance, Interval
 from .elections import ElectionProfile
 from .errors import InputError, ParseError
 from .instances import ElectionInstance, Rule, StvRule, WeaklySeparableRule
@@ -322,12 +322,6 @@ def gen_random(
     arbitrary structure samples directed edges freely.  Interval bounds are
     individually satisfiable (jointly they may well not be).
     """
-    if num_candidates < 1:
-        raise InputError("need at least one candidate")
-    if num_voters < 1:
-        raise InputError("need at least one voter")
-    if not 0 <= k <= num_candidates:
-        raise InputError(f"committee size {k} outside 0..{num_candidates}")
     if num_labels < 0:
         raise InputError("label count cannot be negative")
     if mode not in MODES:
@@ -348,6 +342,7 @@ def gen_random(
     voters = tuple(
         tuple(rng.sample(candidates, num_candidates)) for _ in range(num_voters)
     )
+    profile = ElectionProfile.build(candidates, voters, k)
 
     names = tuple(f"g{j}" for j in range(num_labels))
     groups: dict[str, tuple[str, ...]] = {}
@@ -392,11 +387,10 @@ def gen_random(
 
     constraints = ConstraintSet.build(groups, intervals, dominances)
     if structure == "tree_like":
-        assert is_tree_like(constraints.labeling, constraints.dominances)
+        assert constraints.chain_violation is None
 
     if rule is None:
         rule = WeaklySeparableRule("borda")
     if order_kind is None:
         order_kind = "leximax" if isinstance(rule, StvRule) else "score"
-    profile = ElectionProfile.build(candidates, voters, k)
     return ElectionInstance(profile, constraints, rule, order_kind)

@@ -29,16 +29,20 @@ class WeaklySeparableRule:
     gamma: str | tuple[Score, ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.gamma, str):
+        if not isinstance(self.gamma, (tuple, list)):
             if self.gamma not in PRESET_NAMES:
                 raise InputError(
-                    f"unknown scoring preset {self.gamma!r}; "
-                    f"expected one of {', '.join(PRESET_NAMES)}"
+                    f"unknown scoring preset {self.gamma!r}; expected one of "
+                    f"{', '.join(PRESET_NAMES)} or a list of numbers",
+                    code="invalid-gamma",
                 )
             return
         values = tuple(as_score(v) for v in self.gamma)
         if not values:
-            raise InputError("an explicit scoring vector needs at least one entry")
+            raise InputError(
+                "an explicit scoring vector needs at least one entry",
+                code="invalid-gamma",
+            )
         object.__setattr__(self, "gamma", values)
 
     def scoring_for(self, num_candidates: int, k: int) -> ScoringFunction:
@@ -47,7 +51,8 @@ class WeaklySeparableRule:
         if len(self.gamma) != num_candidates:
             raise InputError(
                 f"scoring vector has {len(self.gamma)} entries for "
-                f"{num_candidates} candidates"
+                f"{num_candidates} candidates",
+                code="invalid-gamma",
             )
         return ScoringFunction(self.gamma)
 
@@ -60,7 +65,8 @@ class StvRule:
         if self.variant not in VARIANTS:
             raise InputError(
                 f"unknown stv variant {self.variant!r}; "
-                f"expected one of {', '.join(VARIANTS)}"
+                f"expected one of {', '.join(VARIANTS)}",
+                code="invalid-rule",
             )
 
 
@@ -83,16 +89,20 @@ class ElectionInstance:
 
     def __post_init__(self) -> None:
         if not isinstance(self.rule, (WeaklySeparableRule, StvRule)):
-            raise InputError(f"unsupported rule object {self.rule!r}")
+            raise InputError(
+                f"unsupported rule object {self.rule!r}", code="invalid-rule"
+            )
         if self.order_kind not in ORDER_KINDS:
             raise InputError(
                 f"unknown order {self.order_kind!r}; "
-                f"expected one of {', '.join(ORDER_KINDS)}"
+                f"expected one of {', '.join(ORDER_KINDS)}",
+                code="invalid-order",
             )
         if self.order_kind == "score" and isinstance(self.rule, StvRule):
             raise InputError(
                 "the score order needs per-candidate scores, which an stv "
-                "rule does not define; use leximax or leximin"
+                "rule does not define; use leximax or leximin",
+                code="order-rule-mismatch",
             )
         self.constraints.labeling.validate_against(self.profile.candidates)
         if isinstance(self.rule, WeaklySeparableRule):
@@ -101,18 +111,23 @@ class ElectionInstance:
         object.__setattr__(self, "reference", tuple(self.reference))
         if self.reference:
             if len(set(self.reference)) != len(self.reference):
-                raise InputError("reference committee members must be distinct")
+                raise InputError(
+                    "reference committee members must be distinct",
+                    code="invalid-reference",
+                )
             universe = set(self.profile.candidates)
             stray = sorted(set(self.reference) - universe)
             if stray:
                 raise InputError(
                     f"reference committee names unknown candidates: "
-                    f"{', '.join(stray)}"
+                    f"{', '.join(stray)}",
+                    code="invalid-reference",
                 )
             if len(self.reference) != self.profile.k:
                 raise InputError(
                     f"reference committee has {len(self.reference)} members, "
-                    f"expected {self.profile.k}"
+                    f"expected {self.profile.k}",
+                    code="invalid-reference",
                 )
 
     @property

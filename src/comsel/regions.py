@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .constraints import ConstraintSet, check_committee
+from .constraints import ConstraintSet
 from .elections import Score
-from .errors import ContractViolation
 from .result import SolveResult
 
 
@@ -45,12 +44,6 @@ class Row:
     coeffs: tuple[int, ...]
     low: int
     high: int | None
-
-
-@dataclass(frozen=True)
-class RegionDecomposition:
-    regions: tuple[Region, ...]
-    rows: tuple[Row, ...]
 
 
 def compute_regions(
@@ -93,16 +86,6 @@ def build_rows(
         )
         rows.append(Row(coeffs, 0, None))
     return tuple(rows)
-
-
-def decompose(
-    candidates: Iterable[str],
-    k: int,
-    constraints: ConstraintSet,
-    scores: Mapping[str, Score],
-) -> RegionDecomposition:
-    regions = compute_regions(candidates, constraints, scores)
-    return RegionDecomposition(regions, build_rows(regions, k, constraints))
 
 
 def _propagate(
@@ -159,10 +142,12 @@ def solve_region_ip(
     scores: Mapping[str, Score],
 ) -> SolveResult:
     """Highest-scoring feasible committee; ties go to the
-    lexicographically smallest committee."""
-    parts = decompose(candidates, k, constraints, scores)
-    regions = parts.regions
-    rows = parts.rows
+    lexicographically smallest committee.
+
+    The committee is not re-checked here: ``solve_instance`` verifies every
+    optimal result once, so direct callers get it unverified."""
+    regions = compute_regions(candidates, constraints, scores)
+    rows = build_rows(regions, k, constraints)
     count = len(regions)
     order = sorted(
         range(count),
@@ -227,12 +212,6 @@ def solve_region_ip(
             solver="region",
             reason="no size-k committee satisfies the constraints",
             stats=dict(stats),
-        )
-    broken = check_committee(best_committee, k, constraints)
-    if broken:
-        details = "; ".join(v.describe() for v in broken)
-        raise ContractViolation(
-            f"region solver produced an invalid committee: {details}"
         )
     return SolveResult(
         status="optimal",

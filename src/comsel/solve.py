@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from .bruteforce import OracleBudget, solve_bruteforce
-from .constraints import check_committee, is_tree_like
-from .elections import Score, ScoringFunction, SingletonRanking, score_all
+from .constraints import check_committee
+from .elections import Score, SingletonRanking, score_all
 from .errors import ContractViolation, InputError
 from .instances import ElectionInstance, StvRule, WeaklySeparableRule
 from .orders import CommitteeOrder, LeximaxOrder, LeximinOrder, ScoreOrder
@@ -16,39 +16,26 @@ from .treedp import solve_tree
 SOLVERS = ("auto", "dp", "region", "oracle")
 
 
-def scoring_of(instance: ElectionInstance) -> ScoringFunction | None:
-    """The positional scoring function, or None for ranking-only rules."""
-    if isinstance(instance.rule, WeaklySeparableRule):
-        return instance.rule.scoring_for(
-            instance.profile.num_candidates, instance.k
-        )
-    return None
-
-
 def candidate_scores(instance: ElectionInstance) -> dict[str, Score] | None:
-    scoring = scoring_of(instance)
-    if scoring is None:
+    """Positional score of every candidate, or None for ranking-only rules."""
+    if not isinstance(instance.rule, WeaklySeparableRule):
         return None
-    return score_all(instance.profile, scoring)
+    profile = instance.profile
+    scoring = instance.rule.scoring_for(profile.num_candidates, profile.k)
+    return score_all(profile, scoring)
 
 
 def ranking_of(instance: ElectionInstance) -> SingletonRanking:
     """Singleton ranking the instance's rule induces over the candidates."""
     if isinstance(instance.rule, StvRule):
         return stv_ranking(instance.profile, instance.rule.variant)
-    scores = candidate_scores(instance)
-    assert scores is not None
-    return SingletonRanking.from_scores(scores)
+    return SingletonRanking.from_scores(candidate_scores(instance))
 
 
 def build_order(instance: ElectionInstance) -> CommitteeOrder:
     if instance.order_kind == "score":
-        scores = candidate_scores(instance)
-        if scores is None:
-            raise ContractViolation(
-                "the score order is undefined without per-candidate scores"
-            )
-        return ScoreOrder(scores)
+        # ElectionInstance pairs the score order with scoring rules only
+        return ScoreOrder(candidate_scores(instance))
     ranking = ranking_of(instance)
     if instance.order_kind == "leximax":
         return LeximaxOrder(ranking)
@@ -63,7 +50,7 @@ def choose_solver(instance: ElectionInstance) -> str:
     if (
         len(labeling) > 0
         and labeling.is_disjoint
-        and is_tree_like(labeling, instance.constraints.dominances)
+        and instance.constraints.chain_violation is None
     ):
         return "dp"
     if (
@@ -79,7 +66,10 @@ def solve_instance(
     solver: str = "auto",
     budget: OracleBudget | None = None,
 ) -> SolveResult:
-    """Solve and re-verify: an optimal result always passes check_committee."""
+    """Solve and re-verify: an optimal result always passes check_committee.
+
+    This is the one place where solver output is verified; the solvers
+    themselves do not re-check their committees."""
     if solver not in SOLVERS:
         raise InputError(
             f"unknown solver {solver!r}; expected one of {', '.join(SOLVERS)}"

@@ -40,7 +40,7 @@ def _count(
     profile: ElectionProfile, variant: str
 ) -> tuple[list[StvRound], tuple[str, ...]]:
     if variant not in VARIANTS:
-        raise InputError(f"unknown stv variant {variant!r}")
+        raise InputError(f"unknown stv variant {variant!r}", code="invalid-rule")
     active = set(profile.candidates)
     ballots = [_Ballot(r) for r in profile.voters]
     quota = profile.num_voters // (profile.k + 1) + 1

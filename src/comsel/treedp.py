@@ -16,13 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .constraints import (
-    ConstraintSet,
-    DominanceForest,
-    build_dominance_graph,
-    check_committee,
-    transitive_closure,
-)
+from .constraints import ConstraintSet, DominanceForest
 from .errors import ContractViolation
 from .orders import CommitteeOrder, ObligatoryFirstOrder, best_singletons, score_if_score_based
 from .result import SolveResult
@@ -87,9 +81,7 @@ def preprocess_intervals(
     for interval in constraints.intervals:
         lows[interval.label] = max(lows[interval.label], interval.lower)
         highs[interval.label] = min(highs[interval.label], interval.upper)
-    reach = transitive_closure(
-        build_dominance_graph(labeling, constraints.dominances)
-    )
+    reach = constraints.reach
     eff_low = dict(lows)
     eff_high = dict(highs)
     for name in labeling.names:
@@ -232,12 +224,14 @@ def solve_tree(
     """Optimal feasible committee, or an infeasibility reason.
 
     Requires disjoint labels and a tree-like dominance relation; either
-    failing raises instead of returning a wrong answer.
+    failing raises instead of returning a wrong answer.  The committee is
+    not re-checked here: ``solve_instance`` verifies every optimal result
+    once, so direct callers get it unverified.
     """
     labeling = constraints.labeling
     if not labeling.is_disjoint:
         raise ContractViolation("the tree solver needs disjoint labels")
-    forest = DominanceForest.build(labeling, constraints.dominances)
+    forest = DominanceForest.build(constraints)
     pre = preprocess_intervals(candidates, k, constraints, order)
     counter = {"joins": 0, "tables": 0, "cells": 0}
     if pre.reason is not None:
@@ -298,10 +292,6 @@ def solve_tree(
             reason="interval lower bounds cannot all be met within k seats",
             stats=dict(counter),
         )
-    broken = check_committee(committee, k, constraints)
-    if broken:
-        details = "; ".join(v.describe() for v in broken)
-        raise ContractViolation(f"tree solver produced an invalid committee: {details}")
     return SolveResult(
         status="optimal",
         committee=committee,

@@ -363,6 +363,27 @@ class TestMain:
         assert main(["solve", "--input", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error[malformed-json]")
 
+    def test_unexpected_exceptions_exit_2(self, tmp_path, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("comsel.cli.solve_instance", crash)
+        assert main(["solve", "--input", self.write(tmp_path, document())]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[internal]: RuntimeError: boom")
+        assert "Traceback" in err
+
+    def test_base_exceptions_propagate(self, tmp_path, monkeypatch):
+        class Stop(BaseException):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Stop
+
+        monkeypatch.setattr("comsel.cli.solve_instance", stop)
+        with pytest.raises(Stop):
+            main(["solve", "--input", self.write(tmp_path, document())])
+
     def test_missing_input_file(self, tmp_path, capsys):
         assert main(["solve", "--input", str(tmp_path / "nope.json")]) == 2
         assert capsys.readouterr().err.startswith("error[io]")

@@ -200,7 +200,9 @@ class TestDominanceStructure:
     def test_forest_layout_of_a_chain(self):
         labeling = labels("l1", "l2", "l3")
         forest = DominanceForest.build(
-            labeling, (Dominance("l1", "l2"), Dominance("l2", "l3"))
+            ConstraintSet(
+                labeling, dominances=(Dominance("l1", "l2"), Dominance("l2", "l3"))
+            )
         )
         assert forest.nodes == (("l1",), ("l2",), ("l3",))
         assert forest.parent == (None, 0, 1)
@@ -210,8 +212,12 @@ class TestDominanceStructure:
     def test_forest_collapses_cycles(self):
         labeling = labels("p", "q", "r")
         forest = DominanceForest.build(
-            labeling,
-            (Dominance("p", "q"), Dominance("q", "p"), Dominance("p", "r")),
+            ConstraintSet(
+                labeling,
+                dominances=(
+                    Dominance("p", "q"), Dominance("q", "p"), Dominance("p", "r")
+                ),
+            )
         )
         assert forest.nodes == (("p", "q"), ("r",))
         assert forest.parent == (None, 0)
@@ -219,12 +225,14 @@ class TestDominanceStructure:
     def test_forest_skips_transitive_edges(self):
         labeling = labels("top", "mid", "bot")
         forest = DominanceForest.build(
-            labeling,
-            (
-                Dominance("top", "mid"),
-                Dominance("mid", "bot"),
-                Dominance("top", "bot"),
-            ),
+            ConstraintSet(
+                labeling,
+                dominances=(
+                    Dominance("top", "mid"),
+                    Dominance("mid", "bot"),
+                    Dominance("top", "bot"),
+                ),
+            )
         )
         # bot hangs off mid, not off top
         by_node = dict(zip(forest.nodes, forest.parent))
@@ -234,11 +242,13 @@ class TestDominanceStructure:
         labeling = labels("l1", "l2", "l3")
         with pytest.raises(ContractViolation, match="not tree-like"):
             DominanceForest.build(
-                labeling, (Dominance("l1", "l3"), Dominance("l2", "l3"))
+                ConstraintSet(
+                    labeling, dominances=(Dominance("l1", "l3"), Dominance("l2", "l3"))
+                )
             )
 
     def test_isolated_labels_are_roots(self):
-        forest = DominanceForest.build(labels("a", "b"), ())
+        forest = DominanceForest.build(ConstraintSet(labels("a", "b")))
         assert forest.nodes == (("a",), ("b",))
         assert forest.parent == (None, None)
         assert forest.roots == (0, 1)

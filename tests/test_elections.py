@@ -37,7 +37,7 @@ class TestProfileValidation:
             ElectionProfile.build("abc", (("a", "b"),), 1)
 
     def test_committee_size_bounds(self):
-        for bad in (-1, 3):
+        for bad in (-1, 3, "1", True):
             with pytest.raises(InputError, match="committee size"):
                 ElectionProfile.build("ab", (("a", "b"),), bad)
         # both endpoints are legal

@@ -1,5 +1,7 @@
 """Instance records, rule objects, and solver routing."""
 
+import sys
+
 import pytest
 
 from comsel import (
@@ -28,11 +30,30 @@ def make(profile, rule=WeaklySeparableRule("borda"), order_kind="score", **kw):
     )
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` wherever a comsel module binds it; the returned
+    list gains one entry per call."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, loaded in list(sys.modules.items()):
+        if module_name == "comsel" or module_name.startswith("comsel."):
+            for key, value in list(vars(loaded).items()):
+                if value is original:
+                    monkeypatch.setattr(loaded, key, counting)
+    return calls
+
+
 class TestRules:
     def test_preset_names_checked(self):
         WeaklySeparableRule("sntv")
-        with pytest.raises(InputError, match="unknown scoring preset"):
-            WeaklySeparableRule("approval")
+        for bad in ("approval", 42):
+            with pytest.raises(InputError, match="unknown scoring preset"):
+                WeaklySeparableRule(bad)
 
     def test_explicit_vector_coerced(self):
         rule = WeaklySeparableRule((3, 1, 0))
@@ -168,6 +189,23 @@ class TestRouting:
         )
         with pytest.raises(ContractViolation, match="not tree-like"):
             solve_instance(make(profile_a, constraints=constraints), solver="dp")
+
+    def test_dp_solve_closes_dominance_once_and_verifies_once(
+        self, profile_a, monkeypatch
+    ):
+        import comsel.constraints
+
+        closures = count_calls(monkeypatch, comsel.constraints, "transitive_closure")
+        checks = count_calls(monkeypatch, comsel.constraints, "check_committee")
+        constraints = ConstraintSet.build(
+            {"l1": "a", "l2": "b", "l3": "c"},
+            dominances=(Dominance("l1", "l2"), Dominance("l2", "l3")),
+        )
+        result = solve_instance(make(profile_a, constraints=constraints))
+        assert result.solver == "dp"
+        assert result.is_optimal
+        assert len(closures) == 1
+        assert len(checks) == 1
 
     def test_forced_solvers_agree(self, profile_a):
         constraints = ConstraintSet.build(

@@ -11,7 +11,7 @@ from comsel import (
     solve_bruteforce,
     solve_region_ip,
 )
-from comsel.regions import compute_regions, decompose
+from comsel.regions import build_rows, compute_regions
 
 SCORES = {"a": 5, "b": 1, "c": 4, "d": 3, "e": 2}
 
@@ -45,8 +45,8 @@ def test_rows_encode_size_intervals_and_dominances():
         intervals=(Interval("l1", 1, 2),),
         dominances=(Dominance("l1", "l2"),),
     )
-    parts = decompose("abcde", 3, constraints, SCORES)
-    size_row, interval_row, dominance_row = parts.rows
+    rows = build_rows(compute_regions("abcde", constraints, SCORES), 3, constraints)
+    size_row, interval_row, dominance_row = rows
     # regions: unlabeled, l1, l2
     assert size_row.coeffs == (1, 1, 1)
     assert (size_row.low, size_row.high) == (3, 3)
