@@ -118,11 +118,13 @@ def parse_instance(text: str) -> ElectionInstance:
     """Read a JSON instance document, naming the first violation.
 
     The parser checks the document's shape only: field types, required
-    fields and exact field sets.  Every semantic check is made by the model
-    constructors, whose ``InputError`` codes become ``ParseError`` codes.
+    fields and exact field sets.  Decimal numbers are read as exact
+    Fractions (``0.1`` is 1/10, not the nearest float).  Every semantic
+    check is made by the model constructors, whose ``InputError`` codes
+    become ``ParseError`` codes.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise ParseError("malformed-json", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -9,19 +11,28 @@ from typing import Iterable, Mapping
 
 from .errors import InputError
 
-Score = Fraction | float
+# an int whenever the value is integral, an exact Fraction otherwise
+Score = int | Fraction
 
 PRESET_NAMES = ("sntv", "borda", "bloc")
 
 
 def as_score(value: object) -> Score:
-    """Coerce a number to a score, keeping integral values exact."""
+    """Coerce a number to an exact score: an int when integral, a Fraction
+    otherwise.  A float becomes the decimal it prints as, so ``0.1`` is
+    exactly 1/10, the value a JSON document's ``0.1`` is read as."""
     if isinstance(value, bool):
         raise InputError("scores must be numbers, got a boolean", code="invalid-gamma")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InputError(
+                f"scores must be finite, got {value!r}", code="invalid-gamma"
+            )
+        value = Fraction(repr(value))
+    if isinstance(value, int):
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise InputError(f"unsupported score value {value!r}", code="invalid-gamma")
 
 
@@ -141,6 +152,17 @@ class ScoringFunction:
     def __len__(self) -> int:
         return len(self.gamma)
 
+    @cached_property
+    def integer_weights(self) -> tuple[tuple[int, ...], int]:
+        """The vector times its scale, without its trailing zeros, and the
+        scale: the least common multiple of its denominators (1 for an
+        integral vector)."""
+        scale = math.lcm(*(v.denominator for v in self.gamma))
+        weights = [int(v * scale) for v in self.gamma]
+        while weights and not weights[-1]:
+            weights.pop()
+        return tuple(weights), scale
+
     def score_at(self, position: int) -> Score:
         if not 1 <= position <= len(self.gamma):
             raise InputError(f"position {position} outside 1..{len(self.gamma)}")
@@ -157,35 +179,42 @@ def _require_match(profile: ElectionProfile, scoring: ScoringFunction) -> None:
 
 
 def score_all(profile: ElectionProfile, scoring: ScoringFunction) -> dict[str, Score]:
-    """Positional score of every candidate, one sweep over the rankings."""
+    """Positional score of every candidate, from how often each one holds
+    each position: integer counts times the integer weights, divided by the
+    scale once at the end.  Positions worth nothing are not counted."""
     _require_match(profile, scoring)
-    totals: dict[str, Score] = {c: Fraction(0) for c in profile.candidates}
-    for ranking in profile.voters:
-        for index, candidate in enumerate(ranking):
-            totals[candidate] = totals[candidate] + scoring.gamma[index]
-    return totals
+    weights, scale = scoring.integer_weights
+    totals = dict.fromkeys(profile.candidates, 0)
+    # one column of the rankings per position; zip stops after the last
+    # nonzero weight, so trailing positions are never read
+    for weight, column in zip(weights, zip(*profile.voters)):
+        if weight:
+            for candidate, count in Counter(column).items():
+                totals[candidate] += weight * count
+    if scale == 1:
+        return totals
+    return {c: as_score(Fraction(total, scale)) for c, total in totals.items()}
 
 
 def score_candidate(
     profile: ElectionProfile, scoring: ScoringFunction, candidate: str
 ) -> Score:
-    _require_match(profile, scoring)
-    if candidate not in profile._positions[0]:
+    scores = score_all(profile, scoring)
+    if candidate not in scores:
         raise InputError(f"unknown candidate {candidate!r}")
-    total: Score = Fraction(0)
-    for voter in range(profile.num_voters):
-        total = total + scoring.score_at(profile.position(voter, candidate))
-    return total
+    return scores[candidate]
 
 
 def score_committee(
     profile: ElectionProfile, scoring: ScoringFunction, committee: Iterable[str]
 ) -> Score:
     """Sum of the members' scores; the empty committee scores zero."""
-    total: Score = Fraction(0)
-    for candidate in sorted(set(committee)):
-        total = total + score_candidate(profile, scoring, candidate)
-    return total
+    scores = score_all(profile, scoring)
+    members = set(committee)
+    stray = sorted(members - scores.keys())
+    if stray:
+        raise InputError(f"unknown candidate {stray[0]!r}")
+    return sum(scores[c] for c in members)
 
 
 @dataclass(frozen=True)

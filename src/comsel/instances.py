@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .constraints import ConstraintSet
 from .elections import (
@@ -105,9 +106,9 @@ class ElectionInstance:
                 code="order-rule-mismatch",
             )
         self.constraints.labeling.validate_against(self.profile.candidates)
-        if isinstance(self.rule, WeaklySeparableRule):
-            # sizes the preset / checks the explicit vector length now
-            self.rule.scoring_for(self.profile.num_candidates, self.profile.k)
+        # building the scoring function sizes the preset and checks the
+        # explicit vector's length now
+        _ = self.scoring
         object.__setattr__(self, "reference", tuple(self.reference))
         if self.reference:
             if len(set(self.reference)) != len(self.reference):
@@ -133,3 +134,11 @@ class ElectionInstance:
     @property
     def k(self) -> int:
         return self.profile.k
+
+    @cached_property
+    def scoring(self) -> ScoringFunction | None:
+        """The rule's scoring function sized for this profile, built once;
+        None for ranking-only rules."""
+        if not isinstance(self.rule, WeaklySeparableRule):
+            return None
+        return self.rule.scoring_for(self.profile.num_candidates, self.profile.k)

@@ -10,7 +10,6 @@ on keys so solvers can evaluate disjoint unions without rescanning members.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Mapping
 
@@ -62,10 +61,10 @@ class ScoreOrder(CommitteeOrder):
 
     @property
     def empty_key(self) -> Score:
-        return Fraction(0)
+        return 0
 
     def key_of(self, committee: Iterable[str]) -> Score:
-        total: Score = Fraction(0)
+        total: Score = 0
         for candidate in committee:
             try:
                 total = total + self._scores[candidate]

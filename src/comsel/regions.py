@@ -14,7 +14,6 @@ check by the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .constraints import ConstraintSet
@@ -60,7 +59,7 @@ def compute_regions(
     regions = []
     for signature in sorted(buckets):
         members = sorted(buckets[signature], key=lambda c: (-scores[c], c))
-        running: Score = Fraction(0)
+        running: Score = 0
         prefix: list[Score] = [running]
         for name in members:
             running = running + scores[name]
@@ -151,7 +150,7 @@ def solve_region_ip(
     count = len(regions)
     order = sorted(
         range(count),
-        key=lambda i: (-regions[i].prefix[1] if regions[i].size else Fraction(0),
+        key=lambda i: (-regions[i].prefix[1] if regions[i].size else 0,
                        regions[i].signature),
     )
     stats = {"regions": count, "nodes": 0, "leaves": 0}
@@ -169,7 +168,7 @@ def solve_region_ip(
         stats["nodes"] += 1
         if not _propagate(rows, lows, highs):
             return
-        forced: Score = Fraction(0)
+        forced: Score = 0
         for region, low in zip(regions, lows):
             forced = forced + region.prefix[low]
         budget = k - sum(lows)
@@ -180,7 +179,7 @@ def solve_region_ip(
                     region.marginal(slot) for slot in range(low, high)
                 )
             extras.sort(reverse=True)
-            bound = forced + sum(extras[:budget], Fraction(0))
+            bound = forced + sum(extras[:budget])
         else:
             bound = forced
         if best_score is not None and bound < best_score:

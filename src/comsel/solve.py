@@ -18,11 +18,9 @@ SOLVERS = ("auto", "dp", "region", "oracle")
 
 def candidate_scores(instance: ElectionInstance) -> dict[str, Score] | None:
     """Positional score of every candidate, or None for ranking-only rules."""
-    if not isinstance(instance.rule, WeaklySeparableRule):
+    if instance.scoring is None:
         return None
-    profile = instance.profile
-    scoring = instance.rule.scoring_for(profile.num_candidates, profile.k)
-    return score_all(profile, scoring)
+    return score_all(instance.profile, instance.scoring)
 
 
 def ranking_of(instance: ElectionInstance) -> SingletonRanking:

@@ -33,7 +33,12 @@ class _Ballot:
 
     def __init__(self, ranking: tuple[str, ...]):
         self.ranking = ranking
-        self.weight = Fraction(1)
+        # an int until a surplus transfer splits it
+        self.weight: int | Fraction = 1
+
+
+def _as_fractions(tallies: Mapping[str, int | Fraction]) -> dict[str, Fraction]:
+    return {c: Fraction(v) for c, v in tallies.items()}
 
 
 def _count(
@@ -48,7 +53,7 @@ def _count(
     elected: list[str] = []
     eliminated: list[str] = []
     while len(active) > 1:
-        tallies = {c: Fraction(0) for c in sorted(active)}
+        tallies: dict[str, int | Fraction] = dict.fromkeys(sorted(active), 0)
         support: dict[str, list[_Ballot]] = {c: [] for c in tallies}
         for ballot in ballots:
             if ballot.weight == 0:
@@ -66,9 +71,10 @@ def _count(
                 ):
                     winner = candidate
             if winner is not None:
-                rounds.append(StvRound(dict(tallies), "elect", winner))
-                # every supporting ballot keeps the surplus fraction of its weight
-                factor = (tallies[winner] - quota) / tallies[winner]
+                rounds.append(StvRound(_as_fractions(tallies), "elect", winner))
+                # every supporting ballot keeps the surplus fraction of its
+                # weight; Fraction(), since int / int would give a float
+                factor = Fraction(tallies[winner] - quota, tallies[winner])
                 for ballot in support[winner]:
                     ballot.weight *= factor
                 active.remove(winner)
@@ -78,7 +84,7 @@ def _count(
         for candidate in sorted(active):
             if loser is None or tallies[candidate] < tallies[loser]:
                 loser = candidate
-        rounds.append(StvRound(dict(tallies), "eliminate", loser))
+        rounds.append(StvRound(_as_fractions(tallies), "eliminate", loser))
         active.remove(loser)
         eliminated.append(loser)
     order = tuple(elected) + tuple(sorted(active)) + tuple(reversed(eliminated))

@@ -163,6 +163,11 @@ class TestParseInstance:
         expect_code(
             "invalid-gamma", rule={"type": "weakly_separable", "gamma": [1, 0]}
         )
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            expect_code(
+                "invalid-gamma",
+                rule={"type": "weakly_separable", "gamma": [bad, 1, 0, 0]},
+            )
 
     def test_order_diagnostics(self):
         expect_code("invalid-order", order="lexicographic")
@@ -343,6 +348,34 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert out["committee"] == ["a"]
         assert out["score"] == 0.5
+
+    def test_decimal_gamma_is_read_exactly(self, tmp_path, capsys):
+        # only {a,b} and {c,d} are feasible; each scores exactly 3/10, so
+        # the tie goes to the smaller committee.  Summed as floats, c+d
+        # reads 0.30000000000000004 and wins.
+        doc = document(
+            candidates=["a", "b", "c", "d"],
+            voters=[["a", "c", "d", "b"]],
+            k=2,
+            rule={"type": "weakly_separable", "gamma": [0.3, 0.1, 0.2, 0]},
+            labels={
+                "x": ["a", "c"],
+                "y": ["a", "d"],
+                "z": ["b", "c"],
+                "w": ["b", "d"],
+            },
+            constraints=[
+                {"type": "interval", "label": name, "min": 0, "max": 1}
+                for name in ("x", "y", "z", "w")
+            ],
+        )
+        path = self.write(tmp_path, doc)
+        for solver in ("auto", "region", "oracle"):
+            code = main(["solve", "--input", path, "--solver", solver])
+            assert code == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["committee"] == ["a", "b"], solver
+            assert out["score"] == 0.3, solver
 
     def test_budget_guards_the_oracle(self, tmp_path, capsys):
         doc = document(rule={"type": "stv", "variant": "simple"}, order="leximax")

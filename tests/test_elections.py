@@ -84,6 +84,14 @@ class TestScoringFunction:
         assert fn.gamma == (Fraction(1, 2), Fraction(1), Fraction(0))
         with pytest.raises(InputError):
             ScoringFunction((True, 0))
+        # a float is read as the decimal it prints as; integral values are ints
+        fn = ScoringFunction((0.1, 0.25, 2.0, 0))
+        assert fn.gamma == (Fraction(1, 10), Fraction(1, 4), 2, 0)
+        assert [type(v) for v in fn.gamma] == [Fraction, Fraction, int, int]
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InputError, match="finite") as info:
+                ScoringFunction((bad, 0))
+            assert info.value.code == "invalid-gamma"
 
     def test_score_at_bounds(self):
         fn = ScoringFunction.borda(3)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -127,6 +128,38 @@ def test_committee_score_is_the_member_sum(profile, data):
     assert total == sum(
         (score_candidate(profile, scoring, c) for c in committee), start=0
     )
+
+
+@st.composite
+def scoring_vectors(draw, m):
+    """A vector of m entries and the exact value of each: integers,
+    Fractions, or decimal floats read as the decimal they print as."""
+    kind = draw(st.sampled_from(("int", "fraction", "decimal")))
+    numerators = draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m))
+    if kind == "int":
+        return tuple(numerators), tuple(Fraction(i) for i in numerators)
+    if kind == "fraction":
+        denominators = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
+        exact = tuple(Fraction(i, d) for i, d in zip(numerators, denominators))
+        return exact, exact
+    return tuple(i / 10 for i in numerators), tuple(
+        Fraction(i, 10) for i in numerators
+    )
+
+
+@given(profiles(max_voters=8), st.data())
+@settings(max_examples=200, deadline=None)
+def test_score_all_matches_a_per_voter_sum(profile, data):
+    gamma, exact = data.draw(scoring_vectors(profile.num_candidates))
+    expected = {c: Fraction(0) for c in profile.candidates}
+    for ranking in profile.voters:
+        for position, candidate in enumerate(ranking):
+            expected[candidate] += exact[position]
+    scores = score_all(profile, ScoringFunction(gamma))
+    assert scores == expected
+    if all(value.denominator == 1 for value in exact):
+        # integral vectors give int scores, so every solver key is an int
+        assert all(type(value) is int for value in scores.values())
 
 
 @given(profiles())

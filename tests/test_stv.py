@@ -55,6 +55,33 @@ def test_droop_quota_round_trace(profile_b):
     assert (rounds[2].action, rounds[2].candidate) == ("eliminate", "c")
 
 
+def test_droop_transfer_in_thirds():
+    # quota 2; a's three supporters keep weight 1/3 each, a factor with no
+    # exact binary value, so a float factor would miss every tally below
+    profile = ElectionProfile.build(
+        "abcd",
+        (("a", "b", "c", "d"), ("a", "b", "c", "d"), ("a", "c", "b", "d"),
+         ("d", "c", "b", "a")),
+        2,
+    )
+    rounds = stv_rounds(profile, "droop_gregory")
+    assert [(r.action, r.candidate) for r in rounds] == [
+        ("elect", "a"),
+        ("eliminate", "c"),
+        ("eliminate", "b"),
+    ]
+    assert rounds[1].tallies == {
+        "b": Fraction(2, 3),
+        "c": Fraction(1, 3),
+        "d": Fraction(1),
+    }
+    # c's ballot passes its third on to b
+    assert rounds[2].tallies == {"b": Fraction(1), "d": Fraction(1)}
+    assert all(
+        type(value) is Fraction for r in rounds for value in r.tallies.values()
+    )
+
+
 def test_droop_full_order(profile_b):
     assert ordering(stv_ranking(profile_b, "droop_gregory")) == ("a", "b", "c", "d")
 
