@@ -14,7 +14,9 @@ check by the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cached_property
+from operator import itemgetter, sub
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .constraints import ConstraintSet
 from .elections import Score
@@ -37,12 +39,45 @@ class Region:
         """Score gained by the member at a 0-based position."""
         return self.prefix[position + 1] - self.prefix[position]
 
+    @cached_property
+    def gains(self) -> tuple[Score, ...]:
+        """Every member's marginal, best first."""
+        return tuple(self.marginal(i) for i in range(self.size))
+
 
 @dataclass(frozen=True)
 class Row:
     coeffs: tuple[int, ...]
     low: int
     high: int | None
+
+    @cached_property
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """``(index, coefficient)`` for every non-zero coefficient."""
+        return tuple((i, c) for i, c in enumerate(self.coeffs) if c)
+
+    @cached_property
+    def every(self) -> Callable[[Sequence], tuple]:
+        """Picks the items at the non-zero coefficients out of a sequence."""
+        return _picker(tuple(i for i, _ in self.terms))
+
+    @cached_property
+    def plus(self) -> Callable[[Sequence], tuple]:
+        """Picks the items at the +1 coefficients out of a sequence."""
+        return _picker(tuple(i for i, c in enumerate(self.coeffs) if c > 0))
+
+    @cached_property
+    def minus(self) -> Callable[[Sequence], tuple]:
+        """Picks the items at the -1 coefficients out of a sequence."""
+        return _picker(tuple(i for i, c in enumerate(self.coeffs) if c < 0))
+
+
+def _picker(indices: tuple[int, ...]) -> Callable[[Sequence], tuple]:
+    """``itemgetter`` that returns a tuple for any number of indices."""
+    if len(indices) == 1:
+        (index,) = indices
+        return lambda seq: (seq[index],)
+    return itemgetter(*indices) if indices else lambda seq: ()
 
 
 def compute_regions(
@@ -94,43 +129,44 @@ def _propagate(
     changed = True
     while changed:
         changed = False
+        widths = list(map(sub, highs, lows))
         for row in rows:
-            floor = 0
-            ceiling = 0
-            for coeff, low, high in zip(row.coeffs, lows, highs):
-                if coeff > 0:
-                    floor += low
-                    ceiling += high
-                elif coeff < 0:
-                    floor -= high
-                    ceiling -= low
-            if row.high is not None and floor > row.high:
-                return False
-            if ceiling < row.low:
-                return False
-            for index, coeff in enumerate(row.coeffs):
-                if coeff > 0:
-                    if row.high is not None:
-                        slack = row.high - floor + lows[index]
-                        if slack < highs[index]:
-                            highs[index] = slack
-                            changed = True
-                    need = row.low - ceiling + highs[index]
-                    if need > lows[index]:
-                        lows[index] = need
-                        changed = True
-                elif coeff < 0:
-                    if row.high is not None:
-                        need = floor + highs[index] - row.high
-                        if need > lows[index]:
-                            lows[index] = need
-                            changed = True
-                    slack = ceiling + lows[index] - row.low
-                    if slack < highs[index]:
-                        highs[index] = slack
-                        changed = True
-                if lows[index] > highs[index]:
+            plus, minus = row.plus, row.minus
+            floor = sum(plus(lows)) - sum(minus(highs))
+            ceiling = sum(plus(highs)) - sum(minus(lows))
+            # how far the row's sum may fall from its ceiling, and rise
+            # from its floor; an index whose range is no wider than both
+            # cannot be tightened by this row
+            room_low = ceiling - row.low
+            if row.high is None:
+                room_high = None
+                margin = room_low
+            else:
+                room_high = row.high - floor
+                if room_high < 0:
                     return False
+                margin = min(room_high, room_low)
+            if room_low < 0:
+                return False
+            if max(row.every(widths), default=0) <= margin:
+                continue
+            # both rooms are non-negative, so no low passes its high
+            for index, coeff in row.terms:
+                width = highs[index] - lows[index]
+                if width <= margin:
+                    continue
+                if coeff > 0:
+                    if room_high is not None and width > room_high:
+                        highs[index] = lows[index] + room_high
+                    if highs[index] - lows[index] > room_low:
+                        lows[index] = highs[index] - room_low
+                else:
+                    if room_high is not None and width > room_high:
+                        lows[index] = highs[index] - room_high
+                    if highs[index] - lows[index] > room_low:
+                        highs[index] = lows[index] + room_low
+                widths[index] = highs[index] - lows[index]
+            changed = True
     return True
 
 
@@ -175,9 +211,7 @@ def solve_region_ip(
         if budget > 0:
             extras: list[Score] = []
             for region, low, high in zip(regions, lows, highs):
-                extras.extend(
-                    region.marginal(slot) for slot in range(low, high)
-                )
+                extras.extend(region.gains[low:high])
             extras.sort(reverse=True)
             bound = forced + sum(extras[:budget])
         else:

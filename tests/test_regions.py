@@ -11,7 +11,7 @@ from comsel import (
     solve_bruteforce,
     solve_region_ip,
 )
-from comsel.regions import build_rows, compute_regions
+from comsel.regions import _propagate, build_rows, compute_regions
 
 SCORES = {"a": 5, "b": 1, "c": 4, "d": 3, "e": 2}
 
@@ -55,6 +55,37 @@ def test_rows_encode_size_intervals_and_dominances():
     assert dominance_row.coeffs == (0, 1, -1)
     assert (dominance_row.low, dominance_row.high) == (0, None)
 
+
+
+def _propagated(intervals, k=3):
+    constraints = ConstraintSet.build(
+        {"l1": "ab", "l2": "cd"},
+        intervals=intervals,
+        dominances=(Dominance("l1", "l2"),),
+    )
+    regions = compute_regions("abcde", constraints, SCORES)
+    rows = build_rows(regions, k, constraints)
+    lows, highs = [0] * len(regions), [r.size for r in regions]
+    return _propagate(rows, lows, highs), lows, highs
+
+
+def test_propagation_chains_interval_dominance_and_size():
+    # l1 <= 1 caps l2 through the dominance; the size then fixes every count
+    feasible, lows, highs = _propagated((Interval("l1", 0, 1),))
+    assert feasible
+    assert lows == highs == [1, 1, 1]
+
+
+def test_propagation_detects_an_impossible_row():
+    # l1 = 0 forces l2 = 0, and the unlabeled region alone cannot seat 3
+    feasible, _, _ = _propagated((Interval("l1", 0, 0),))
+    assert not feasible
+
+
+def test_propagation_caps_counts_at_the_committee_size():
+    feasible, lows, highs = _propagated((Interval("l1", 0, 2),), k=1)
+    assert feasible
+    assert (lows, highs) == ([0, 0, 0], [1, 1, 1])
 
 class TestSolve:
     def test_unconstrained_top_scorers(self):
