@@ -25,8 +25,6 @@ from .elections import (
     ScoringFunction,
     SingletonRanking,
     score_all,
-    score_candidate,
-    score_committee,
 )
 from .errors import (
     BudgetExceededError,
@@ -123,8 +121,6 @@ __all__ = [
     "parse_graph",
     "ranking_of",
     "score_all",
-    "score_candidate",
-    "score_committee",
     "score_if_score_based",
     "solve_bruteforce",
     "solve_instance",

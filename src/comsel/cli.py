@@ -172,6 +172,20 @@ def _json_number(value: Score) -> int | float:
     return value
 
 
+def _exact_json_number(index: int, value: Score) -> int | float:
+    """A gamma entry as a JSON number that reads back as the same value.
+
+    JSON has no rational type and documents read decimals exactly, so an
+    entry without a short decimal form, such as 1/3, cannot be written."""
+    number = _json_number(value)
+    if Fraction(repr(number)) != value:
+        raise InputError(
+            f"gamma entry {index} is {value}, which has no exact decimal form",
+            code="invalid-gamma",
+        )
+    return number
+
+
 def instance_to_document(instance: ElectionInstance) -> dict:
     labeling = instance.constraints.labeling
     constraints: list[dict] = []
@@ -193,7 +207,7 @@ def instance_to_document(instance: ElectionInstance) -> dict:
         rule: dict[str, Any] = {
             "type": "weakly_separable",
             "gamma": gamma if isinstance(gamma, str)
-            else [_json_number(v) for v in gamma],
+            else [_exact_json_number(i, v) for i, v in enumerate(gamma)],
         }
     else:
         rule = {"type": "stv", "variant": instance.rule.variant}

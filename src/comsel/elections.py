@@ -96,19 +96,6 @@ class ElectionProfile:
     def num_voters(self) -> int:
         return len(self.voters)
 
-    @cached_property
-    def _positions(self) -> tuple[dict[str, int], ...]:
-        return tuple(
-            {c: i + 1 for i, c in enumerate(ranking)} for ranking in self.voters
-        )
-
-    def position(self, voter: int, candidate: str) -> int:
-        """1-based rank of the candidate in the given voter's ranking."""
-        try:
-            return self._positions[voter][candidate]
-        except KeyError:
-            raise InputError(f"unknown candidate {candidate!r}") from None
-
 
 @dataclass(frozen=True)
 class ScoringFunction:
@@ -163,11 +150,6 @@ class ScoringFunction:
             weights.pop()
         return tuple(weights), scale
 
-    def score_at(self, position: int) -> Score:
-        if not 1 <= position <= len(self.gamma):
-            raise InputError(f"position {position} outside 1..{len(self.gamma)}")
-        return self.gamma[position - 1]
-
 
 def _require_match(profile: ElectionProfile, scoring: ScoringFunction) -> None:
     if len(scoring) != profile.num_candidates:
@@ -194,27 +176,6 @@ def score_all(profile: ElectionProfile, scoring: ScoringFunction) -> dict[str, S
     if scale == 1:
         return totals
     return {c: as_score(Fraction(total, scale)) for c, total in totals.items()}
-
-
-def score_candidate(
-    profile: ElectionProfile, scoring: ScoringFunction, candidate: str
-) -> Score:
-    scores = score_all(profile, scoring)
-    if candidate not in scores:
-        raise InputError(f"unknown candidate {candidate!r}")
-    return scores[candidate]
-
-
-def score_committee(
-    profile: ElectionProfile, scoring: ScoringFunction, committee: Iterable[str]
-) -> Score:
-    """Sum of the members' scores; the empty committee scores zero."""
-    scores = score_all(profile, scoring)
-    members = set(committee)
-    stray = sorted(members - scores.keys())
-    if stray:
-        raise InputError(f"unknown candidate {stray[0]!r}")
-    return sum(scores[c] for c in members)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ on keys so solvers can evaluate disjoint unions without rescanning members.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from functools import cmp_to_key
 from typing import Iterable, Mapping
 
 from .elections import Score, SingletonRanking
@@ -155,9 +154,8 @@ def best_singletons(
     items = sorted(set(pool))
     if not 0 <= count <= len(items):
         raise InputError(f"cannot pick {count} candidates from a pool of {len(items)}")
-    ranked = sorted(
-        items, key=cmp_to_key(lambda u, v: order.compare((v,), (u,)))
-    )
+    # a stable sort keeps equal keys in name order
+    ranked = sorted(items, key=lambda c: order.key_of((c,)), reverse=True)
     return tuple(ranked[:count])
 
 

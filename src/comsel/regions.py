@@ -86,11 +86,16 @@ def compute_regions(
     scores: Mapping[str, Score],
 ) -> tuple[Region, ...]:
     """Regions sorted by signature; members best first, ties to the
-    lexicographically smaller name."""
+    lexicographically smaller name.  A signature keeps only the labels
+    some constraint names: the others cannot tell two candidates apart."""
     labeling = constraints.labeling
+    used = {interval.label for interval in constraints.intervals}
+    for dominance in constraints.dominances:
+        used.update((dominance.over, dominance.under))
     buckets: dict[tuple[str, ...], list[str]] = {}
     for name in sorted(set(candidates)):
-        buckets.setdefault(labeling.labels_of(name), []).append(name)
+        signature = tuple(g for g in labeling.labels_of(name) if g in used)
+        buckets.setdefault(signature, []).append(name)
     regions = []
     for signature in sorted(buckets):
         members = sorted(buckets[signature], key=lambda c: (-scores[c], c))
@@ -123,17 +128,24 @@ def build_rows(
 
 
 def _propagate(
-    rows: tuple[Row, ...], lows: list[int], highs: list[int]
+    rows: tuple[Row, ...],
+    lows: list[int],
+    highs: list[int],
+    first: tuple[Row, ...] | None = None,
 ) -> bool:
-    """Tighten count bounds to a fixpoint; False when a row is impossible."""
-    changed = True
-    while changed:
+    """Tighten count bounds to a fixpoint; False when a row is impossible.
+
+    When the bounds were a fixpoint before a few counts changed, ``first``
+    may name the rows over those counts: no other row can tighten
+    anything until one of them does."""
+    pending = rows if first is None else first
+    while pending:
         changed = False
         widths = list(map(sub, highs, lows))
-        for row in rows:
-            plus, minus = row.plus, row.minus
-            floor = sum(plus(lows)) - sum(minus(highs))
-            ceiling = sum(plus(highs)) - sum(minus(lows))
+        for row in pending:
+            spans = row.every(widths)
+            floor = sum(row.plus(lows)) - sum(row.minus(highs))
+            ceiling = floor + sum(spans)
             # how far the row's sum may fall from its ceiling, and rise
             # from its floor; an index whose range is no wider than both
             # cannot be tightened by this row
@@ -148,7 +160,7 @@ def _propagate(
                 margin = min(room_high, room_low)
             if room_low < 0:
                 return False
-            if max(row.every(widths), default=0) <= margin:
+            if max(spans, default=0) <= margin:
                 continue
             # both rooms are non-negative, so no low passes its high
             for index, coeff in row.terms:
@@ -167,6 +179,7 @@ def _propagate(
                         highs[index] = lows[index] + room_low
                 widths[index] = highs[index] - lows[index]
             changed = True
+        pending = rows if changed else ()
     return True
 
 
@@ -189,6 +202,7 @@ def solve_region_ip(
         key=lambda i: (-regions[i].prefix[1] if regions[i].size else 0,
                        regions[i].signature),
     )
+    touching = [tuple(row for row in rows if row.coeffs[i]) for i in range(count)]
     stats = {"regions": count, "nodes": 0, "leaves": 0}
     best_committee: tuple[str, ...] | None = None
     best_score: Score | None = None
@@ -199,10 +213,15 @@ def solve_region_ip(
             chosen.extend(region.members[:taken])
         return tuple(sorted(chosen))
 
-    def search(position: int, lows: list[int], highs: list[int]) -> None:
+    def search(
+        position: int,
+        lows: list[int],
+        highs: list[int],
+        first: tuple[Row, ...] | None = None,
+    ) -> None:
         nonlocal best_committee, best_score
         stats["nodes"] += 1
-        if not _propagate(rows, lows, highs):
+        if not _propagate(rows, lows, highs, first):
             return
         forced: Score = 0
         for region, low in zip(regions, lows):
@@ -234,7 +253,7 @@ def solve_region_ip(
             next_highs = highs.copy()
             next_lows[index] = value
             next_highs[index] = value
-            search(position + 1, next_lows, next_highs)
+            search(position + 1, next_lows, next_highs, touching[index])
 
     search(0, [0] * count, [region.size for region in regions])
     if best_committee is None:

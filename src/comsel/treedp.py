@@ -6,44 +6,28 @@ by the count ceiling its parent imposes.  Interval upper bounds shrink a
 label's usable pool to its best members; lower bounds become an obligatory
 candidate set that the order is rewired to prefer, and the solve is
 declared infeasible when the winner still leaves an obligatory candidate
-out.  Keys are compared before committees are materialised, so ties fall
-to the lexicographically smallest committee without paying for a merge on
-every probe.
+out.  A table cell holds a pair ``(key, mask)``: the committee's order key
+and a bit mask of its members, where the i-th smallest of m candidate
+names is bit ``1 << (m - 1 - i)``.  The committees in one cell all have
+the same size, and among those a larger mask is exactly a
+lexicographically smaller sorted committee, so comparing cells as tuples
+breaks ties toward the smallest committee.  The committee itself is
+built once, from the winning cell's mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping
 
 from .constraints import ConstraintSet, DominanceForest
 from .errors import ContractViolation
 from .orders import CommitteeOrder, ObligatoryFirstOrder, best_singletons, score_if_score_based
 from .result import SolveResult
 
-
-class _Entry(NamedTuple):
-    key: object
-    committee: tuple[str, ...]
-
-
-def _merge_sorted(left: tuple[str, ...], right: tuple[str, ...]) -> tuple[str, ...]:
-    if not left:
-        return right
-    if not right:
-        return left
-    merged: list[str] = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return tuple(merged)
+# (order key, member mask); None marks a cell no committee reaches
+Cell = tuple[object, int]
+Grid = list[list[Cell | None]]
 
 
 @dataclass(frozen=True)
@@ -123,37 +107,37 @@ def preprocess_intervals(
 
 
 def _own_prefixes(
-    order: CommitteeOrder, pools: list[tuple[str, ...]], limit: int
-) -> list[_Entry]:
-    # entry r holds the best r members of every pool at once
-    entries = [_Entry(order.empty_key, ())]
+    order: CommitteeOrder,
+    pools: list[tuple[str, ...]],
+    limit: int,
+    bits: Mapping[str, int],
+) -> list[Cell]:
+    # cell r holds the best r members of every pool at once
+    cells: list[Cell] = [(order.empty_key, 0)]
     depth = min((len(pool) for pool in pools), default=0)
     for level in range(min(depth, limit)):
-        batch = tuple(sorted(pool[level] for pool in pools))
-        key = entries[-1].key
-        for name in batch:
+        key, mask = cells[-1]
+        for pool in pools:
+            name = pool[level]
             key = order.join(key, order.key_of((name,)))
-        entries.append(_Entry(key, _merge_sorted(entries[-1].committee, batch)))
-    return entries
+            mask += bits[name]
+        cells.append((key, mask))
+    return cells
 
 
-def _new_grid(k: int) -> list[list[_Entry | None]]:
+def _new_grid(k: int) -> Grid:
     return [[None] * (k + 1) for _ in range(k + 1)]
 
 
 def _combine_children(
-    order: CommitteeOrder,
-    tables: list[list[list[_Entry | None]]],
-    k: int,
-    counter: dict[str, int],
-) -> list[list[_Entry | None]]:
+    order: CommitteeOrder, tables: list[Grid], k: int, counter: dict[str, int]
+) -> Grid:
     """Best joint use of the child subtrees; grid[size][cap] caps every
     child's own count at cap."""
-    empty = _Entry(order.empty_key, ())
     if not tables:
         grid = _new_grid(k)
         for cap in range(k + 1):
-            grid[0][cap] = empty
+            grid[0][cap] = (order.empty_key, 0)
         return grid
     grid = [row[:] for row in tables[0]]
     for table in tables[1:]:
@@ -161,23 +145,16 @@ def _combine_children(
         counter["cells"] += (k + 1) * (k + 1)
         for cap in range(k + 1):
             for size in range(k + 1):
-                best: _Entry | None = None
+                best: Cell | None = None
                 for part in range(size + 1):
                     left = grid[size - part][cap]
                     right = table[part][cap]
                     if left is None or right is None:
                         continue
                     counter["joins"] += 1
-                    key = order.join(left.key, right.key)
-                    if best is not None and key < best.key:
-                        continue
-                    committee = _merge_sorted(left.committee, right.committee)
-                    if (
-                        best is None
-                        or key > best.key
-                        or committee < best.committee
-                    ):
-                        best = _Entry(key, committee)
+                    cell = (order.join(left[0], right[0]), left[1] + right[1])
+                    if best is None or cell > best:
+                        best = cell
                 merged[size][cap] = best
         grid = merged
     return grid
@@ -185,12 +162,12 @@ def _combine_children(
 
 def _node_table(
     order: CommitteeOrder,
-    own: list[_Entry],
+    own: list[Cell],
     width: int,
-    combined: list[list[_Entry | None]],
+    combined: Grid,
     k: int,
     counter: dict[str, int],
-) -> list[list[_Entry | None]]:
+) -> Grid:
     """grid[size][cap]: best subtree pick using exactly size slots with the
     node's own per-label count at most cap."""
     grid = _new_grid(k)
@@ -199,18 +176,16 @@ def _node_table(
     for cap in range(k + 1):
         top = min(cap, len(own) - 1)
         for size in range(k + 1):
-            best: _Entry | None = None
+            best: Cell | None = None
             for count in range(min(top, size // width) + 1):
                 sub = combined[size - count * width][count]
                 if sub is None:
                     continue
                 counter["joins"] += 1
-                key = order.join(own[count].key, sub.key)
-                if best is not None and key < best.key:
-                    continue
-                committee = _merge_sorted(own[count].committee, sub.committee)
-                if best is None or key > best.key or committee < best.committee:
-                    best = _Entry(key, committee)
+                key, mask = own[count]
+                cell = (order.join(key, sub[0]), mask + sub[1])
+                if best is None or cell > best:
+                    best = cell
             grid[size][cap] = best
     return grid
 
@@ -232,7 +207,9 @@ def solve_tree(
     if not labeling.is_disjoint:
         raise ContractViolation("the tree solver needs disjoint labels")
     forest = DominanceForest.build(constraints)
-    pre = preprocess_intervals(candidates, k, constraints, order)
+    names = sorted(set(candidates))
+    bits = {name: 1 << (len(names) - 1 - i) for i, name in enumerate(names)}
+    pre = preprocess_intervals(names, k, constraints, order)
     counter = {"joins": 0, "tables": 0, "cells": 0}
     if pre.reason is not None:
         return SolveResult(
@@ -247,7 +224,7 @@ def solve_tree(
     if pre.obligatory:
         solve_order = ObligatoryFirstOrder(order, pre.obligatory)
 
-    tables: dict[int, list[list[_Entry | None]]] = {}
+    tables: dict[int, Grid] = {}
     pending = [(root, False) for root in forest.roots]
     while pending:
         node, expanded = pending.pop()
@@ -256,7 +233,7 @@ def solve_tree(
             pending.extend((child, False) for child in forest.children[node])
             continue
         pools = [pre.pools[name] for name in forest.nodes[node]]
-        own = _own_prefixes(solve_order, pools, k)
+        own = _own_prefixes(solve_order, pools, k, bits)
         combined = _combine_children(
             solve_order, [tables.pop(child) for child in forest.children[node]], k, counter
         )
@@ -266,14 +243,14 @@ def solve_tree(
 
     top_tables = [tables[root] for root in forest.roots]
     if pre.unlabeled:
-        own = _own_prefixes(solve_order, [pre.unlabeled], k)
+        own = _own_prefixes(solve_order, [pre.unlabeled], k, bits)
         empty = _combine_children(solve_order, [], k, counter)
         top_tables.append(
             _node_table(solve_order, own, 1, empty, k, counter)
         )
     final = _combine_children(solve_order, top_tables, k, counter)
-    entry = final[k][k]
-    if entry is None:
+    cell = final[k][k]
+    if cell is None:
         return SolveResult(
             status="infeasible",
             committee=(),
@@ -282,7 +259,7 @@ def solve_tree(
             reason="no size-k committee satisfies the constraints",
             stats=dict(counter),
         )
-    committee = entry.committee
+    committee = tuple(name for name in names if cell[1] & bits[name])
     if not pre.obligatory <= frozenset(committee):
         return SolveResult(
             status="infeasible",

@@ -1,10 +1,12 @@
 """JSON document parsing, serialization, and the command-line verbs."""
 
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from comsel import ParseError, StvRule, WeaklySeparableRule, gen_random
+from comsel import InputError, ParseError, StvRule, WeaklySeparableRule, gen_random
 from comsel.cli import (
     instance_to_document,
     main,
@@ -216,6 +218,15 @@ class TestSerialization:
         assert list(doc) == [
             "candidates", "voters", "k", "labels", "constraints", "rule", "order",
         ]
+
+    def test_gamma_round_trips_exactly_or_not_at_all(self):
+        tenth = parse(rule={"type": "weakly_separable", "gamma": [0.1, 0, 0, 0]})
+        assert tenth.rule.gamma[0] == Fraction(1, 10)
+        assert parse_instance(serialize_instance(tenth)) == tenth
+        third = WeaklySeparableRule([Fraction(1, 3), 0, 0, 0])
+        with pytest.raises(InputError, match="gamma entry 0") as info:
+            instance_to_document(replace(tenth, rule=third))
+        assert info.value.code == "invalid-gamma"
 
     def test_stv_rule_document(self):
         instance = parse(rule={"type": "stv", "variant": "simple"}, order="leximin")

@@ -10,8 +10,6 @@ from comsel import (
     ScoringFunction,
     SingletonRanking,
     score_all,
-    score_candidate,
-    score_committee,
 )
 
 
@@ -43,15 +41,6 @@ class TestProfileValidation:
         # both endpoints are legal
         ElectionProfile.build("ab", (("a", "b"),), 0)
         ElectionProfile.build("ab", (("a", "b"),), 2)
-
-    def test_position_is_one_based(self, profile_a):
-        assert profile_a.position(0, "a") == 1
-        assert profile_a.position(0, "d") == 4
-        assert profile_a.position(4, "c") == 2
-
-    def test_position_unknown_candidate(self, profile_a):
-        with pytest.raises(InputError, match="unknown candidate"):
-            profile_a.position(0, "z")
 
 
 class TestScoringFunction:
@@ -93,15 +82,6 @@ class TestScoringFunction:
                 ScoringFunction((bad, 0))
             assert info.value.code == "invalid-gamma"
 
-    def test_score_at_bounds(self):
-        fn = ScoringFunction.borda(3)
-        assert fn.score_at(1) == 2
-        assert fn.score_at(3) == 0
-        with pytest.raises(InputError, match="position"):
-            fn.score_at(0)
-        with pytest.raises(InputError, match="position"):
-            fn.score_at(4)
-
 
 class TestScoring:
     def test_sntv_counts_first_places(self, profile_a):
@@ -111,31 +91,14 @@ class TestScoring:
     def test_borda_scores(self, profile_a):
         scores = score_all(profile_a, ScoringFunction.borda(4))
         assert scores == {"a": 7, "b": 8, "c": 9, "d": 6}
-        assert score_candidate(profile_a, ScoringFunction.borda(4), "c") == 9
 
     def test_single_voter_sntv_scores_runner_up_zero(self):
         profile = ElectionProfile.build("ab", (("a", "b"),), 1)
-        assert score_candidate(profile, ScoringFunction.sntv(2), "b") == 0
-
-    def test_committee_score_is_member_sum(self, profile_a):
-        assert score_committee(profile_a, ScoringFunction.sntv(4), ("a", "d")) == 4
-        assert score_committee(profile_a, ScoringFunction.borda(4), ("b", "c")) == 17
-        assert score_committee(profile_a, ScoringFunction.bloc(4, 2), ("a", "c")) == 6
-
-    def test_empty_committee_scores_zero(self, profile_a):
-        assert score_committee(profile_a, ScoringFunction.borda(4), ()) == 0
-
-    def test_duplicate_members_counted_once(self, profile_a):
-        fn = ScoringFunction.borda(4)
-        assert score_committee(profile_a, fn, ("c", "c")) == 9
+        assert score_all(profile, ScoringFunction.sntv(2))["b"] == 0
 
     def test_vector_length_must_match(self, profile_a):
         with pytest.raises(InputError, match="positions"):
             score_all(profile_a, ScoringFunction.borda(3))
-
-    def test_unknown_candidate(self, profile_a):
-        with pytest.raises(InputError, match="unknown candidate"):
-            score_candidate(profile_a, ScoringFunction.borda(4), "z")
 
 
 class TestSingletonRanking:

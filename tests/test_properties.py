@@ -17,8 +17,6 @@ from comsel import (
     SingletonRanking,
     enumerate_feasible,
     score_all,
-    score_candidate,
-    score_committee,
     solve_bruteforce,
     stv_ranking,
     transitive_closure,
@@ -119,17 +117,6 @@ def profiles(draw, max_candidates=6, max_voters=5):
     return ElectionProfile(names, voters, k)
 
 
-@given(profiles(), st.data())
-@settings(max_examples=150, deadline=None)
-def test_committee_score_is_the_member_sum(profile, data):
-    scoring = ScoringFunction.borda(profile.num_candidates)
-    committee = data.draw(st.permutations(profile.candidates))[: profile.k]
-    total = score_committee(profile, scoring, committee)
-    assert total == sum(
-        (score_candidate(profile, scoring, c) for c in committee), start=0
-    )
-
-
 @st.composite
 def scoring_vectors(draw, m):
     """A vector of m entries and the exact value of each: integers,
@@ -175,13 +162,11 @@ def test_scores_ignore_voter_order(profile):
 @given(profiles())
 @settings(max_examples=100, deadline=None)
 def test_score_order_tracks_committee_scores(profile):
-    scoring = ScoringFunction.sntv(profile.num_candidates)
-    order = ScoreOrder(score_all(profile, scoring))
+    scores = score_all(profile, ScoringFunction.sntv(profile.num_candidates))
+    order = ScoreOrder(scores)
     committees = list(itertools.combinations(profile.candidates, profile.k))
     for first, second in itertools.product(committees, committees):
-        difference = score_committee(profile, scoring, first) - score_committee(
-            profile, scoring, second
-        )
+        difference = sum(scores[c] for c in first) - sum(scores[c] for c in second)
         compared = order.compare(first, second)
         assert compared == (difference > 0) - (difference < 0)
 

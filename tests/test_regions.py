@@ -1,5 +1,7 @@
 """Region decomposition and the bounded count search."""
 
+import json
+import random
 from fractions import Fraction
 
 from comsel import (
@@ -11,13 +13,17 @@ from comsel import (
     solve_bruteforce,
     solve_region_ip,
 )
+from comsel.cli import main
 from comsel.regions import _propagate, build_rows, compute_regions
 
 SCORES = {"a": 5, "b": 1, "c": 4, "d": 3, "e": 2}
 
 
 def test_regions_split_on_exact_label_sets():
-    constraints = ConstraintSet.build({"l1": "abc", "l2": "cd"})
+    constraints = ConstraintSet.build(
+        {"l1": "abc", "l2": "cd"},
+        intervals=(Interval("l1", 0, 3), Interval("l2", 0, 2)),
+    )
     regions = compute_regions("abcde", constraints, SCORES)
     assert [r.signature for r in regions] == [(), ("l1",), ("l1", "l2"), ("l2",)]
     assert [r.members for r in regions] == [("e",), ("a", "b"), ("c",), ("d",)]
@@ -34,9 +40,47 @@ def test_members_sorted_by_score_then_name():
 
 
 def test_disjoint_labels_give_one_region_per_label():
-    constraints = ConstraintSet.build({"l1": "ab", "l2": "cd"})
+    constraints = ConstraintSet.build(
+        {"l1": "ab", "l2": "cd"}, dominances=(Dominance("l1", "l2"),)
+    )
     regions = compute_regions("abcde", constraints, SCORES)
     assert [r.signature for r in regions] == [(), ("l1",), ("l2",)]
+
+
+def test_labels_no_constraint_names_do_not_split_regions():
+    constraints = ConstraintSet.build({"l1": "abc", "l2": "cd"})
+    (region,) = compute_regions("abcde", constraints, SCORES)
+    assert region.signature == ()
+    result = solve_region_ip("abcde", 2, constraints, SCORES)
+    plain = solve_region_ip("abcde", 2, ConstraintSet.empty(), SCORES)
+    assert result.stats["regions"] == 1
+    assert result.committee == plain.committee == ("a", "c")
+
+
+def test_many_unconstrained_overlapping_labels_solve(tmp_path, capsys):
+    # every one of 12 labels takes a random half of 1 500 candidates, so
+    # their label sets alone would split them into over a thousand regions
+    rng = random.Random(12)
+    candidates = [f"c{i:04d}" for i in range(1500)]
+    labels = {
+        f"u{j:02d}": sorted(c for c in candidates if rng.random() < 0.5)
+        for j in range(12)
+    }
+    doc = {
+        "candidates": candidates,
+        "voters": [rng.sample(candidates, len(candidates))],
+        "k": 10,
+        "labels": labels,
+        "constraints": [],
+        "rule": {"type": "weakly_separable", "gamma": "borda"},
+        "order": "score",
+    }
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--input", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["solver"] == "region"
+    assert out["committee"] == sorted(doc["voters"][0][:10])
 
 
 def test_rows_encode_size_intervals_and_dominances():
@@ -80,6 +124,35 @@ def test_propagation_detects_an_impossible_row():
     # l1 = 0 forces l2 = 0, and the unlabeled region alone cannot seat 3
     feasible, _, _ = _propagated((Interval("l1", 0, 0),))
     assert not feasible
+
+
+def test_propagation_from_the_changed_rows_reaches_the_same_fixpoint():
+    # after one count is fixed, checking only the rows over it first must
+    # end where checking every row does, infeasibility included
+    outcomes = set()
+    for seed in range(20):
+        instance = gen_random(9, 3, 4, 3, "overlapping", "arbitrary", seed=seed)
+        scores = dict.fromkeys(instance.profile.candidates, 0)
+        regions = compute_regions(
+            instance.profile.candidates, instance.constraints, scores
+        )
+        rows = build_rows(regions, instance.k, instance.constraints)
+        lows, highs = [0] * len(regions), [r.size for r in regions]
+        if not _propagate(rows, lows, highs):
+            continue
+        for index in range(len(regions)):
+            touching = tuple(row for row in rows if row.coeffs[index])
+            for value in range(lows[index], highs[index] + 1):
+                results = []
+                for first in (None, touching):
+                    fixed_lows, fixed_highs = lows.copy(), highs.copy()
+                    fixed_lows[index] = fixed_highs[index] = value
+                    feasible = _propagate(rows, fixed_lows, fixed_highs, first)
+                    # an infeasible node is dropped, whatever its bounds
+                    results.append(feasible and (fixed_lows, fixed_highs))
+                assert results[0] == results[1], (seed, index, value)
+                outcomes.add(bool(results[0]))
+    assert outcomes == {True, False}
 
 
 def test_propagation_caps_counts_at_the_committee_size():

@@ -9,7 +9,11 @@ from comsel import (
     Interval,
     ObligatoryFirstOrder,
     ScoreOrder,
+    StvRule,
+    WeaklySeparableRule,
+    gen_random,
     solve_bruteforce,
+    solve_instance,
     solve_tree,
 )
 from comsel.treedp import preprocess_intervals
@@ -192,3 +196,32 @@ class TestSolveTree:
             k = instance.profile.k
             bound = (2 * len(instance.constraints.labeling) + 3) * (k + 1) ** 2
             assert result.stats["cells"] <= bound
+
+
+def test_ties_fall_to_the_oracles_committee():
+    # few voters and coarse rules leave many committees equally good; the
+    # dp must pick the oracle's one, the lexicographically smallest
+    cases = (
+        (WeaklySeparableRule("sntv"), "score"),
+        (WeaklySeparableRule("bloc"), "leximax"),
+        (WeaklySeparableRule("sntv"), "leximin"),
+        (StvRule("simple"), "leximax"),
+    )
+    for seed in range(300):
+        rule, order_kind = cases[seed % len(cases)]
+        m = 4 + seed % 7
+        instance = gen_random(
+            m,
+            1 + seed % 3,
+            1 + seed % min(4, m),
+            1 + seed % 3,
+            "disjoint",
+            "tree_like",
+            20_000 + seed,
+            rule=rule,
+            order_kind=order_kind,
+        )
+        dp = solve_instance(instance, "dp")
+        oracle = solve_instance(instance, "oracle")
+        assert dp.status == oracle.status, seed
+        assert dp.committee == oracle.committee, seed
