@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -70,8 +71,11 @@ class ElectionProfile:
                     code="non-permutation-ranking",
                 )
         if not isinstance(self.k, int) or isinstance(self.k, bool):
+            shown = repr(self.k)
+            if isinstance(self.k, Fraction):  # a document's decimal, as written
+                shown = Decimal(self.k.numerator) / self.k.denominator + Decimal("0.0")
             raise InputError(
-                f"committee size must be an integer, got {self.k!r}", code="invalid-k"
+                f"committee size must be an integer, got {shown}", code="invalid-k"
             )
         if not 0 <= self.k <= len(self.candidates):
             raise InputError(

@@ -5,6 +5,8 @@ fixed-cardinality responsiveness: extending both sides with the same
 disjoint set of candidates never reverses a comparison.  Each order reduces
 a committee to a totally ordered key (larger is better) and exposes a join
 on keys so solvers can evaluate disjoint unions without rescanning members.
+The score, leximax and leximin orders all key a committee by a sum of
+per-candidate weights.
 """
 
 from __future__ import annotations
@@ -52,11 +54,11 @@ class CommitteeOrder(ABC):
         return 0
 
 
-class ScoreOrder(CommitteeOrder):
-    """Committees ranked by the sum of fixed per-candidate scores."""
+class WeightOrder(CommitteeOrder):
+    """Committees ranked by the sum of fixed per-candidate weights."""
 
-    def __init__(self, scores: Mapping[str, Score]):
-        self._scores = dict(scores)
+    def __init__(self, weights: Mapping[str, Score]):
+        self.weights = dict(weights)
 
     @property
     def empty_key(self) -> Score:
@@ -66,7 +68,7 @@ class ScoreOrder(CommitteeOrder):
         total: Score = 0
         for candidate in committee:
             try:
-                total = total + self._scores[candidate]
+                total = total + self.weights[candidate]
             except KeyError:
                 raise InputError(f"unknown candidate {candidate!r}") from None
         return total
@@ -75,48 +77,45 @@ class ScoreOrder(CommitteeOrder):
         return left_key + right_key
 
 
-class LeximaxOrder(CommitteeOrder):
+class ScoreOrder(WeightOrder):
+    """Committees ranked by the sum of the candidates' scores; a key is the
+    committee's score."""
+
+
+def _mixed_radix(tiers: Iterable[frozenset[str]]) -> dict[str, int]:
+    """One weight per candidate, each tier a digit of a mixed-radix number,
+    the first tier least significant.  A committee holds 0 to s members
+    of a tier of size s, so the next tier weighs s + 1 times as much, and
+    weight sums compare as the per-tier counts do."""
+    weights: dict[str, int] = {}
+    weight = 1
+    for tier in tiers:
+        weights.update(dict.fromkeys(tier, weight))
+        weight *= len(tier) + 1
+    return weights
+
+
+class LeximaxOrder(WeightOrder):
     """Committees ranked by their best members, then the next best, and so on.
 
-    Members map to the index of their ranking tier; committees compare by
-    the multiset of those indices, examining the smallest indices first.
+    Among equal-size committees that is more members in the best tier,
+    then in the next: the best tier is the most significant digit.
     """
 
     def __init__(self, ranking: SingletonRanking):
-        self.ranking = ranking
-
-    @property
-    def empty_key(self) -> tuple:
-        return ()
-
-    def key_of(self, committee: Iterable[str]) -> tuple:
-        levels = [-self.ranking.tier_of(c) for c in committee]
-        return tuple(sorted(levels, reverse=True))
-
-    def join(self, left_key: tuple, right_key: tuple) -> tuple:
-        return tuple(sorted(left_key + right_key, reverse=True))
+        super().__init__(_mixed_radix(reversed(ranking.tiers)))
 
 
-class LeximinOrder(CommitteeOrder):
+class LeximinOrder(WeightOrder):
     """Committees ranked by their worst members, then the next worst.
 
-    The comparison mirrors the leximax rule but examines the largest tier
-    indices first, so a committee wins by having a less objectionable tail.
+    Among equal-size committees that is fewer members in the worst tier,
+    then in the next worst: the worst tier is the most significant digit,
+    and the weights are negated.
     """
 
     def __init__(self, ranking: SingletonRanking):
-        self.ranking = ranking
-
-    @property
-    def empty_key(self) -> tuple:
-        return ()
-
-    def key_of(self, committee: Iterable[str]) -> tuple:
-        levels = [-self.ranking.tier_of(c) for c in committee]
-        return tuple(sorted(levels))
-
-    def join(self, left_key: tuple, right_key: tuple) -> tuple:
-        return tuple(sorted(left_key + right_key))
+        super().__init__({c: -w for c, w in _mixed_radix(ranking.tiers).items()})
 
 
 class ObligatoryFirstOrder(CommitteeOrder):

@@ -1,4 +1,4 @@
-"""Branch-and-bound solver for score orders under arbitrary constraints.
+"""Branch-and-bound solver for weight-sum orders under arbitrary constraints.
 
 Candidates sharing the same set of labels are interchangeable up to score,
 so the search runs over how many seats each such region gets, not over
@@ -189,7 +189,8 @@ def solve_region_ip(
     constraints: ConstraintSet,
     scores: Mapping[str, Score],
 ) -> SolveResult:
-    """Highest-scoring feasible committee; ties go to the
+    """Feasible committee with the highest sum of ``scores``, which may be
+    any per-candidate weights, such as a leximax order's; ties go to the
     lexicographically smallest committee.
 
     The committee is not re-checked here: ``solve_instance`` verifies every
@@ -213,16 +214,19 @@ def solve_region_ip(
             chosen.extend(region.members[:taken])
         return tuple(sorted(chosen))
 
-    def search(
-        position: int,
-        lows: list[int],
-        highs: list[int],
-        first: tuple[Row, ...] | None = None,
-    ) -> None:
-        nonlocal best_committee, best_score
+    # depth-first, highest count first; a node waits with its parent's
+    # bounds and the count it fixes, and copies the bounds when reached
+    pending = [(0, [0] * count, [region.size for region in regions], None, 0)]
+    while pending:
+        position, lows, highs, fixed, value = pending.pop()
+        first = None
+        if fixed is not None:
+            lows, highs = lows.copy(), highs.copy()
+            lows[fixed] = highs[fixed] = value
+            first = touching[fixed]
         stats["nodes"] += 1
         if not _propagate(rows, lows, highs, first):
-            return
+            continue
         forced: Score = 0
         for region, low in zip(regions, lows):
             forced = forced + region.prefix[low]
@@ -236,7 +240,7 @@ def solve_region_ip(
         else:
             bound = forced
         if best_score is not None and bound < best_score:
-            return
+            continue
         if position == count:
             stats["leaves"] += 1
             score = forced
@@ -246,16 +250,13 @@ def solve_region_ip(
                 committee = materialise(lows)
                 if best_committee is None or committee < best_committee:
                     best_committee = committee
-            return
+            continue
         index = order[position]
-        for value in range(highs[index], lows[index] - 1, -1):
-            next_lows = lows.copy()
-            next_highs = highs.copy()
-            next_lows[index] = value
-            next_highs[index] = value
-            search(position + 1, next_lows, next_highs, touching[index])
+        pending.extend(
+            (position + 1, lows, highs, index, value)
+            for value in range(lows[index], highs[index] + 1)
+        )
 
-    search(0, [0] * count, [region.size for region in regions])
     if best_committee is None:
         return SolveResult(
             status="infeasible",

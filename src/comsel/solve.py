@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .bruteforce import OracleBudget, solve_bruteforce
 from .constraints import check_committee
 from .elections import Score, SingletonRanking, score_all
 from .errors import ContractViolation, InputError
-from .instances import ElectionInstance, StvRule, WeaklySeparableRule
-from .orders import CommitteeOrder, LeximaxOrder, LeximinOrder, ScoreOrder
+from .instances import ElectionInstance, StvRule
+from .orders import LeximaxOrder, LeximinOrder, ScoreOrder, WeightOrder
 from .regions import solve_region_ip
 from .result import SolveResult
 from .stv import stv_ranking
@@ -30,7 +32,7 @@ def ranking_of(instance: ElectionInstance) -> SingletonRanking:
     return SingletonRanking.from_scores(candidate_scores(instance))
 
 
-def build_order(instance: ElectionInstance) -> CommitteeOrder:
+def build_order(instance: ElectionInstance) -> WeightOrder:
     if instance.order_kind == "score":
         # ElectionInstance pairs the score order with scoring rules only
         return ScoreOrder(candidate_scores(instance))
@@ -41,9 +43,10 @@ def build_order(instance: ElectionInstance) -> CommitteeOrder:
 
 
 def choose_solver(instance: ElectionInstance) -> str:
-    """dp for disjoint tree-like labelings, region for plain score sums,
-    oracle for everything else.  Unlabeled instances skip dp: with nothing
-    to constrain, the cheaper region search already answers exactly."""
+    """dp for labeled instances with disjoint labels and tree-like
+    dominance; region for everything else, as every order keys committees
+    by a weight sum.  Unlabeled instances skip dp, since the cheaper region
+    search answers them exactly.  The oracle runs only when forced."""
     labeling = instance.constraints.labeling
     if (
         len(labeling) > 0
@@ -51,12 +54,7 @@ def choose_solver(instance: ElectionInstance) -> str:
         and instance.constraints.chain_violation is None
     ):
         return "dp"
-    if (
-        isinstance(instance.rule, WeaklySeparableRule)
-        and instance.order_kind == "score"
-    ):
-        return "region"
-    return "oracle"
+    return "region"
 
 
 def solve_instance(
@@ -76,22 +74,19 @@ def solve_instance(
     candidates = instance.profile.candidates
     k = instance.k
     constraints = instance.constraints
+    order = build_order(instance)
     if chosen == "dp":
-        result = solve_tree(candidates, k, constraints, build_order(instance))
+        result = solve_tree(candidates, k, constraints, order)
     elif chosen == "region":
-        scores = candidate_scores(instance)
-        if scores is None or instance.order_kind != "score":
-            raise ContractViolation(
-                "the region solver needs a weakly separable rule under the "
-                "score order"
-            )
-        result = solve_region_ip(candidates, k, constraints, scores)
+        result = solve_region_ip(candidates, k, constraints, order.weights)
+        if not isinstance(order, ScoreOrder):  # a lexi key is no score
+            result = replace(result, score=None)
     else:
         result = solve_bruteforce(
             candidates,
             k,
             constraints,
-            build_order(instance),
+            order,
             budget if budget is not None else OracleBudget(),
         )
     if result.is_optimal:

@@ -391,9 +391,10 @@ class TestMain:
     def test_budget_guards_the_oracle(self, tmp_path, capsys):
         doc = document(rule={"type": "stv", "variant": "simple"}, order="leximax")
         path = self.write(tmp_path, doc)
-        assert main(["solve", "--input", path, "--budget", "1"]) == 2
+        forced = ["solve", "--input", path, "--solver", "oracle"]
+        assert main([*forced, "--budget", "1"]) == 2
         assert capsys.readouterr().err.startswith("error[budget]")
-        assert main(["solve", "--input", path, "--budget", "100"]) == 0
+        assert main([*forced, "--budget", "100"]) == 0
         capsys.readouterr()
 
     def test_budget_must_be_positive(self, tmp_path, capsys):

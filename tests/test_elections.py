@@ -38,6 +38,10 @@ class TestProfileValidation:
         for bad in (-1, 3, "1", True):
             with pytest.raises(InputError, match="committee size"):
                 ElectionProfile.build("ab", (("a", "b"),), bad)
+        # decimals, which documents read as Fractions, read as written
+        for bad, shown in ((Fraction("1.5"), "1.5"), (Fraction("2.0"), "2.0")):
+            with pytest.raises(InputError, match=f"an integer, got {shown}$"):
+                ElectionProfile.build("ab", (("a", "b"),), bad)
         # both endpoints are legal
         ElectionProfile.build("ab", (("a", "b"),), 0)
         ElectionProfile.build("ab", (("a", "b"),), 2)

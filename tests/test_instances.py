@@ -156,11 +156,11 @@ class TestRouting:
         instance = make(profile_a, constraints=constraints, order_kind="leximax")
         assert choose_solver(instance) == "dp"
 
-    def test_overlapping_labels_fall_back_to_region_or_oracle(self, profile_a):
+    def test_overlapping_labels_fall_back_to_region(self, profile_a):
         overlapping = ConstraintSet.build({"l1": "ab", "l2": "bc"})
         assert choose_solver(make(profile_a, constraints=overlapping)) == "region"
         lexi = make(profile_a, constraints=overlapping, order_kind="leximin")
-        assert choose_solver(lexi) == "oracle"
+        assert choose_solver(lexi) == "region"
 
     def test_non_tree_like_score_instances_use_region(self, profile_a):
         constraints = ConstraintSet.build(
@@ -169,21 +169,28 @@ class TestRouting:
         )
         assert choose_solver(make(profile_a, constraints=constraints)) == "region"
 
-    def test_stv_instances_route_to_the_oracle_without_labels(self, profile_b):
+    def test_stv_instances_route_to_the_region_search_without_labels(
+        self, profile_b
+    ):
         instance = make(profile_b, rule=StvRule(), order_kind="leximax")
-        assert choose_solver(instance) == "oracle"
+        assert choose_solver(instance) == "region"
         result = solve_instance(instance)
-        assert result.solver == "oracle"
+        assert result.solver == "region"
         assert result.committee == ("a", "c")
+        assert result.score is None
 
     def test_unknown_solver_name(self, profile_a):
         with pytest.raises(InputError, match="unknown solver"):
             solve_instance(make(profile_a), solver="ilp")
 
-    def test_forcing_region_off_contract_raises(self, profile_b):
-        instance = make(profile_b, rule=StvRule(), order_kind="leximax")
-        with pytest.raises(ContractViolation, match="region solver needs"):
-            solve_instance(instance, solver="region")
+    def test_forcing_region_solves_lexi_orders(self, profile_b):
+        for order_kind in ("leximax", "leximin"):
+            instance = make(profile_b, rule=StvRule(), order_kind=order_kind)
+            region = solve_instance(instance, solver="region")
+            oracle = solve_instance(instance, solver="oracle")
+            assert region.solver == "region"
+            assert region.committee == oracle.committee
+            assert region.score is oracle.score is None
 
     def test_forcing_dp_on_non_tree_like_labels_raises(self, profile_a):
         constraints = ConstraintSet.build(

@@ -1,5 +1,7 @@
 """Committee comparators and their keys."""
 
+import random
+
 import pytest
 
 from comsel import (
@@ -78,6 +80,44 @@ def test_lexi_key_join_matches_union():
     left = order.key_of(("a", "d"))
     right = order.key_of(("b",))
     assert order.join(left, right) == order.key_of(("a", "b", "d"))
+
+
+def tuple_key(ranking, kind, committee):
+    """The lexicographic definition: members' negated tier indices, sorted
+    best first for leximax and worst first for leximin."""
+    levels = [-ranking.tier_of(c) for c in committee]
+    return tuple(sorted(levels, reverse=kind == "leximax"))
+
+
+def test_integer_keys_compare_as_the_tuple_definition():
+    rng = random.Random(7)
+    for _ in range(400):
+        names = [f"c{i}" for i in range(rng.randint(1, 9))]
+        rng.shuffle(names)
+        # cut the shuffled names into tiers, many of them tied
+        cuts = sorted(rng.sample(range(1, len(names)), rng.randint(0, len(names) - 1)))
+        tiers = [names[a:b] for a, b in zip([0, *cuts], [*cuts, len(names)])]
+        ranking = SingletonRanking(tuple(frozenset(t) for t in tiers))
+        size = rng.randint(0, len(names))
+        for kind, order in (
+            ("leximax", LeximaxOrder(ranking)),
+            ("leximin", LeximinOrder(ranking)),
+        ):
+            for _ in range(10):
+                first = rng.sample(names, size)
+                second = rng.sample(names, size)
+                old = tuple_key(ranking, kind, first), tuple_key(ranking, kind, second)
+                new = order.key_of(first), order.key_of(second)
+                assert isinstance(new[0], int)
+                assert (old[0] > old[1]) - (old[0] < old[1]) == (
+                    new[0] > new[1]
+                ) - (new[0] < new[1]), (tiers, kind, first, second)
+
+
+def test_strict_leximax_gives_each_member_a_bit():
+    order = LeximaxOrder(FIVE)
+    assert [order.key_of((c,)) for c in "abcde"] == [16, 8, 4, 2, 1]
+    assert order.key_of("abcde") == 2**5 - 1
 
 
 def test_obligatory_count_trumps_the_base_order():

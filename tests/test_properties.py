@@ -15,9 +15,13 @@ from comsel import (
     ScoreOrder,
     ScoringFunction,
     SingletonRanking,
+    StvRule,
+    WeaklySeparableRule,
     enumerate_feasible,
+    gen_random,
     score_all,
     solve_bruteforce,
+    solve_instance,
     stv_ranking,
     transitive_closure,
 )
@@ -231,3 +235,47 @@ def test_bruteforce_winner_weakly_beats_every_feasible_committee(profile):
         assert order.compare(result.committee, committee) >= 0
         if order.compare(result.committee, committee) == 0:
             assert result.committee <= committee
+
+
+def test_every_route_agrees_with_the_oracle():
+    # one or two voters and coarse rules leave many committees equally
+    # good, so the tie-break is exercised as much as the optimum
+    rules = (
+        WeaklySeparableRule("sntv"),
+        WeaklySeparableRule("borda"),
+        WeaklySeparableRule("bloc"),
+        StvRule("simple"),
+        StvRule("droop_gregory"),
+    )
+    cases = [
+        (rule, kind)
+        for rule in rules
+        for kind in ("score", "leximax", "leximin")
+        if kind != "score" or isinstance(rule, WeaklySeparableRule)
+    ]
+    for seed in range(600):
+        rule, kind = cases[seed % len(cases)]
+        m = 5 + seed % 6
+        instance = gen_random(
+            m,
+            1 + seed % 2,
+            1 + seed % (m - 1),
+            seed % 5,
+            ("overlapping", "disjoint")[seed // len(cases) % 2],
+            ("arbitrary", "tree_like")[seed // (2 * len(cases)) % 2],
+            30_000 + seed,
+            rule=rule,
+            order_kind=kind,
+        )
+        constraints = instance.constraints
+        solvers = ["auto", "region"]
+        if constraints.labeling.is_disjoint and constraints.chain_violation is None:
+            solvers.append("dp")
+        oracle = solve_instance(instance, "oracle")
+        for solver in solvers:
+            result = solve_instance(instance, solver)
+            assert (result.status, result.committee, result.score) == (
+                oracle.status,
+                oracle.committee,
+                oracle.score,
+            ), (seed, solver)

@@ -13,7 +13,7 @@ from comsel import (
     solve_bruteforce,
     solve_region_ip,
 )
-from comsel.cli import main
+from comsel.cli import main, parse_instance
 from comsel.regions import _propagate, build_rows, compute_regions
 
 SCORES = {"a": 5, "b": 1, "c": 4, "d": 3, "e": 2}
@@ -57,9 +57,10 @@ def test_labels_no_constraint_names_do_not_split_regions():
     assert result.committee == plain.committee == ("a", "c")
 
 
-def test_many_unconstrained_overlapping_labels_solve(tmp_path, capsys):
-    # every one of 12 labels takes a random half of 1 500 candidates, so
-    # their label sets alone would split them into over a thousand regions
+def solve_half_labels(tmp_path, capsys, bounds):
+    """Solve 1 500 candidates under 12 labels, each a random half of them,
+    through the CLI, with the interval ``bounds`` on every label (none when
+    None); return the instance document."""
     rng = random.Random(12)
     candidates = [f"c{i:04d}" for i in range(1500)]
     labels = {
@@ -71,7 +72,10 @@ def test_many_unconstrained_overlapping_labels_solve(tmp_path, capsys):
         "voters": [rng.sample(candidates, len(candidates))],
         "k": 10,
         "labels": labels,
-        "constraints": [],
+        "constraints": [
+            {"type": "interval", "label": name, "min": bounds[0], "max": bounds[1]}
+            for name in (labels if bounds else ())
+        ],
         "rule": {"type": "weakly_separable", "gamma": "borda"},
         "order": "score",
     }
@@ -80,7 +84,24 @@ def test_many_unconstrained_overlapping_labels_solve(tmp_path, capsys):
     assert main(["solve", "--input", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["solver"] == "region"
+    # no constraint binds, so the top 10 of the one ranking win
     assert out["committee"] == sorted(doc["voters"][0][:10])
+    return doc
+
+
+def test_many_unconstrained_overlapping_labels_solve(tmp_path, capsys):
+    # the label sets alone would split the candidates into over a thousand
+    # regions
+    solve_half_labels(tmp_path, capsys, None)
+
+
+def test_search_depth_is_not_bounded_by_the_call_stack(tmp_path, capsys):
+    # constrained, the labels do split them into over a thousand regions,
+    # one search level each
+    doc = solve_half_labels(tmp_path, capsys, (0, 10))
+    constraints = parse_instance(json.dumps(doc)).constraints
+    scores = dict.fromkeys(doc["candidates"], 0)
+    assert len(compute_regions(doc["candidates"], constraints, scores)) > 1000
 
 
 def test_rows_encode_size_intervals_and_dominances():
