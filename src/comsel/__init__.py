@@ -51,13 +51,12 @@ from .instances import (
     WeaklySeparableRule,
 )
 from .orders import (
-    CommitteeOrder,
     LeximaxOrder,
     LeximinOrder,
     ObligatoryFirstOrder,
     ScoreOrder,
+    WeightOrder,
     best_singletons,
-    score_if_score_based,
 )
 from .regions import solve_region_ip
 from .result import SolveResult
@@ -74,7 +73,6 @@ from .treedp import solve_tree
 
 __all__ = [
     "BudgetExceededError",
-    "CommitteeOrder",
     "ComselError",
     "ConstraintSet",
     "ContractViolation",
@@ -103,6 +101,7 @@ __all__ = [
     "StvRule",
     "Violation",
     "WeaklySeparableRule",
+    "WeightOrder",
     "best_singletons",
     "build_dominance_graph",
     "build_order",
@@ -121,7 +120,6 @@ __all__ = [
     "parse_graph",
     "ranking_of",
     "score_all",
-    "score_if_score_based",
     "solve_bruteforce",
     "solve_instance",
     "solve_region_ip",

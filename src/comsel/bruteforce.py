@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .constraints import ConstraintSet
-from .elections import ElectionProfile
+from .elections import ElectionProfile, Score
 from .errors import BudgetExceededError, InputError
-from .orders import CommitteeOrder, score_if_score_based
+from .orders import WeightOrder
 from .result import SolveResult
 
 
@@ -103,7 +103,7 @@ def existence_query(
     candidates: Iterable[str],
     k: int,
     constraints: ConstraintSet,
-    order: CommitteeOrder,
+    order: WeightOrder,
     reference: Iterable[str],
     budget: OracleBudget = OracleBudget(),
 ) -> bool:
@@ -126,7 +126,7 @@ def solve_bruteforce(
     candidates: Iterable[str],
     k: int,
     constraints: ConstraintSet,
-    order: CommitteeOrder,
+    order: WeightOrder,
     budget: OracleBudget = OracleBudget(),
 ) -> SolveResult:
     """Optimal feasible committee by complete enumeration.
@@ -136,7 +136,7 @@ def solve_bruteforce(
     """
     pool = sorted(set(candidates))
     best: tuple[str, ...] | None = None
-    best_key: object = None
+    best_key: Score = 0
     feasible = 0
     for committee in enumerate_feasible(pool, k, constraints, budget):
         feasible += 1
@@ -156,7 +156,7 @@ def solve_bruteforce(
     return SolveResult(
         status="optimal",
         committee=best,
-        score=score_if_score_based(order, best),
+        score=best_key,
         solver="oracle",
         stats=stats,
     )

@@ -1,68 +1,30 @@
-"""Committee comparators lifted from singleton orders.
+"""Committee orders, each a sum of per-candidate weights.
 
-Every order here compares only equal-cardinality committees and satisfies
-fixed-cardinality responsiveness: extending both sides with the same
-disjoint set of candidates never reverses a comparison.  Each order reduces
-a committee to a totally ordered key (larger is better) and exposes a join
-on keys so solvers can evaluate disjoint unions without rescanning members.
-The score, leximax and leximin orders all key a committee by a sum of
-per-candidate weights.
+A committee's key is the sum of its members' weights (larger is better),
+so solvers add the keys of disjoint parts instead of rescanning members.
+Comparisons are between equal-size committees only, and extending both
+sides with the same candidates never reverses one.  Score orders weigh a
+candidate by its score, the lexi orders by a mixed-radix digit of its
+tier, and the obligatory-first order lifts obligatory candidates.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Iterable, Mapping
 
 from .elections import Score, SingletonRanking
 from .errors import ContractViolation, InputError
 
 
-class CommitteeOrder(ABC):
-    """Weak order over equal-size candidate sets.
+class WeightOrder:
+    """Committees ranked by the sum of fixed per-candidate weights.
 
     ``compare`` returns a positive int when the first committee is strictly
     better, zero on indifference, and a negative int when it is worse.
     """
 
-    @property
-    @abstractmethod
-    def empty_key(self) -> object:
-        """Key of the empty committee."""
-
-    @abstractmethod
-    def key_of(self, committee: Iterable[str]) -> object:
-        """Totally ordered summary of a committee; larger keys are better."""
-
-    @abstractmethod
-    def join(self, left_key: object, right_key: object) -> object:
-        """Key of the disjoint union of two committees, from their keys."""
-
-    def compare(self, left: Iterable[str], right: Iterable[str]) -> int:
-        first = frozenset(left)
-        second = frozenset(right)
-        if len(first) != len(second):
-            raise ContractViolation(
-                f"cannot compare committees of sizes {len(first)} and {len(second)}"
-            )
-        left_key = self.key_of(first)
-        right_key = self.key_of(second)
-        if left_key > right_key:
-            return 1
-        if left_key < right_key:
-            return -1
-        return 0
-
-
-class WeightOrder(CommitteeOrder):
-    """Committees ranked by the sum of fixed per-candidate weights."""
-
     def __init__(self, weights: Mapping[str, Score]):
         self.weights = dict(weights)
-
-    @property
-    def empty_key(self) -> Score:
-        return 0
 
     def key_of(self, committee: Iterable[str]) -> Score:
         total: Score = 0
@@ -73,8 +35,16 @@ class WeightOrder(CommitteeOrder):
                 raise InputError(f"unknown candidate {candidate!r}") from None
         return total
 
-    def join(self, left_key: Score, right_key: Score) -> Score:
-        return left_key + right_key
+    def compare(self, left: Iterable[str], right: Iterable[str]) -> int:
+        first = frozenset(left)
+        second = frozenset(right)
+        if len(first) != len(second):
+            raise ContractViolation(
+                f"cannot compare committees of sizes {len(first)} and {len(second)}"
+            )
+        left_key = self.key_of(first)
+        right_key = self.key_of(second)
+        return (left_key > right_key) - (left_key < right_key)
 
 
 class ScoreOrder(WeightOrder):
@@ -118,32 +88,25 @@ class LeximinOrder(WeightOrder):
         super().__init__({c: -w for c, w in _mixed_radix(ranking.tiers).items()})
 
 
-class ObligatoryFirstOrder(CommitteeOrder):
-    """Wraps a base order so committees holding more members of an
-    obligatory candidate set always win; the base order breaks balanced
-    comparisons."""
+class ObligatoryFirstOrder(WeightOrder):
+    """A base order under which committees holding more obligatory
+    candidates always win; the base order breaks balanced comparisons.
 
-    def __init__(self, base: CommitteeOrder, obligatory: Iterable[str]):
-        self.base = base
-        self.obligatory = frozenset(obligatory)
+    An obligatory member weighs its base weight plus ``1 + Σ|base weight|``.
+    Two committees of one size differ in base key by at most ``Σ|base
+    weight|``, so the lift outweighs any base gap, whatever the weights'
+    signs and type."""
 
-    @property
-    def empty_key(self) -> tuple:
-        return (0, self.base.empty_key)
-
-    def key_of(self, committee: Iterable[str]) -> tuple:
-        members = frozenset(committee)
-        return (len(members & self.obligatory), self.base.key_of(members))
-
-    def join(self, left_key: tuple, right_key: tuple) -> tuple:
-        return (
-            left_key[0] + right_key[0],
-            self.base.join(left_key[1], right_key[1]),
+    def __init__(self, base: WeightOrder, obligatory: Iterable[str]):
+        chosen = frozenset(obligatory)
+        lift = 1 + sum(abs(w) for w in base.weights.values())
+        super().__init__(
+            {c: w + lift if c in chosen else w for c, w in base.weights.items()}
         )
 
 
 def best_singletons(
-    order: CommitteeOrder, pool: Iterable[str], count: int
+    order: WeightOrder, pool: Iterable[str], count: int
 ) -> tuple[str, ...]:
     """The ``count`` best candidates of the pool under singleton comparisons.
 
@@ -156,13 +119,3 @@ def best_singletons(
     # a stable sort keeps equal keys in name order
     ranked = sorted(items, key=lambda c: order.key_of((c,)), reverse=True)
     return tuple(ranked[:count])
-
-
-def score_if_score_based(
-    order: CommitteeOrder, committee: Iterable[str]
-) -> Score | None:
-    """The committee's score when the order is built on per-candidate scores."""
-    base = order.base if isinstance(order, ObligatoryFirstOrder) else order
-    if isinstance(base, ScoreOrder):
-        return base.key_of(committee)
-    return None

@@ -13,9 +13,9 @@ class SolveResult:
     """Outcome of one solve call.
 
     ``status`` is "optimal" or "infeasible".  ``committee`` is a sorted
-    tuple, empty on infeasible instances.  ``score`` is filled only when
-    the order is a score sum.  ``reason`` explains infeasibility;
-    ``stats`` carries solver counters for tests and diagnostics.
+    tuple, empty on infeasible instances.  ``score`` is the committee's
+    weight sum; ``solve_instance`` keeps it only under a score order.
+    ``reason`` explains infeasibility; ``stats`` carries solver counters.
     """
 
     status: str

@@ -79,8 +79,6 @@ def solve_instance(
         result = solve_tree(candidates, k, constraints, order)
     elif chosen == "region":
         result = solve_region_ip(candidates, k, constraints, order.weights)
-        if not isinstance(order, ScoreOrder):  # a lexi key is no score
-            result = replace(result, score=None)
     else:
         result = solve_bruteforce(
             candidates,
@@ -89,6 +87,8 @@ def solve_instance(
             order,
             budget if budget is not None else OracleBudget(),
         )
+    if not isinstance(order, ScoreOrder):  # a lexi key is no score
+        result = replace(result, score=None)
     if result.is_optimal:
         violations = check_committee(result.committee, k, constraints)
         if violations:

@@ -4,15 +4,15 @@ Dominance cycles force equal counts, so labels collapse into forest nodes.
 Each node gets a table indexed by committee slots used in its subtree and
 by the count ceiling its parent imposes.  Interval upper bounds shrink a
 label's usable pool to its best members; lower bounds become an obligatory
-candidate set that the order is rewired to prefer, and the solve is
-declared infeasible when the winner still leaves an obligatory candidate
-out.  A table cell holds a pair ``(key, mask)``: the committee's order key
-and a bit mask of its members, where the i-th smallest of m candidate
-names is bit ``1 << (m - 1 - i)``.  The committees in one cell all have
-the same size, and among those a larger mask is exactly a
-lexicographically smaller sorted committee, so comparing cells as tuples
-breaks ties toward the smallest committee.  The committee itself is
-built once, from the winning cell's mask.
+candidate set whose weights are lifted above any base-key gap, and the
+solve is declared infeasible when the winner still leaves an obligatory
+candidate out.  A table cell holds a pair ``(key, mask)``: the
+committee's weight sum and a bit mask of its members, where the i-th
+smallest of m candidate names is bit ``1 << (m - 1 - i)``.  The
+committees in one cell all have the same size, and among those a larger
+mask is exactly a lexicographically smaller sorted committee, so comparing
+cells as tuples breaks ties toward the smallest committee.  The committee
+itself is built once, from the winning cell's mask.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .constraints import ConstraintSet, DominanceForest
+from .elections import Score
 from .errors import ContractViolation
-from .orders import CommitteeOrder, ObligatoryFirstOrder, best_singletons, score_if_score_based
+from .orders import ObligatoryFirstOrder, WeightOrder, best_singletons
 from .result import SolveResult
 
-# (order key, member mask); None marks a cell no committee reaches
-Cell = tuple[object, int]
+# (weight sum, member mask); None marks a cell no committee reaches
+Cell = tuple[Score, int]
 Grid = list[list[Cell | None]]
 
 
@@ -47,7 +48,7 @@ def preprocess_intervals(
     candidates: Iterable[str],
     k: int,
     constraints: ConstraintSet,
-    order: CommitteeOrder,
+    order: WeightOrder,
 ) -> Preprocessed:
     """Fold interval bounds through the dominance closure and prune pools.
 
@@ -107,19 +108,19 @@ def preprocess_intervals(
 
 
 def _own_prefixes(
-    order: CommitteeOrder,
+    weights: Mapping[str, Score],
     pools: list[tuple[str, ...]],
     limit: int,
     bits: Mapping[str, int],
 ) -> list[Cell]:
     # cell r holds the best r members of every pool at once
-    cells: list[Cell] = [(order.empty_key, 0)]
+    cells: list[Cell] = [(0, 0)]
     depth = min((len(pool) for pool in pools), default=0)
     for level in range(min(depth, limit)):
         key, mask = cells[-1]
         for pool in pools:
             name = pool[level]
-            key = order.join(key, order.key_of((name,)))
+            key += weights[name]
             mask += bits[name]
         cells.append((key, mask))
     return cells
@@ -130,14 +131,14 @@ def _new_grid(k: int) -> Grid:
 
 
 def _combine_children(
-    order: CommitteeOrder, tables: list[Grid], k: int, counter: dict[str, int]
+    tables: list[Grid], k: int, counter: dict[str, int]
 ) -> Grid:
     """Best joint use of the child subtrees; grid[size][cap] caps every
     child's own count at cap."""
     if not tables:
         grid = _new_grid(k)
         for cap in range(k + 1):
-            grid[0][cap] = (order.empty_key, 0)
+            grid[0][cap] = (0, 0)
         return grid
     grid = [row[:] for row in tables[0]]
     for table in tables[1:]:
@@ -152,7 +153,7 @@ def _combine_children(
                     if left is None or right is None:
                         continue
                     counter["joins"] += 1
-                    cell = (order.join(left[0], right[0]), left[1] + right[1])
+                    cell = (left[0] + right[0], left[1] + right[1])
                     if best is None or cell > best:
                         best = cell
                 merged[size][cap] = best
@@ -161,7 +162,6 @@ def _combine_children(
 
 
 def _node_table(
-    order: CommitteeOrder,
     own: list[Cell],
     width: int,
     combined: Grid,
@@ -183,7 +183,7 @@ def _node_table(
                     continue
                 counter["joins"] += 1
                 key, mask = own[count]
-                cell = (order.join(key, sub[0]), mask + sub[1])
+                cell = (key + sub[0], mask + sub[1])
                 if best is None or cell > best:
                     best = cell
             grid[size][cap] = best
@@ -194,7 +194,7 @@ def solve_tree(
     candidates: Iterable[str],
     k: int,
     constraints: ConstraintSet,
-    order: CommitteeOrder,
+    order: WeightOrder,
 ) -> SolveResult:
     """Optimal feasible committee, or an infeasibility reason.
 
@@ -220,9 +220,7 @@ def solve_tree(
             reason=pre.reason,
             stats=dict(counter),
         )
-    solve_order: CommitteeOrder = order
-    if pre.obligatory:
-        solve_order = ObligatoryFirstOrder(order, pre.obligatory)
+    weights = ObligatoryFirstOrder(order, pre.obligatory).weights
 
     tables: dict[int, Grid] = {}
     pending = [(root, False) for root in forest.roots]
@@ -233,22 +231,18 @@ def solve_tree(
             pending.extend((child, False) for child in forest.children[node])
             continue
         pools = [pre.pools[name] for name in forest.nodes[node]]
-        own = _own_prefixes(solve_order, pools, k, bits)
+        own = _own_prefixes(weights, pools, k, bits)
         combined = _combine_children(
-            solve_order, [tables.pop(child) for child in forest.children[node]], k, counter
+            [tables.pop(child) for child in forest.children[node]], k, counter
         )
-        tables[node] = _node_table(
-            solve_order, own, len(pools), combined, k, counter
-        )
+        tables[node] = _node_table(own, len(pools), combined, k, counter)
 
     top_tables = [tables[root] for root in forest.roots]
     if pre.unlabeled:
-        own = _own_prefixes(solve_order, [pre.unlabeled], k, bits)
-        empty = _combine_children(solve_order, [], k, counter)
-        top_tables.append(
-            _node_table(solve_order, own, 1, empty, k, counter)
-        )
-    final = _combine_children(solve_order, top_tables, k, counter)
+        own = _own_prefixes(weights, [pre.unlabeled], k, bits)
+        empty = _combine_children([], k, counter)
+        top_tables.append(_node_table(own, 1, empty, k, counter))
+    final = _combine_children(top_tables, k, counter)
     cell = final[k][k]
     if cell is None:
         return SolveResult(
@@ -272,7 +266,7 @@ def solve_tree(
     return SolveResult(
         status="optimal",
         committee=committee,
-        score=score_if_score_based(order, committee),
+        score=order.key_of(committee),
         solver="dp",
         stats=dict(counter),
     )

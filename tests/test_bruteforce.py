@@ -99,7 +99,7 @@ class TestSolveBruteforce:
         order = LeximaxOrder(SingletonRanking.from_order("abc"))
         result = solve_bruteforce("abc", 2, ConstraintSet.empty(), order)
         assert result.committee == ("a", "b")
-        assert result.score is None
+        assert result.score == order.key_of(result.committee)
 
 
 class TestExistenceQuery:

@@ -12,6 +12,7 @@ from comsel import (
     ElectionInstance,
     ElectionProfile,
     InputError,
+    Interval,
     LeximaxOrder,
     LeximinOrder,
     ScoreOrder,
@@ -191,6 +192,21 @@ class TestRouting:
             assert region.solver == "region"
             assert region.committee == oracle.committee
             assert region.score is oracle.score is None
+        # a disjoint tree-like instance forced to dp reports no lexi score
+        # either, also when a lower bound lifts obligatory weights
+        tree = ConstraintSet.build(
+            {"l1": "ab", "l2": "cd"},
+            intervals=(Interval("l2", 1, 2),),
+            dominances=(Dominance("l1", "l2"),),
+        )
+        instance = make(
+            profile_b, rule=StvRule(), order_kind="leximax", constraints=tree
+        )
+        dp = solve_instance(instance, solver="dp")
+        oracle = solve_instance(instance, solver="oracle")
+        assert dp.solver == "dp"
+        assert dp.committee == oracle.committee
+        assert dp.score is oracle.score is None
 
     def test_forcing_dp_on_non_tree_like_labels_raises(self, profile_a):
         constraints = ConstraintSet.build(

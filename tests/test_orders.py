@@ -1,6 +1,7 @@
 """Committee comparators and their keys."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,6 @@ from comsel import (
     ScoreOrder,
     SingletonRanking,
     best_singletons,
-    score_if_score_based,
 )
 
 FIVE = SingletonRanking.from_order("abcde")
@@ -37,10 +37,8 @@ def test_score_order_compares_sums():
 
 def test_score_order_key_join():
     order = ScoreOrder({"a": 2, "b": 3})
-    assert order.join(order.key_of(("a",)), order.key_of(("b",))) == order.key_of(
-        ("a", "b")
-    )
-    assert order.empty_key == 0
+    assert order.key_of(("a",)) + order.key_of(("b",)) == order.key_of(("a", "b"))
+    assert order.key_of(()) == 0
 
 
 def test_score_order_unknown_candidate():
@@ -79,7 +77,8 @@ def test_lexi_key_join_matches_union():
     order = LeximaxOrder(FIVE)
     left = order.key_of(("a", "d"))
     right = order.key_of(("b",))
-    assert order.join(left, right) == order.key_of(("a", "b", "d"))
+    assert left + right == order.key_of(("a", "b", "d"))
+    assert order.key_of(()) == 0
 
 
 def tuple_key(ranking, kind, committee):
@@ -130,9 +129,44 @@ def test_obligatory_count_trumps_the_base_order():
 
 def test_obligatory_join():
     wrapped = ObligatoryFirstOrder(ScoreOrder({"a": 1, "b": 2, "c": 4}), ("a", "b"))
-    key = wrapped.join(wrapped.key_of(("a",)), wrapped.key_of(("b", "c")))
-    assert key == wrapped.key_of(("a", "b", "c")) == (2, 7)
-    assert wrapped.empty_key == (0, 0)
+    key = wrapped.key_of(("a",)) + wrapped.key_of(("b", "c"))
+    assert key == wrapped.key_of(("a", "b", "c"))
+    assert wrapped.key_of(()) == 0
+
+
+def obligatory_key(base, obligatory, committee):
+    """The lexicographic definition: obligatory members first, then the
+    base key."""
+    members = frozenset(committee)
+    return len(members & obligatory), base.key_of(members)
+
+
+def test_obligatory_weights_compare_as_the_tuple_definition():
+    rng = random.Random(11)
+    for _ in range(300):
+        names = [f"c{i}" for i in range(rng.randint(1, 9))]
+        base_items = [(c, rng.randint(-4, 4)) for c in names]
+        ranking = SingletonRanking.from_scores(dict(base_items))
+        obligatory = frozenset(rng.sample(names, rng.randint(0, len(names))))
+        size = rng.randint(0, len(names))
+        for base in (
+            ScoreOrder(dict(base_items)),
+            ScoreOrder({c: Fraction(v, rng.randint(1, 7)) for c, v in base_items}),
+            LeximaxOrder(ranking),
+            LeximinOrder(ranking),
+        ):
+            wrapped = ObligatoryFirstOrder(base, obligatory)
+            for _ in range(10):
+                first = rng.sample(names, size)
+                second = rng.sample(names, size)
+                old = (
+                    obligatory_key(base, obligatory, first),
+                    obligatory_key(base, obligatory, second),
+                )
+                expected = (old[0] > old[1]) - (old[0] < old[1])
+                assert wrapped.compare(first, second) == expected, (
+                    base.weights, obligatory, first, second
+                )
 
 
 class TestBestSingletons:
@@ -160,13 +194,3 @@ class TestBestSingletons:
         for kept in chosen:
             for dropped in left_out:
                 assert order.compare((dropped,), (kept,)) <= 0
-
-
-def test_score_extraction():
-    score = ScoreOrder({"a": 3, "b": 4})
-    assert score_if_score_based(score, ("a", "b")) == 7
-    assert score_if_score_based(LeximaxOrder(FIVE), ("a",)) is None
-    wrapped = ObligatoryFirstOrder(score, ("a",))
-    assert score_if_score_based(wrapped, ("a", "b")) == 7
-    lexi_wrapped = ObligatoryFirstOrder(LeximaxOrder(FIVE), ("a",))
-    assert score_if_score_based(lexi_wrapped, ("a", "b")) is None

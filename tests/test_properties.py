@@ -237,6 +237,21 @@ def test_bruteforce_winner_weakly_beats_every_feasible_committee(profile):
             assert result.committee <= committee
 
 
+def assert_routes_agree(instance, tag):
+    constraints = instance.constraints
+    solvers = ["auto", "region"]
+    if constraints.labeling.is_disjoint and constraints.chain_violation is None:
+        solvers.append("dp")
+    oracle = solve_instance(instance, "oracle")
+    for solver in solvers:
+        result = solve_instance(instance, solver)
+        assert (result.status, result.committee, result.score) == (
+            oracle.status,
+            oracle.committee,
+            oracle.score,
+        ), (tag, solver)
+
+
 def test_every_route_agrees_with_the_oracle():
     # one or two voters and coarse rules leave many committees equally
     # good, so the tie-break is exercised as much as the optimum
@@ -267,15 +282,25 @@ def test_every_route_agrees_with_the_oracle():
             rule=rule,
             order_kind=kind,
         )
-        constraints = instance.constraints
-        solvers = ["auto", "region"]
-        if constraints.labeling.is_disjoint and constraints.chain_violation is None:
-            solvers.append("dp")
-        oracle = solve_instance(instance, "oracle")
-        for solver in solvers:
-            result = solve_instance(instance, solver)
-            assert (result.status, result.committee, result.score) == (
-                oracle.status,
-                oracle.committee,
-                oracle.score,
-            ), (seed, solver)
+        assert_routes_agree(instance, seed)
+    # fractional and decimal steps put Fraction keys on every route, and
+    # with interval lower bounds a Fraction lift on the dp route
+    gammas = (
+        lambda m: tuple(Fraction(m - i, 3) for i in range(m)),
+        lambda m: tuple(Fraction("0.3") * (m - i) for i in range(m)),
+        lambda m: (Fraction("0.3"),) * (m // 2) + (0,) * (m - m // 2),
+    )
+    for seed in range(240):
+        m = 5 + seed % 6
+        instance = gen_random(
+            m,
+            1 + seed % 3,
+            1 + seed % (m - 1),
+            1 + seed % 4,
+            ("disjoint", "disjoint", "overlapping")[seed % 3],
+            ("tree_like", "tree_like", "arbitrary")[seed // 3 % 3],
+            40_000 + seed,
+            rule=WeaklySeparableRule(gammas[seed // 9 % 3](m)),
+            order_kind=("score", "score", "leximax", "leximin")[seed // 2 % 4],
+        )
+        assert_routes_agree(instance, ("gamma", seed))
