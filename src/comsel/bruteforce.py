@@ -35,23 +35,21 @@ class _MaskChecker:
 
     def __init__(self, pool: Sequence[str], constraints: ConstraintSet):
         index = {name: bit for bit, name in enumerate(pool)}
-
-        def mask_of(names: Iterable[str]) -> int:
+        labeling = constraints.labeling
+        # one mask per label, however many constraints name it
+        masks: dict[str, int] = {}
+        for label in labeling.names:
             mask = 0
-            for name in names:
+            for name in labeling.members(label):
                 bit = index.get(name)
                 if bit is not None:
                     mask |= 1 << bit
-            return mask
-
-        labeling = constraints.labeling
+            masks[label] = mask
         self._intervals = tuple(
-            (mask_of(labeling.members(iv.label)), iv.lower, iv.upper)
-            for iv in constraints.intervals
+            (masks[iv.label], iv.lower, iv.upper) for iv in constraints.intervals
         )
         self._dominances = tuple(
-            (mask_of(labeling.members(d.over)), mask_of(labeling.members(d.under)))
-            for d in constraints.dominances
+            (masks[d.over], masks[d.under]) for d in constraints.dominances
         )
 
     def feasible(self, committee_mask: int) -> bool:

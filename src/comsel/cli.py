@@ -135,11 +135,22 @@ def parse_instance(text: str) -> ElectionInstance:
     try:
         candidates = _string_list(_require(doc, "candidates"), "candidates")
         voters = _typed(_require(doc, "voters"), list, "voters", "a list")
-        rankings = tuple(
-            tuple(_string_list(ranking, f"voters[{index}]"))
-            for index, ranking in enumerate(voters)
-        )
-        profile = ElectionProfile(tuple(candidates), rankings, _require(doc, "k"))
+        for index, ranking in enumerate(voters):
+            if not isinstance(ranking, list):
+                raise ParseError(
+                    "malformed-field",
+                    f"field 'voters[{index}]' must be a list of strings",
+                )
+        rankings = tuple(map(tuple, voters))
+        k = _require(doc, "k")
+        # the profile's permutation check rejects every entry that is not a
+        # candidate; only an unhashable one makes it raise TypeError
+        try:
+            profile = ElectionProfile(tuple(candidates), rankings, k)
+        except TypeError:
+            raise ParseError(
+                "malformed-field", "field 'voters' must hold lists of strings"
+            ) from None
         labels = _typed(doc.get("labels", {}), dict, "labels", "an object")
         groups = {
             name: _string_list(members, f"labels[{name!r}]")

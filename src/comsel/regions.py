@@ -35,14 +35,10 @@ class Region:
     def size(self) -> int:
         return len(self.members)
 
-    def marginal(self, position: int) -> Score:
-        """Score gained by the member at a 0-based position."""
-        return self.prefix[position + 1] - self.prefix[position]
-
     @cached_property
     def gains(self) -> tuple[Score, ...]:
-        """Every member's marginal, best first."""
-        return tuple(self.marginal(i) for i in range(self.size))
+        """The score each member adds, best first."""
+        return tuple(map(sub, self.prefix[1:], self.prefix))
 
 
 @dataclass(frozen=True)

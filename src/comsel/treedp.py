@@ -3,32 +3,35 @@
 Dominance cycles force equal counts, so labels collapse into forest nodes.
 Each node gets a table indexed by committee slots used in its subtree and
 by the count ceiling its parent imposes.  Interval upper bounds shrink a
-label's usable pool to its best members; lower bounds become an obligatory
-candidate set whose weights are lifted above any base-key gap, and the
-solve is declared infeasible when the winner still leaves an obligatory
-candidate out.  A table cell holds a pair ``(key, mask)``: the
-committee's weight sum and a bit mask of its members, where the i-th
-smallest of m candidate names is bit ``1 << (m - 1 - i)``.  The
-committees in one cell all have the same size, and among those a larger
-mask is exactly a lexicographically smaller sorted committee, so comparing
-cells as tuples breaks ties toward the smallest committee.  The committee
-itself is built once, from the winning cell's mask.
+label's usable pool to its best members, and lower bounds become count
+floors: a node's own count runs from its label's effective floor, never
+from zero.  Floors flow up the dominance closure, so a parent's count never
+caps a child below the child's floor.
+
+A table cell is one int, ``(key << m) + mask``: the committee's weight sum,
+scaled to an integer by the LCM of the weights' denominators, shifted past
+a bit mask of its members, where the i-th smallest of m candidate names is
+bit ``1 << (m - 1 - i)``.  Disjoint committees join by adding their cells,
+since their masks share no bit.  The committees in one cell all have the
+same size, and among those a larger mask is exactly a lexicographically
+smaller sorted committee, so comparing cells as ints compares keys first
+and breaks ties toward the smallest committee, for negative keys too.  The
+committee itself is built once, from the winning cell's mask.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .constraints import ConstraintSet, DominanceForest
-from .elections import Score
 from .errors import ContractViolation
-from .orders import ObligatoryFirstOrder, WeightOrder, best_singletons
+from .orders import WeightOrder, best_singletons
 from .result import SolveResult
 
-# (weight sum, member mask); None marks a cell no committee reaches
-Cell = tuple[Score, int]
-Grid = list[list[Cell | None]]
+# None marks a cell no committee reaches
+Grid = list[list[int | None]]
 
 
 @dataclass(frozen=True)
@@ -39,7 +42,6 @@ class Preprocessed:
     pools: dict[str, tuple[str, ...]]
     lows: dict[str, int]
     highs: dict[str, int]
-    obligatory: frozenset[str]
     unlabeled: tuple[str, ...]
     reason: str | None = None
 
@@ -54,8 +56,7 @@ def preprocess_intervals(
 
     A dominated label can never out-count a dominating one, so upper
     bounds flow down the closure and lower bounds flow up.  Each label
-    keeps only its best ``high`` members; its best ``low`` members become
-    obligatory.
+    keeps only its best ``high`` members.
     """
     labeling = constraints.labeling
     universe = sorted(set(candidates))
@@ -82,7 +83,6 @@ def preprocess_intervals(
             )
             break
     pools: dict[str, tuple[str, ...]] = {}
-    obligatory: set[str] = set()
     if reason is None:
         for name in labeling.names:
             members = sorted(labeling.members(name) & set(universe))
@@ -94,35 +94,28 @@ def preprocess_intervals(
                     f"{len(kept)} usable members"
                 )
                 break
-            obligatory.update(kept[: eff_low[name]])
     spare = sorted(set(universe) - labeling.labeled)
     unlabeled = best_singletons(order, spare, min(k, len(spare)))
     return Preprocessed(
         pools=pools,
         lows=eff_low,
         highs=eff_high,
-        obligatory=frozenset(obligatory),
         unlabeled=unlabeled,
         reason=reason,
     )
 
 
 def _own_prefixes(
-    weights: Mapping[str, Score],
-    pools: list[tuple[str, ...]],
-    limit: int,
-    bits: Mapping[str, int],
-) -> list[Cell]:
+    packed: Mapping[str, int], pools: list[tuple[str, ...]], limit: int
+) -> list[int]:
     # cell r holds the best r members of every pool at once
-    cells: list[Cell] = [(0, 0)]
+    cells = [0]
     depth = min((len(pool) for pool in pools), default=0)
     for level in range(min(depth, limit)):
-        key, mask = cells[-1]
+        cell = cells[-1]
         for pool in pools:
-            name = pool[level]
-            key += weights[name]
-            mask += bits[name]
-        cells.append((key, mask))
+            cell += packed[pool[level]]
+        cells.append(cell)
     return cells
 
 
@@ -137,23 +130,22 @@ def _combine_children(
     child's own count at cap."""
     if not tables:
         grid = _new_grid(k)
-        for cap in range(k + 1):
-            grid[0][cap] = (0, 0)
+        grid[0] = [0] * (k + 1)
         return grid
-    grid = [row[:] for row in tables[0]]
+    grid = tables[0]
     for table in tables[1:]:
         merged = _new_grid(k)
         counter["cells"] += (k + 1) * (k + 1)
         for cap in range(k + 1):
             for size in range(k + 1):
-                best: Cell | None = None
+                best: int | None = None
                 for part in range(size + 1):
                     left = grid[size - part][cap]
                     right = table[part][cap]
                     if left is None or right is None:
                         continue
                     counter["joins"] += 1
-                    cell = (left[0] + right[0], left[1] + right[1])
+                    cell = left + right
                     if best is None or cell > best:
                         best = cell
                 merged[size][cap] = best
@@ -162,28 +154,28 @@ def _combine_children(
 
 
 def _node_table(
-    own: list[Cell],
+    own: list[int],
     width: int,
+    low: int,
     combined: Grid,
     k: int,
     counter: dict[str, int],
 ) -> Grid:
     """grid[size][cap]: best subtree pick using exactly size slots with the
-    node's own per-label count at most cap."""
+    node's own per-label count between low and cap."""
     grid = _new_grid(k)
     counter["tables"] += 1
     counter["cells"] += (k + 1) * (k + 1)
     for cap in range(k + 1):
         top = min(cap, len(own) - 1)
         for size in range(k + 1):
-            best: Cell | None = None
-            for count in range(min(top, size // width) + 1):
+            best: int | None = None
+            for count in range(low, min(top, size // width) + 1):
                 sub = combined[size - count * width][count]
                 if sub is None:
                     continue
                 counter["joins"] += 1
-                key, mask = own[count]
-                cell = (key + sub[0], mask + sub[1])
+                cell = own[count] + sub
                 if best is None or cell > best:
                     best = cell
             grid[size][cap] = best
@@ -208,7 +200,6 @@ def solve_tree(
         raise ContractViolation("the tree solver needs disjoint labels")
     forest = DominanceForest.build(constraints)
     names = sorted(set(candidates))
-    bits = {name: 1 << (len(names) - 1 - i) for i, name in enumerate(names)}
     pre = preprocess_intervals(names, k, constraints, order)
     counter = {"joins": 0, "tables": 0, "cells": 0}
     if pre.reason is not None:
@@ -220,7 +211,11 @@ def solve_tree(
             reason=pre.reason,
             stats=dict(counter),
         )
-    weights = ObligatoryFirstOrder(order, pre.obligatory).weights
+    m = len(names)
+    bits = {name: 1 << (m - 1 - i) for i, name in enumerate(names)}
+    weights = order.weights
+    scale = math.lcm(*(weights[name].denominator for name in names))
+    packed = {name: (int(weights[name] * scale) << m) + bits[name] for name in names}
 
     tables: dict[int, Grid] = {}
     pending = [(root, False) for root in forest.roots]
@@ -230,18 +225,20 @@ def solve_tree(
             pending.append((node, True))
             pending.extend((child, False) for child in forest.children[node])
             continue
-        pools = [pre.pools[name] for name in forest.nodes[node]]
-        own = _own_prefixes(weights, pools, k, bits)
+        labels = forest.nodes[node]
+        own = _own_prefixes(packed, [pre.pools[name] for name in labels], k)
         combined = _combine_children(
             [tables.pop(child) for child in forest.children[node]], k, counter
         )
-        tables[node] = _node_table(own, len(pools), combined, k, counter)
+        # a dominance cycle gives all its labels the same floor
+        low = pre.lows[labels[0]]
+        tables[node] = _node_table(own, len(labels), low, combined, k, counter)
 
     top_tables = [tables[root] for root in forest.roots]
     if pre.unlabeled:
-        own = _own_prefixes(weights, [pre.unlabeled], k, bits)
+        own = _own_prefixes(packed, [pre.unlabeled], k)
         empty = _combine_children([], k, counter)
-        top_tables.append(_node_table(own, 1, empty, k, counter))
+        top_tables.append(_node_table(own, 1, 0, empty, k, counter))
     final = _combine_children(top_tables, k, counter)
     cell = final[k][k]
     if cell is None:
@@ -253,16 +250,7 @@ def solve_tree(
             reason="no size-k committee satisfies the constraints",
             stats=dict(counter),
         )
-    committee = tuple(name for name in names if cell[1] & bits[name])
-    if not pre.obligatory <= frozenset(committee):
-        return SolveResult(
-            status="infeasible",
-            committee=(),
-            score=None,
-            solver="dp",
-            reason="interval lower bounds cannot all be met within k seats",
-            stats=dict(counter),
-        )
+    committee = tuple(name for name in names if cell & bits[name])
     return SolveResult(
         status="optimal",
         committee=committee,

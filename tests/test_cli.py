@@ -94,6 +94,10 @@ class TestParseInstance:
             voters=[["a", "c", "b", "d"], ["a", "b", "c", "c"]],
         )
         assert "voter index 1" in message
+        expect_code(
+            "malformed-field", voters=[["a", "c", "b", "d"], ["a", ["b"], "c", "d"]]
+        )
+        expect_code("non-permutation-ranking", voters=[["a", "c", "b", 4]])
         expect_code("invalid-k", k="2")
         expect_code("invalid-k", k=True)
         expect_code("invalid-k", k=7)

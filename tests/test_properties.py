@@ -284,13 +284,15 @@ def test_every_route_agrees_with_the_oracle():
         )
         assert_routes_agree(instance, seed)
     # fractional and decimal steps put Fraction keys on every route, and
-    # with interval lower bounds a Fraction lift on the dp route
+    # scaled keys in the dp's packed cells; the last vector makes them
+    # negative
     gammas = (
         lambda m: tuple(Fraction(m - i, 3) for i in range(m)),
         lambda m: tuple(Fraction("0.3") * (m - i) for i in range(m)),
         lambda m: (Fraction("0.3"),) * (m // 2) + (0,) * (m - m // 2),
+        lambda m: tuple(Fraction(i - m, 3) for i in range(m)),
     )
-    for seed in range(240):
+    for seed in range(320):
         m = 5 + seed % 6
         instance = gen_random(
             m,
@@ -300,7 +302,7 @@ def test_every_route_agrees_with_the_oracle():
             ("disjoint", "disjoint", "overlapping")[seed % 3],
             ("tree_like", "tree_like", "arbitrary")[seed // 3 % 3],
             40_000 + seed,
-            rule=WeaklySeparableRule(gammas[seed // 9 % 3](m)),
+            rule=WeaklySeparableRule(gammas[seed // 9 % len(gammas)](m)),
             order_kind=("score", "score", "leximax", "leximin")[seed // 2 % 4],
         )
         assert_routes_agree(instance, ("gamma", seed))

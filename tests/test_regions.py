@@ -35,8 +35,8 @@ def test_members_sorted_by_score_then_name():
     (region,) = compute_regions("abcd", constraints, scores)
     assert region.members == ("b", "c", "a", "d")
     assert region.prefix == (0, 3, 6, 7, 7)
-    assert region.marginal(0) == 3
-    assert region.marginal(3) == 0
+    assert region.gains[0] == 3
+    assert region.gains[3] == 0
 
 
 def test_disjoint_labels_give_one_region_per_label():

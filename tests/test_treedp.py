@@ -41,7 +41,6 @@ class TestPreprocess:
         assert pre.highs == {"l1": 1, "l2": 1}
         # each pool keeps only its best member
         assert pre.pools == {"l1": ("a",), "l2": ("c",)}
-        assert pre.obligatory == frozenset()
 
     def test_lower_bounds_flow_up(self):
         constraints = ConstraintSet.build(
@@ -51,7 +50,6 @@ class TestPreprocess:
         )
         pre = preprocess_intervals("abcd", 2, constraints, ORDER)
         assert pre.lows == {"l1": 1, "l2": 1}
-        assert pre.obligatory == frozenset({"a", "c"})
 
     def test_obligatory_members_outrank_everything_under_any_base(self):
         for scores in (SCORES, {"a": 0, "b": 100, "c": 1, "d": 2}):
@@ -119,7 +117,7 @@ class TestSolveTree:
         )
         result = solve_tree("abcd", 1, constraints, ORDER)
         assert result.status == "infeasible"
-        assert "within k seats" in result.reason
+        assert "no size-k committee" in result.reason
         oracle = solve_bruteforce("abcd", 1, constraints, ORDER)
         assert oracle.status == "infeasible"
 
