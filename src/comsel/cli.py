@@ -18,13 +18,7 @@ from typing import Any, Sequence
 from .bruteforce import OracleBudget
 from .constraints import ConstraintSet, Dominance, Interval, check_committee
 from .elections import ElectionProfile, Score
-from .errors import (
-    BudgetExceededError,
-    ComselError,
-    ContractViolation,
-    InputError,
-    ParseError,
-)
+from .errors import ComselError, InputError, ParseError
 from .generators import (
     MODES,
     STRUCTURES,
@@ -403,17 +397,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_gen(args)
-    except InputError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
-        print(f"error[budget]: {exc}", file=sys.stderr)
-        return 2
-    except ContractViolation as exc:
-        print(f"error[contract]: {exc}", file=sys.stderr)
-        return 2
     except ComselError as exc:
-        print(f"error[internal]: {exc}", file=sys.stderr)
+        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)

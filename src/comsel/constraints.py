@@ -320,22 +320,18 @@ class DominanceForest:
         parent: list[int | None] = []
         for position, node in enumerate(nodes):
             representative = node[0]
-            above = sorted(
-                {
-                    index_of[name]
-                    for name in labeling.names
-                    if representative in reach[name]
-                }
-                - {position}
+            above = {
+                index_of[name]
+                for name in labeling.names
+                if representative in reach[name]
+            } - {position}
+            # the nodes above form a chain; the closest reaches the fewest
+            # labels outside its own cycle
+            parent.append(
+                min(
+                    above,
+                    key=lambda i: len(reach[nodes[i][0]] - set(nodes[i])),
+                    default=None,
+                )
             )
-            chosen: int | None = None
-            for candidate in above:
-                lower = nodes[candidate][0]
-                if all(
-                    other == candidate or lower in reach[nodes[other][0]]
-                    for other in above
-                ):
-                    chosen = candidate
-                    break
-            parent.append(chosen)
         return cls(nodes, tuple(parent))

@@ -4,14 +4,19 @@ from __future__ import annotations
 
 
 class ComselError(Exception):
-    """Base class for errors raised by this package."""
+    """Base class for errors raised by this package.
+
+    ``code`` is a short machine-readable name for the problem; the CLI
+    prints it as ``error[code]``.
+    """
+
+    code = "internal"
 
 
 class InputError(ComselError, ValueError):
     """Invalid input data: unknown identifiers, malformed values, bad bounds.
 
-    ``code`` is a short machine-readable name for the problem; the CLI
-    prints it as ``error[code]``.
+    Each instance carries its own ``code``.
     """
 
     def __init__(self, message: str, code: str = "invalid-input"):
@@ -22,9 +27,13 @@ class InputError(ComselError, ValueError):
 class ContractViolation(ComselError):
     """An operation was invoked outside its stated preconditions."""
 
+    code = "contract"
+
 
 class BudgetExceededError(ComselError):
     """Brute-force enumeration would exceed the configured budget."""
+
+    code = "budget"
 
 
 class ParseError(InputError):

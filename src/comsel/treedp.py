@@ -1,14 +1,18 @@
 """Tree solver for disjoint labels whose dominance relation is tree-like.
 
 Dominance cycles force equal counts, so labels collapse into forest nodes.
-Each node gets a table indexed by committee slots used in its subtree and
-by the count ceiling its parent imposes.  Interval upper bounds shrink a
-label's usable pool to its best members, and lower bounds become count
-floors: a node's own count runs from its label's effective floor, never
-from zero.  Floors flow up the dominance closure, so a parent's count never
-caps a child below the child's floor.
+Interval upper bounds shrink a label's usable pool to its best members, and
+lower bounds become count floors: a node's own count runs from its label's
+effective floor, never from zero.  Each node's table holds one column per
+own count c, from 0 to its pool depth; column c maps a number of committee
+slots used in the subtree to the best pick with the node's own count
+between its floor and c.  A parent with own count c reads each child's
+column min(c, child depth); floors flow up the dominance closure, so c is
+never below a child's floor.  Every merge of two columns is a max-plus
+convolution over sizes, and the answer is the convolution of every root's
+last column and the unlabeled pool's, read at size k.
 
-A table cell is one int, ``(key << m) + mask``: the committee's weight sum,
+A cell is one int, ``(key << m) + mask``: the committee's weight sum,
 scaled to an integer by the LCM of the weights' denominators, shifted past
 a bit mask of its members, where the i-th smallest of m candidate names is
 bit ``1 << (m - 1 - i)``.  Disjoint committees join by adding their cells,
@@ -30,8 +34,8 @@ from .errors import ContractViolation
 from .orders import WeightOrder, best_singletons
 from .result import SolveResult
 
-# None marks a cell no committee reaches
-Grid = list[list[int | None]]
+# size -> best packed cell of that many members; None where none fits
+Column = list[int | None]
 
 
 @dataclass(frozen=True)
@@ -119,67 +123,56 @@ def _own_prefixes(
     return cells
 
 
-def _new_grid(k: int) -> Grid:
-    return [[None] * (k + 1) for _ in range(k + 1)]
-
-
-def _combine_children(
-    tables: list[Grid], k: int, counter: dict[str, int]
-) -> Grid:
-    """Best joint use of the child subtrees; grid[size][cap] caps every
-    child's own count at cap."""
-    if not tables:
-        grid = _new_grid(k)
-        grid[0] = [0] * (k + 1)
-        return grid
-    grid = tables[0]
-    for table in tables[1:]:
-        merged = _new_grid(k)
-        counter["cells"] += (k + 1) * (k + 1)
-        for cap in range(k + 1):
-            for size in range(k + 1):
-                best: int | None = None
-                for part in range(size + 1):
-                    left = grid[size - part][cap]
-                    right = table[part][cap]
-                    if left is None or right is None:
-                        continue
-                    counter["joins"] += 1
-                    cell = left + right
-                    if best is None or cell > best:
-                        best = cell
-                merged[size][cap] = best
-        grid = merged
-    return grid
+def _convolve(
+    left: Column, right: Column, out: Column, k: int, counter: dict[str, int]
+) -> Column:
+    """Max-plus convolution over sizes up to k: raise out[i + j] to
+    left[i] + right[j] wherever both exist, and return out."""
+    top = min(k, len(left) + len(right) - 2)
+    out.extend([None] * (top + 1 - len(out)))
+    joins = 0
+    for i, a in enumerate(left[: top + 1]):
+        if a is None:
+            continue
+        for j, b in enumerate(right[: top + 1 - i], i):
+            if b is None:
+                continue
+            joins += 1
+            cell = a + b
+            best = out[j]
+            if best is None or cell > best:
+                out[j] = cell
+    counter["joins"] += joins
+    counter["cells"] += len(out)
+    return out
 
 
 def _node_table(
     own: list[int],
     width: int,
     low: int,
-    combined: Grid,
+    children: list[list[Column]],
     k: int,
     counter: dict[str, int],
-) -> Grid:
-    """grid[size][cap]: best subtree pick using exactly size slots with the
-    node's own per-label count between low and cap."""
-    grid = _new_grid(k)
+) -> list[Column]:
+    """One column per own count c from 0 to the node's depth, len(own) - 1.
+
+    Column c is column c - 1 raised by the picks whose own count is exactly
+    c, a running max over counts from the floor low; columns below it are
+    empty.  Count c reads each child's column min(c, child depth).
+    """
     counter["tables"] += 1
-    counter["cells"] += (k + 1) * (k + 1)
-    for cap in range(k + 1):
-        top = min(cap, len(own) - 1)
-        for size in range(k + 1):
-            best: int | None = None
-            for count in range(low, min(top, size // width) + 1):
-                sub = combined[size - count * width][count]
-                if sub is None:
-                    continue
-                counter["joins"] += 1
-                cell = own[count] + sub
-                if best is None or cell > best:
-                    best = cell
-            grid[size][cap] = best
-    return grid
+    table: list[Column] = [[]] * low
+    column: Column = []
+    for count in range(low, len(own)):
+        parts = [child[min(count, len(child) - 1)] for child in children]
+        sub = parts[0] if parts else [0]
+        for part in parts[1:]:
+            sub = _convolve(sub, part, [], k, counter)
+        pick: Column = [None] * (count * width) + [own[count]]
+        column = _convolve(pick, sub, list(column), k, counter)
+        table.append(column)
+    return table
 
 
 def solve_tree(
@@ -217,7 +210,7 @@ def solve_tree(
     scale = math.lcm(*(weights[name].denominator for name in names))
     packed = {name: (int(weights[name] * scale) << m) + bits[name] for name in names}
 
-    tables: dict[int, Grid] = {}
+    tables: dict[int, list[Column]] = {}
     pending = [(root, False) for root in forest.roots]
     while pending:
         node, expanded = pending.pop()
@@ -226,21 +219,21 @@ def solve_tree(
             pending.extend((child, False) for child in forest.children[node])
             continue
         labels = forest.nodes[node]
-        own = _own_prefixes(packed, [pre.pools[name] for name in labels], k)
-        combined = _combine_children(
-            [tables.pop(child) for child in forest.children[node]], k, counter
-        )
+        width = len(labels)
+        own = _own_prefixes(packed, [pre.pools[name] for name in labels], k // width)
+        children = [tables.pop(child) for child in forest.children[node]]
         # a dominance cycle gives all its labels the same floor
         low = pre.lows[labels[0]]
-        tables[node] = _node_table(own, len(labels), low, combined, k, counter)
+        tables[node] = _node_table(own, width, low, children, k, counter)
 
-    top_tables = [tables[root] for root in forest.roots]
+    tops = [tables[root] for root in forest.roots]
     if pre.unlabeled:
         own = _own_prefixes(packed, [pre.unlabeled], k)
-        empty = _combine_children([], k, counter)
-        top_tables.append(_node_table(own, 1, 0, empty, k, counter))
-    final = _combine_children(top_tables, k, counter)
-    cell = final[k][k]
+        tops.append(_node_table(own, 1, 0, [], k, counter))
+    final: Column = [0]
+    for table in tops:
+        final = _convolve(final, table[-1], [], k, counter)
+    cell = final[k] if len(final) > k else None
     if cell is None:
         return SolveResult(
             status="infeasible",

@@ -238,6 +238,23 @@ class TestDominanceStructure:
         by_node = dict(zip(forest.nodes, forest.parent))
         assert forest.nodes[by_node[("bot",)]] == ("mid",)
 
+    def test_forest_parent_is_the_closest_cycle(self):
+        # A and the cycle {B, C} both reach D; the cycle is closer
+        labeling = labels("A", "B", "C", "D")
+        forest = DominanceForest.build(
+            ConstraintSet(
+                labeling,
+                dominances=(
+                    Dominance("A", "B"),
+                    Dominance("B", "C"),
+                    Dominance("C", "B"),
+                    Dominance("B", "D"),
+                ),
+            )
+        )
+        assert forest.nodes == (("A",), ("B", "C"), ("D",))
+        assert forest.parent == (None, 0, 1)
+
     def test_forest_rejects_incomparable_dominators(self):
         labeling = labels("l1", "l2", "l3")
         with pytest.raises(ContractViolation, match="not tree-like"):

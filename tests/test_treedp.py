@@ -195,6 +195,21 @@ class TestSolveTree:
             bound = (2 * len(instance.constraints.labeling) + 3) * (k + 1) ** 2
             assert result.stats["cells"] <= bound
 
+    def test_tables_are_columns_not_full_grids(self):
+        # a node holds one column per count it can take, here 0 to 2, so
+        # ten labels of two members each stay far below ten (k+1)^2 grids
+        k = 20
+        groups = {f"l{i}": (f"c{i}a", f"c{i}b") for i in range(10)}
+        chain = ConstraintSet.build(
+            groups,
+            dominances=tuple(Dominance(f"l{i}", f"l{i + 1}") for i in range(9)),
+        )
+        names = [name for pair in groups.values() for name in pair]
+        result = solve_tree(names, k, chain, ScoreOrder(dict.fromkeys(names, 1)))
+        assert result.status == "optimal"
+        assert result.stats["tables"] == 10
+        assert result.stats["cells"] < result.stats["tables"] * (k + 1) ** 2
+
 
 def test_ties_fall_to_the_oracles_committee():
     # few voters and coarse rules leave many committees equally good; the
