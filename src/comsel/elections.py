@@ -209,16 +209,6 @@ class SingletonRanking:
         levels = sorted(by_score, reverse=True)
         return cls(tuple(frozenset(by_score[level]) for level in levels))
 
-    @cached_property
-    def _tier_index(self) -> dict[str, int]:
-        return {c: i for i, tier in enumerate(self.tiers) for c in tier}
-
     @property
     def candidates(self) -> frozenset[str]:
-        return frozenset(self._tier_index)
-
-    def tier_of(self, candidate: str) -> int:
-        try:
-            return self._tier_index[candidate]
-        except KeyError:
-            raise InputError(f"unknown candidate {candidate!r}") from None
+        return frozenset().union(*self.tiers)

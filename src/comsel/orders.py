@@ -10,6 +10,8 @@ tier, and the obligatory-first order lifts obligatory candidates.
 
 from __future__ import annotations
 
+import math
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .elections import Score, SingletonRanking
@@ -25,6 +27,11 @@ class WeightOrder:
 
     def __init__(self, weights: Mapping[str, Score]):
         self.weights = dict(weights)
+
+    @cached_property
+    def packed(self) -> dict[str, int]:
+        """``pack(self.weights)``."""
+        return pack(self.weights)
 
     def key_of(self, committee: Iterable[str]) -> Score:
         total: Score = 0
@@ -45,6 +52,31 @@ class WeightOrder:
         left_key = self.key_of(first)
         right_key = self.key_of(second)
         return (left_key > right_key) - (left_key < right_key)
+
+
+def pack(weights: Mapping[str, Score]) -> dict[str, int]:
+    """One int per candidate, ``(key << m) + bit``, whose sums rank
+    equal-size committees by key, ties toward the smallest sorted committee.
+
+    The key is the weight scaled to an int by the LCM of the weights'
+    denominators; the i-th smallest of the m names gets the bit
+    ``1 << (m - 1 - i)``.  Distinct members' bits never carry, so a sum's
+    low m bits are its members' mask, and a larger mask is a
+    lexicographically smaller committee, for negative keys too.
+    """
+    names = sorted(weights)
+    m = len(names)
+    scale = math.lcm(*(weights[name].denominator for name in names))
+    return {
+        name: (int(weights[name] * scale) << m) + (1 << (m - 1 - i))
+        for i, name in enumerate(names)
+    }
+
+
+def unpack(cell: int, packed: Mapping[str, int]) -> tuple[str, ...]:
+    """The members of ``cell``, a sum of distinct ``packed`` values, sorted."""
+    mask = cell & ((1 << len(packed)) - 1)
+    return tuple(sorted(name for name, value in packed.items() if value & mask))
 
 
 class ScoreOrder(WeightOrder):
@@ -113,9 +145,11 @@ def best_singletons(
     Returned best first; ties are broken toward the lexicographically
     smallest identifier, so no excluded candidate beats an included one.
     """
-    items = sorted(set(pool))
+    items = set(pool)
     if not 0 <= count <= len(items):
         raise InputError(f"cannot pick {count} candidates from a pool of {len(items)}")
-    # a stable sort keeps equal keys in name order
-    ranked = sorted(items, key=lambda c: order.key_of((c,)), reverse=True)
+    try:
+        ranked = sorted(items, key=order.packed.__getitem__, reverse=True)
+    except KeyError as missing:
+        raise InputError(f"unknown candidate {missing.args[0]!r}") from None
     return tuple(ranked[:count])

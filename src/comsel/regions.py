@@ -5,8 +5,9 @@ so the search runs over how many seats each such region gets, not over
 individual candidates.  Interval and dominance constraints become rows
 with coefficients in {-1, 0, 1} over the region counts, plus one row that
 pins the committee size.  Bounds on the counts are tightened to a fixpoint
-at every search node, and a node is abandoned when even the most generous
-completion cannot beat the incumbent.  Labels may overlap and dominance
+at every search node.  Committees are ranked by their ``orders.pack`` sums,
+which are distinct, so a node is abandoned when even the most generous
+completion cannot exceed the incumbent's.  Labels may overlap and dominance
 may form any digraph; the price is exponential worst-case search, kept in
 check by the bound.
 """
@@ -20,6 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .constraints import ConstraintSet
 from .elections import Score
+from .orders import pack, unpack
 from .result import SolveResult
 
 
@@ -29,16 +31,11 @@ class Region:
 
     signature: tuple[str, ...]
     members: tuple[str, ...]
-    prefix: tuple[Score, ...]
+    gains: tuple[Score, ...]  # the members' scores, best first
 
     @property
     def size(self) -> int:
         return len(self.members)
-
-    @cached_property
-    def gains(self) -> tuple[Score, ...]:
-        """The score each member adds, best first."""
-        return tuple(map(sub, self.prefix[1:], self.prefix))
 
 
 @dataclass(frozen=True)
@@ -94,13 +91,10 @@ def compute_regions(
         buckets.setdefault(signature, []).append(name)
     regions = []
     for signature in sorted(buckets):
-        members = sorted(buckets[signature], key=lambda c: (-scores[c], c))
-        running: Score = 0
-        prefix: list[Score] = [running]
-        for name in members:
-            running = running + scores[name]
-            prefix.append(running)
-        regions.append(Region(signature, tuple(members), tuple(prefix)))
+        # a stable sort keeps equal scores in name order
+        members = sorted(buckets[signature], key=scores.__getitem__, reverse=True)
+        gains = tuple(scores[name] for name in members)
+        regions.append(Region(signature, tuple(members), gains))
     return tuple(regions)
 
 
@@ -191,24 +185,14 @@ def solve_region_ip(
 
     The committee is not re-checked here: ``solve_instance`` verifies every
     optimal result once, so direct callers get it unverified."""
-    regions = compute_regions(candidates, constraints, scores)
+    packed = pack(scores)
+    regions = compute_regions(candidates, constraints, packed)
     rows = build_rows(regions, k, constraints)
     count = len(regions)
-    order = sorted(
-        range(count),
-        key=lambda i: (-regions[i].prefix[1] if regions[i].size else 0,
-                       regions[i].signature),
-    )
+    order = sorted(range(count), key=lambda i: regions[i].gains[0], reverse=True)
     touching = [tuple(row for row in rows if row.coeffs[i]) for i in range(count)]
     stats = {"regions": count, "nodes": 0, "leaves": 0}
-    best_committee: tuple[str, ...] | None = None
-    best_score: Score | None = None
-
-    def materialise(lows: list[int]) -> tuple[str, ...]:
-        chosen: list[str] = []
-        for region, taken in zip(regions, lows):
-            chosen.extend(region.members[:taken])
-        return tuple(sorted(chosen))
+    best: int | None = None
 
     # depth-first, highest count first; a node waits with its parent's
     # bounds and the count it fixes, and copies the bounds when reached
@@ -223,29 +207,19 @@ def solve_region_ip(
         stats["nodes"] += 1
         if not _propagate(rows, lows, highs, first):
             continue
-        forced: Score = 0
-        for region, low in zip(regions, lows):
-            forced = forced + region.prefix[low]
-        budget = k - sum(lows)
-        if budget > 0:
-            extras: list[Score] = []
-            for region, low, high in zip(regions, lows, highs):
-                extras.extend(region.gains[low:high])
-            extras.sort(reverse=True)
-            bound = forced + sum(extras[:budget])
-        else:
-            bound = forced
-        if best_score is not None and bound < best_score:
+        # the counts' best members, plus the best of what else fits
+        bound = 0
+        extras: list[int] = []
+        for region, low, high in zip(regions, lows, highs):
+            bound += sum(region.gains[:low])
+            extras.extend(region.gains[low:high])
+        extras.sort(reverse=True)
+        bound += sum(extras[: k - sum(lows)])
+        if best is not None and bound <= best:
             continue
         if position == count:
             stats["leaves"] += 1
-            score = forced
-            if best_score is None or score > best_score:
-                best_score, best_committee = score, materialise(lows)
-            elif score == best_score:
-                committee = materialise(lows)
-                if best_committee is None or committee < best_committee:
-                    best_committee = committee
+            best = bound
             continue
         index = order[position]
         pending.extend(
@@ -253,7 +227,7 @@ def solve_region_ip(
             for value in range(lows[index], highs[index] + 1)
         )
 
-    if best_committee is None:
+    if best is None:
         return SolveResult(
             status="infeasible",
             committee=(),
@@ -262,10 +236,11 @@ def solve_region_ip(
             reason="no size-k committee satisfies the constraints",
             stats=dict(stats),
         )
+    committee = unpack(best, packed)
     return SolveResult(
         status="optimal",
-        committee=best_committee,
-        score=best_score,
+        committee=committee,
+        score=sum(scores[name] for name in committee),
         solver="region",
         stats=dict(stats),
     )

@@ -12,26 +12,20 @@ never below a child's floor.  Every merge of two columns is a max-plus
 convolution over sizes, and the answer is the convolution of every root's
 last column and the unlabeled pool's, read at size k.
 
-A cell is one int, ``(key << m) + mask``: the committee's weight sum,
-scaled to an integer by the LCM of the weights' denominators, shifted past
-a bit mask of its members, where the i-th smallest of m candidate names is
-bit ``1 << (m - 1 - i)``.  Disjoint committees join by adding their cells,
-since their masks share no bit.  The committees in one cell all have the
-same size, and among those a larger mask is exactly a lexicographically
-smaller sorted committee, so comparing cells as ints compares keys first
-and breaks ties toward the smallest committee, for negative keys too.  The
-committee itself is built once, from the winning cell's mask.
+A cell is one int, the sum of its members' ``WeightOrder.packed`` values
+(see ``orders.pack``), so disjoint committees join by adding their cells
+and comparing cells as ints compares keys first and breaks ties toward the
+smallest committee.  The committee is decoded once, from the winning cell.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .constraints import ConstraintSet, DominanceForest
 from .errors import ContractViolation
-from .orders import WeightOrder, best_singletons
+from .orders import WeightOrder, best_singletons, unpack
 from .result import SolveResult
 
 # size -> best packed cell of that many members; None where none fits
@@ -204,12 +198,7 @@ def solve_tree(
             reason=pre.reason,
             stats=dict(counter),
         )
-    m = len(names)
-    bits = {name: 1 << (m - 1 - i) for i, name in enumerate(names)}
-    weights = order.weights
-    scale = math.lcm(*(weights[name].denominator for name in names))
-    packed = {name: (int(weights[name] * scale) << m) + bits[name] for name in names}
-
+    packed = order.packed
     tables: dict[int, list[Column]] = {}
     pending = [(root, False) for root in forest.roots]
     while pending:
@@ -243,7 +232,7 @@ def solve_tree(
             reason="no size-k committee satisfies the constraints",
             stats=dict(counter),
         )
-    committee = tuple(name for name in names if cell & bits[name])
+    committee = unpack(cell, packed)
     return SolveResult(
         status="optimal",
         committee=committee,

@@ -184,9 +184,10 @@ def test_shared_extensions_never_flip_comparisons():
     # with a > b > c > d > e, {c,d} beats {a,e} on second-best members (d
     # over e), yet adding b to both flips the comparison (b over c)
     ranking = SingletonRanking.from_order("abcde")
+    tier_of = {c: i for i, tier in enumerate(ranking.tiers) for c in tier}
 
     def second_best(committee):
-        return sorted(ranking.tier_of(c) for c in committee)[1]
+        return sorted(tier_of[c] for c in committee)[1]
 
     assert second_best("cd") < second_best("ae")
     assert second_best("bcd") > second_best("abe")

@@ -113,8 +113,6 @@ class TestSingletonRanking:
             frozenset("c"),
             frozenset("a"),
         )
-        assert ranking.tier_of("b") == 0
-        assert ranking.tier_of("a") == 2
 
     def test_from_scores_groups_ties_descending(self):
         ranking = SingletonRanking.from_scores({"a": 2, "b": 5, "c": 2, "d": 0})
@@ -127,10 +125,6 @@ class TestSingletonRanking:
     def test_candidates_property(self):
         ranking = SingletonRanking.from_order("xy")
         assert ranking.candidates == frozenset({"x", "y"})
-
-    def test_tier_of_unknown(self):
-        with pytest.raises(InputError, match="unknown candidate"):
-            SingletonRanking.from_order("ab").tier_of("q")
 
     def test_overlapping_tiers_rejected(self):
         with pytest.raises(InputError, match="disjoint"):

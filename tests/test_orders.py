@@ -1,5 +1,6 @@
 """Committee comparators and their keys."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from comsel import (
     SingletonRanking,
     best_singletons,
 )
+from comsel.orders import pack, unpack
 
 FIVE = SingletonRanking.from_order("abcde")
 
@@ -84,7 +86,8 @@ def test_lexi_key_join_matches_union():
 def tuple_key(ranking, kind, committee):
     """The lexicographic definition: members' negated tier indices, sorted
     best first for leximax and worst first for leximin."""
-    levels = [-ranking.tier_of(c) for c in committee]
+    tier_of = {c: i for i, tier in enumerate(ranking.tiers) for c in tier}
+    levels = [-tier_of[c] for c in committee]
     return tuple(sorted(levels, reverse=kind == "leximax"))
 
 
@@ -117,6 +120,29 @@ def test_strict_leximax_gives_each_member_a_bit():
     order = LeximaxOrder(FIVE)
     assert [order.key_of((c,)) for c in "abcde"] == [16, 8, 4, 2, 1]
     assert order.key_of("abcde") == 2**5 - 1
+
+
+def test_packed_sums_rank_by_key_then_smallest_committee():
+    weights = {
+        "b": Fraction(-1, 2), "e": Fraction(-1, 3), "a": -1, "d": Fraction(-1, 2),
+        "c": Fraction(1, 6), "f": Fraction(-1, 3),
+    }
+    order = ScoreOrder(weights)
+    packed = pack(weights)
+    assert order.packed == packed
+    for size in range(len(weights) + 1):
+        committees = list(itertools.combinations(sorted(weights), size))
+        for first, second in itertools.product(committees, repeat=2):
+            # a larger key wins, and on equal keys the smaller sorted tuple
+            left = (order.key_of(first), second)
+            right = (order.key_of(second), first)
+            packed_first = sum(packed[c] for c in first)
+            packed_second = sum(packed[c] for c in second)
+            assert (left > right) == (packed_first > packed_second), (first, second)
+            assert (left == right) == (packed_first == packed_second)
+        for committee in committees:
+            cell = sum(packed[c] for c in committee)
+            assert unpack(cell, packed) == committee
 
 
 def test_obligatory_count_trumps_the_base_order():
@@ -186,6 +212,10 @@ class TestBestSingletons:
     def test_count_out_of_range(self):
         with pytest.raises(InputError, match="cannot pick"):
             best_singletons(ScoreOrder({"a": 1}), "a", 2)
+
+    def test_unknown_candidate(self):
+        with pytest.raises(InputError, match="unknown candidate 'z'"):
+            best_singletons(ScoreOrder({"a": 1}), "az", 1)
 
     def test_no_excluded_candidate_beats_an_included_one(self):
         order = LeximinOrder(SingletonRanking((frozenset("ac"), frozenset("bd"))))

@@ -34,9 +34,7 @@ def test_members_sorted_by_score_then_name():
     scores = {"a": 1, "b": 3, "c": 3, "d": 0}
     (region,) = compute_regions("abcd", constraints, scores)
     assert region.members == ("b", "c", "a", "d")
-    assert region.prefix == (0, 3, 6, 7, 7)
-    assert region.gains[0] == 3
-    assert region.gains[3] == 0
+    assert region.gains == (3, 3, 1, 0)
 
 
 def test_disjoint_labels_give_one_region_per_label():
@@ -210,13 +208,32 @@ class TestSolve:
 
     def test_tie_breaking_across_regions(self):
         # both labels offer score-2 members; the lex-smallest mix must win
-        constraints = ConstraintSet.build({"x": ("p", "q"), "y": ("m", "n")})
+        constraints = ConstraintSet.build(
+            {"x": ("p", "q"), "y": ("m", "n")},
+            intervals=(Interval("x", 0, 2), Interval("y", 0, 2)),
+        )
         scores = {"p": 2, "q": 2, "m": 2, "n": 2}
         result = solve_region_ip(("p", "q", "m", "n"), 2, constraints, scores)
         oracle = solve_bruteforce(
             ("p", "q", "m", "n"), 2, constraints, ScoreOrder(scores)
         )
+        assert result.stats["regions"] == 2
         assert result.committee == oracle.committee == ("m", "n")
+
+    def test_equal_scores_reach_one_leaf(self):
+        # every committee of one member from each of three labels ties on
+        # score; packed keys still rank them, so the first committee the
+        # search completes, the lexicographically smallest, is the last
+        names = [f"c{i}" for i in range(12)]
+        labels = {f"g{j}": names[2 * j : 2 * j + 2] for j in range(6)}
+        constraints = ConstraintSet.build(
+            labels, intervals=tuple(Interval(g, 0, 1) for g in labels)
+        )
+        scores = dict.fromkeys(names, 1)
+        result = solve_region_ip(names, 3, constraints, scores)
+        oracle = solve_bruteforce(names, 3, constraints, ScoreOrder(scores))
+        assert result.committee == oracle.committee == ("c0", "c10", "c2")
+        assert result.stats["leaves"] == 1
 
     def test_infeasible_when_lower_bounds_exceed_k(self):
         constraints = ConstraintSet.build(

@@ -169,9 +169,12 @@ class TestSolveTree:
         assert all(v >= 0 for v in result.stats.values())
 
     def test_grid_budget_is_quadratic_in_k(self):
-        # every node builds at most one table and one fold grid of
-        # (k+1)^2 cells each, plus one pool for unlabeled candidates
-        # and one top-level fold
+        # a node builds at most k+1 columns, one per own count, each from
+        # one convolution per child (one when it has none) of at most k+1
+        # cells; with the unlabeled pool's table and the top-level
+        # convolutions that stays within the (k+1)^2 multiple below, by a
+        # wide margin (test_tables_are_columns_not_full_grids is the tight
+        # check)
         from comsel import gen_random
 
         for seed in range(12):
