@@ -14,7 +14,8 @@ class SolveResult:
 
     ``status`` is "optimal" or "infeasible".  ``committee`` is a sorted
     tuple, empty on infeasible instances.  ``score`` is the committee's
-    weight sum; ``solve_instance`` keeps it only under a score order.
+    weight sum; ``solve_instance`` keeps it only under a score order and
+    reports an integral one as an int.
     ``reason`` explains infeasibility; ``stats`` carries solver counters.
     """
 

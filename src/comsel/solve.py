@@ -6,7 +6,7 @@ from dataclasses import replace
 
 from .bruteforce import OracleBudget, solve_bruteforce
 from .constraints import check_committee
-from .elections import Score, SingletonRanking, score_all
+from .elections import Score, SingletonRanking, as_score, score_all
 from .errors import ContractViolation, InputError
 from .instances import ElectionInstance, StvRule
 from .orders import LeximaxOrder, LeximinOrder, ScoreOrder, WeightOrder
@@ -89,6 +89,8 @@ def solve_instance(
         )
     if not isinstance(order, ScoreOrder):  # a lexi key is no score
         result = replace(result, score=None)
+    elif result.score is not None:  # a weight sum such as 3/10 + 7/10
+        result = replace(result, score=as_score(result.score))
     if result.is_optimal:
         violations = check_committee(result.committee, k, constraints)
         if violations:

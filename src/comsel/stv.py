@@ -5,6 +5,15 @@ order of election, the last candidate left standing follows, and the
 eliminated candidates trail in reverse order of elimination.  The bare
 "simple" variant never elects, so its output is purely reverse elimination
 order.  All tallies are exact rationals.
+
+The count keeps one invariant: each hopeful candidate holds a pile
+``{weight: [(ranking, position), ...]}`` of the ballots whose first hopeful
+preference, at ``ranking[position]``, it is.  A round pops only the elected
+or eliminated candidate's pile and moves each of its ballots on to its next
+hopeful preference, at the Gregory surplus factor on election and at full
+weight on elimination.  Tallies are re-summed from the piles every round,
+one product per distinct weight: after a few Gregory transfers a running
+tally's denominator grows with every add, so re-summing is cheaper.
 """
 
 from __future__ import annotations
@@ -28,66 +37,48 @@ class StvRound:
     candidate: str
 
 
-class _Ballot:
-    __slots__ = ("ranking", "weight")
-
-    def __init__(self, ranking: tuple[str, ...]):
-        self.ranking = ranking
-        # an int until a surplus transfer splits it
-        self.weight: int | Fraction = 1
-
-
-def _as_fractions(tallies: Mapping[str, int | Fraction]) -> dict[str, Fraction]:
-    return {c: Fraction(v) for c, v in tallies.items()}
-
-
 def _count(
     profile: ElectionProfile, variant: str
 ) -> tuple[list[StvRound], tuple[str, ...]]:
     if variant not in VARIANTS:
         raise InputError(f"unknown stv variant {variant!r}", code="invalid-rule")
-    active = set(profile.candidates)
-    ballots = [_Ballot(r) for r in profile.voters]
     quota = profile.num_voters // (profile.k + 1) + 1
+    # in name order, so the first largest or smallest tally wins a tie
+    piles: dict[str, dict[int | Fraction, list[tuple[tuple[str, ...], int]]]] = {
+        c: {} for c in sorted(profile.candidates)
+    }
+    for ranking in profile.voters:
+        piles[ranking[0]].setdefault(1, []).append((ranking, 0))
     rounds: list[StvRound] = []
     elected: list[str] = []
     eliminated: list[str] = []
-    while len(active) > 1:
-        tallies: dict[str, int | Fraction] = dict.fromkeys(sorted(active), 0)
-        support: dict[str, list[_Ballot]] = {c: [] for c in tallies}
-        for ballot in ballots:
-            if ballot.weight == 0:
-                continue
-            for candidate in ballot.ranking:
-                if candidate in active:
-                    tallies[candidate] += ballot.weight
-                    support[candidate].append(ballot)
-                    break
+    while len(piles) > 1:
+        tallies = {
+            c: Fraction(sum(weight * len(group) for weight, group in pile.items()))
+            for c, pile in piles.items()
+        }
+        action, chosen, factor = "eliminate", min(tallies, key=tallies.get), 1
         if variant == "droop_gregory":
-            winner = None
-            for candidate in sorted(active):
-                if tallies[candidate] >= quota and (
-                    winner is None or tallies[candidate] > tallies[winner]
-                ):
-                    winner = candidate
-            if winner is not None:
-                rounds.append(StvRound(_as_fractions(tallies), "elect", winner))
-                # every supporting ballot keeps the surplus fraction of its
-                # weight; Fraction(), since int / int would give a float
-                factor = Fraction(tallies[winner] - quota, tallies[winner])
-                for ballot in support[winner]:
-                    ballot.weight *= factor
-                active.remove(winner)
-                elected.append(winner)
+            top = max(tallies, key=tallies.get)
+            if tallies[top] >= quota:
+                action, chosen = "elect", top
+                factor = (tallies[top] - quota) / tallies[top]
+        rounds.append(StvRound(tallies, action, chosen))
+        (elected if action == "elect" else eliminated).append(chosen)
+        for weight, group in piles.pop(chosen).items():
+            weight *= factor
+            if weight == 0:
                 continue
-        loser = None
-        for candidate in sorted(active):
-            if loser is None or tallies[candidate] < tallies[loser]:
-                loser = candidate
-        rounds.append(StvRound(_as_fractions(tallies), "eliminate", loser))
-        active.remove(loser)
-        eliminated.append(loser)
-    order = tuple(elected) + tuple(sorted(active)) + tuple(reversed(eliminated))
+            for ranking, position in group:
+                # rankings are full permutations and a hopeful candidate
+                # remains after the pop, so this stops inside the ranking
+                position += 1
+                while ranking[position] not in piles:
+                    position += 1
+                piles[ranking[position]].setdefault(weight, []).append(
+                    (ranking, position)
+                )
+    order = tuple(elected) + tuple(piles) + tuple(reversed(eliminated))
     return rounds, order
 
 

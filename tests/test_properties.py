@@ -23,6 +23,8 @@ from comsel import (
     solve_bruteforce,
     solve_instance,
     stv_ranking,
+    stv_rounds,
+    stv_simple_all_rankings,
     transitive_closure,
 )
 
@@ -182,6 +184,15 @@ def test_stv_ranks_every_candidate_exactly_once(profile, variant):
     listed = [c for tier in ranking.tiers for c in tier]
     assert sorted(listed) == sorted(profile.candidates)
     assert all(len(tier) == 1 for tier in ranking.tiers)
+    # every round holds all the weight not yet spent on a quota; simple
+    # never elects, so its rounds all hold n
+    quota = profile.num_voters // (profile.k + 1) + 1
+    elections = 0
+    for stv_round in stv_rounds(profile, variant):
+        assert sum(stv_round.tallies.values()) == profile.num_voters - quota * elections
+        elections += stv_round.action == "elect"
+    if variant == "simple":
+        assert tuple(listed) in stv_simple_all_rankings(profile)
 
 
 @st.composite
@@ -249,6 +260,12 @@ def assert_routes_agree(instance, tag):
             oracle.status,
             oracle.committee,
             oracle.score,
+        ), (tag, solver)
+        # Fraction(1) == 1, so the comparison above cannot see an integral
+        # score left as a Fraction; the Score type makes it an int
+        assert not any(
+            isinstance(r.score, Fraction) and r.score.denominator == 1
+            for r in (oracle, result)
         ), (tag, solver)
 
 

@@ -36,8 +36,7 @@ def test_simple_rounds_trace(profile_b):
         ("eliminate", "c"),
     ]
     assert rounds[0].tallies == {"a": 4, "b": 1, "c": 1, "d": 0}
-    # d's single ballot moves to c once d is out... no, d had no first places;
-    # tallies simply drop the removed candidate
+    # d had no first places, so removing it moves no ballot
     assert rounds[1].tallies == {"a": 4, "b": 1, "c": 1}
 
 
