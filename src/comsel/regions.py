@@ -4,25 +4,46 @@ Candidates sharing the same set of labels are interchangeable up to score,
 so the search runs over how many seats each such region gets, not over
 individual candidates.  Interval and dominance constraints become rows
 with coefficients in {-1, 0, 1} over the region counts, plus one row that
-pins the committee size.  Bounds on the counts are tightened to a fixpoint
-at every search node.  Committees are ranked by their ``orders.pack`` sums,
-which are distinct, so a node is abandoned when even the most generous
-completion cannot exceed the incumbent's.  Labels may overlap and dominance
-may form any digraph; the price is exponential worst-case search, kept in
-check by the bound.
+pins the committee size.  Committees are ranked by their ``orders.pack``
+sums, which are distinct, so a node is abandoned when even the most
+generous completion cannot exceed the incumbent's.  Labels may overlap and
+dominance may form any digraph; the price is exponential worst-case search,
+kept in check by the bounds.
+
+Each node first takes the cheap tests: its count bounds are tightened to a
+fixpoint, and the greedy bound fills the seats with the best members the
+bounds allow, enforcing only the committee size; when those counts also
+satisfy every row, they are the node's best committee.  A node these tests
+leave open may then consult the LP relaxation (``lp``), whose row
+multipliers give a Lagrangian bound, or, when the LP is infeasible, a
+Farkas certificate.  Floats only choose the multipliers: they are rounded
+to ints, and every bound and every infeasibility prune is decided in exact
+integer arithmetic, so a float error can weaken a bound but never make it
+wrong.  A child inherits its parent's multipliers and solves the LP again
+only when they fail to prune it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from operator import itemgetter, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .constraints import ConstraintSet
 from .elections import Score
+from .lp import row_multipliers
 from .orders import pack, unpack
 from .result import SolveResult
+
+# LP multipliers are rounded to multiples of 2**-_FRACTION_BITS
+_FRACTION_BITS = 30
+# Past the root, the LP joins only once a search has visited this many
+# nodes: on the overlap benchmark most searches end sooner, and there the
+# cheap tests finish faster than LP solves would.
+_LP_AFTER_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -173,6 +194,160 @@ def _propagate(
     return True
 
 
+def _greedy(
+    regions: tuple[Region, ...],
+    negated: Sequence[Sequence[int]],
+    lows: list[int],
+    highs: list[int],
+    k: int,
+) -> tuple[int, list[int]]:
+    """The best sum over the box with only the committee size enforced,
+    and its counts: each region's best ``lows`` members, plus the best of
+    what else fits."""
+    bound = 0
+    extras: list[int] = []
+    for region, low, high in zip(regions, lows, highs):
+        bound += sum(region.gains[:low])
+        extras.extend(region.gains[low:high])
+    seats = k - sum(lows)
+    if not seats:
+        return bound, lows
+    extras.sort(reverse=True)
+    bound += sum(extras[:seats])
+    # packed gains are distinct: a region's count is its gains >= the last taken
+    last = -extras[seats - 1]
+    return bound, [
+        min(max(bisect_right(neg, last), low), high)
+        for neg, low, high in zip(negated, lows, highs)
+    ]
+
+
+def _satisfies(rows: tuple[Row, ...], counts: list[int]) -> bool:
+    """Whether the counts meet every row."""
+    for row in rows:
+        total = sum(row.plus(counts)) - sum(row.minus(counts))
+        if total < row.low or (row.high is not None and total > row.high):
+            return False
+    return True
+
+
+class _LagrangianBound:
+    """Bounds and infeasibility proofs over a node's box from LP multipliers.
+
+    Floats only choose the multipliers: they are rounded to ints, and the
+    bound they give is then computed exactly, so a float error can make a
+    bound weaker but never wrong."""
+
+    def __init__(self, regions: tuple[Region, ...], rows: tuple[Row, ...], m: int):
+        self.regions = regions
+        self.rows = rows
+        self.m = m
+        self.negated = [tuple(-g for g in region.gains) for region in regions]
+
+    @cached_property
+    def prefixes(self) -> list[tuple[int, ...]]:
+        return [tuple(accumulate(region.gains, initial=0)) for region in self.regions]
+
+    @cached_property
+    def keys(self) -> tuple[int, list[list[float]]]:
+        """``(bits, gains)``: each region's keys as floats, ``key / 2**bits``,
+        all within [-1, 1]."""
+        keys = [[g >> self.m for g in region.gains] for region in self.regions]
+        bits = max((abs(key).bit_length() for row in keys for key in row), default=0)
+        cut = max(bits - 53, 0)
+        scale = 2.0 ** (bits - cut)
+        return bits, [[(key >> cut) / scale for key in row] for row in keys]
+
+    def multipliers(
+        self, lows: list[int], highs: list[int], start: list[int], bound: bool
+    ) -> tuple[bool, list[int]] | None:
+        """Rounded LP multipliers over the box, the LP started at the counts
+        ``start``: ``(True, μ)`` in packed units when ``bound`` asks for a
+        bound and the LP is feasible, ``(False, μ)`` from phase 1 when it is
+        not, and None otherwise or when the LP gives up.  Counts fixed by
+        the box leave the LP; their share of each row moves to its bounds."""
+        free = [r for r, (low, high) in enumerate(zip(lows, highs)) if low < high]
+        lp_rows = []
+        for row in self.rows:
+            fixed = sum(c * lows[r] for r, c in row.terms if lows[r] == highs[r])
+            lp_rows.append(
+                (
+                    [row.coeffs[r] for r in free],
+                    row.low - fixed,
+                    None if row.high is None else row.high - fixed,
+                )
+            )
+        found = row_multipliers(
+            lp_rows,
+            [lows[r] for r in free],
+            [highs[r] for r in free],
+            [start[r] for r in free],
+            [self.keys[1][r] for r in free] if bound else None,
+        )
+        if found is None or (found[0] and not bound):
+            return None
+        feasible, duals = found
+        mu = []
+        for dual, row in zip(duals, self.rows):
+            scaled = round(dual * (1 << _FRACTION_BITS))
+            if scaled > 0 and row.high is None:
+                scaled = 0  # the row has no upper bound to price
+            # a certificate holds at any scale; a bound needs packed units
+            if feasible:
+                scaled = (scaled << self.keys[0] + self.m) >> _FRACTION_BITS
+            mu.append(scaled)
+        return feasible, mu
+
+    def prunes(
+        self,
+        mu: tuple[bool, list[int]],
+        lows: list[int],
+        highs: list[int],
+        best: int | None,
+    ) -> bool:
+        """True when no count vector in the box satisfies the rows, or none
+        can beat ``best``, by the exact Lagrangian of ``mu``."""
+        feasible, values = mu
+        if not feasible:
+            return self.lagrangian(values, lows, highs, None) < 0
+        if best is None:
+            return False
+        return self.lagrangian(values, lows, highs, self.prefixes) <= best
+
+    def lagrangian(
+        self,
+        multipliers: Sequence[int],
+        lows: list[int],
+        highs: list[int],
+        prefixes: Sequence[Sequence[int]] | None,
+    ) -> int:
+        """``Σ μ_i·rhs_i + Σ_r max over lows[r] <= n <= highs[r] of
+        (prefixes[r][n] + n·c_r)``, with ``c_r = -Σ_i μ_i·coeff_ir`` and
+        ``rhs_i`` the row's upper bound where ``μ_i > 0``, its lower bound
+        where ``μ_i < 0``.  Every count vector in the box that satisfies the
+        rows scores at most this, so it is an upper bound; with ``prefixes``
+        None (every gain 0) a negative value proves that no such vector
+        exists."""
+        prices = [0] * len(lows)
+        total = 0
+        for mu, row in zip(multipliers, self.rows):
+            if mu:
+                total += mu * (row.high if mu > 0 else row.low)
+                for index, coeff in row.terms:
+                    prices[index] -= coeff * mu
+        if prefixes is None:
+            for price, low, high in zip(prices, lows, highs):
+                total += price * (high if price > 0 else low)
+            return total
+        for price, low, high, prefix, neg in zip(
+            prices, lows, highs, prefixes, self.negated
+        ):
+            # every gain above -price pays for its seat
+            n = min(max(bisect_left(neg, price), low), high)
+            total += prefix[n] + n * price
+        return total
+
+
 def solve_region_ip(
     candidates: Iterable[str],
     k: int,
@@ -191,14 +366,17 @@ def solve_region_ip(
     count = len(regions)
     order = sorted(range(count), key=lambda i: regions[i].gains[0], reverse=True)
     touching = [tuple(row for row in rows if row.coeffs[i]) for i in range(count)]
-    stats = {"regions": count, "nodes": 0, "leaves": 0}
+    stats = {"regions": count, "nodes": 0, "leaves": 0, "lp_solves": 0}
     best: int | None = None
 
-    # depth-first, highest count first; a node waits with its parent's
-    # bounds and the count it fixes, and copies the bounds when reached
-    pending = [(0, [0] * count, [region.size for region in regions], None, 0)]
+    m = len(packed)
+    bounds = _LagrangianBound(regions, rows, m)
+
+    # depth-first; a node waits with its parent's bounds, the count it
+    # fixes and its parent's multipliers, and copies the bounds when reached
+    pending = [(0, [0] * count, [region.size for region in regions], None, 0, None)]
     while pending:
-        position, lows, highs, fixed, value = pending.pop()
+        position, lows, highs, fixed, value, mu = pending.pop()
         first = None
         if fixed is not None:
             lows, highs = lows.copy(), highs.copy()
@@ -207,25 +385,41 @@ def solve_region_ip(
         stats["nodes"] += 1
         if not _propagate(rows, lows, highs, first):
             continue
-        # the counts' best members, plus the best of what else fits
-        bound = 0
-        extras: list[int] = []
-        for region, low, high in zip(regions, lows, highs):
-            bound += sum(region.gains[:low])
-            extras.extend(region.gains[low:high])
-        extras.sort(reverse=True)
-        bound += sum(extras[: k - sum(lows)])
+        bound, counts = _greedy(regions, bounds.negated, lows, highs, k)
         if best is not None and bound <= best:
             continue
-        if position == count:
+        if _satisfies(rows, counts):
+            # the bound is met by a committee, as it always is once every
+            # count is fixed: nothing below can beat it
             stats["leaves"] += 1
             best = bound
             continue
+        if mu is not None and bounds.prunes(mu, lows, highs, best):
+            continue
+        # the LP runs at the root, for its infeasibility proof, and at the
+        # nodes of a search that has proved hard; it prices keys only, so
+        # it is skipped where the greedy bound's key is the incumbent's and
+        # only the tie-break is left to decide
+        if fixed is None or (
+            stats["nodes"] > _LP_AFTER_NODES
+            and (best is None or bound >> m > best >> m)
+        ):
+            stats["lp_solves"] += 1
+            solved = bounds.multipliers(lows, highs, counts, best is not None)
+            if solved is not None:
+                mu = solved
+                if bounds.prunes(mu, lows, highs, best):
+                    continue
+        # the greedy count is reached first, then the others outward from
+        # it, the higher of two equally far first
         index = order[position]
-        pending.extend(
-            (position + 1, lows, highs, index, value)
-            for value in range(lows[index], highs[index] + 1)
+        guess = counts[index]
+        values = sorted(
+            range(lows[index], highs[index] + 1),
+            key=lambda v: (abs(v - guess), -v),
+            reverse=True,
         )
+        pending.extend((position + 1, lows, highs, index, v, mu) for v in values)
 
     if best is None:
         return SolveResult(

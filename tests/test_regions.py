@@ -1,7 +1,11 @@
 """Region decomposition and the bounded count search."""
 
+import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 from comsel import (
@@ -9,12 +13,16 @@ from comsel import (
     Dominance,
     Interval,
     ScoreOrder,
+    check_committee,
     gen_random,
     solve_bruteforce,
     solve_region_ip,
 )
+from comsel import regions as regions_module
 from comsel.cli import main, parse_instance
-from comsel.regions import _propagate, build_rows, compute_regions
+from comsel.instances import StvRule, WeaklySeparableRule
+from comsel.regions import _LagrangianBound, _propagate, build_rows, compute_regions
+from comsel.solve import build_order
 
 SCORES = {"a": 5, "b": 1, "c": 4, "d": 3, "e": 2}
 
@@ -258,7 +266,7 @@ class TestSolve:
 
     def test_stats_counters(self):
         result = solve_region_ip("abcde", 2, ConstraintSet.empty(), SCORES)
-        assert set(result.stats) == {"regions", "nodes", "leaves"}
+        assert set(result.stats) == {"regions", "nodes", "leaves", "lp_solves"}
         assert result.stats["regions"] == 1
 
     def test_agrees_with_oracle_on_overlapping_instances(self):
@@ -291,3 +299,155 @@ class TestSolve:
             if result.status == "optimal":
                 assert result.score == oracle.score
                 assert result.committee == oracle.committee
+
+
+def test_root_lp_proves_infeasibility_in_one_node():
+    # propagation and the greedy counts leave the root open; the root's
+    # phase-1 multipliers, checked exactly, close it
+    instance = gen_random(12, 5, 6, 5, "overlapping", "arbitrary", seed=176)
+    candidates, constraints = instance.profile.candidates, instance.constraints
+    regions = compute_regions(candidates, constraints, dict.fromkeys(candidates, 0))
+    rows = build_rows(regions, instance.k, constraints)
+    assert _propagate(rows, [0] * len(regions), [r.size for r in regions])
+    order = build_order(instance)
+    result = solve_region_ip(candidates, instance.k, constraints, order.weights)
+    assert result.status == "infeasible"
+    assert result.stats["nodes"] == 1
+    assert result.stats["lp_solves"] == 1
+    assert solve_bruteforce(candidates, instance.k, constraints, order).status == (
+        "infeasible"
+    )
+
+
+def test_lp_at_every_node_agrees_with_the_oracle(monkeypatch):
+    # small searches end before the LP joins; here it joins at once
+    monkeypatch.setattr(regions_module, "_LP_AFTER_NODES", 0)
+    rules = (
+        WeaklySeparableRule("borda"),
+        WeaklySeparableRule("sntv"),
+        StvRule("simple"),
+    )
+    solved = 0
+    for seed in range(90):
+        rule = rules[seed % 3]
+        # STV gives a ranking only, so no score order
+        kind = ("leximax", "leximin", "score")[seed // 3 % (2 if seed % 3 == 2 else 3)]
+        m = 9 + seed % 4
+        instance = gen_random(
+            m, 5, m // 2, 3 + seed % 2, "overlapping", "arbitrary",
+            seed=seed, rule=rule, order_kind=kind,
+        )
+        order = build_order(instance)
+        args = (instance.profile.candidates, instance.k, instance.constraints)
+        result = solve_region_ip(*args, order.weights)
+        oracle = solve_bruteforce(*args, order)
+        assert result.status == oracle.status, seed
+        assert result.committee == oracle.committee, seed
+        solved += result.stats["lp_solves"]
+        # keys past a float's 53 bits reach the LP shifted down
+        scaled = {c: w << 80 for c, w in order.weights.items()}
+        assert solve_region_ip(*args, scaled).committee == oracle.committee, seed
+    assert solved > 90
+
+
+class TestLagrangian:
+    """The exact Lagrangian bound and Farkas check against the oracle, on
+    random boxes over small overlapping pools."""
+
+    @staticmethod
+    def boxes(seed):
+        """The pool's ``_LagrangianBound``, then ``(lows, highs, best)``
+        for random boxes, ``best`` the oracle's highest packed sum over
+        the feasible committees whose counts lie in the box."""
+        rng = random.Random(seed)
+        m = rng.randint(4, 10)
+        instance = gen_random(
+            m, 5, rng.randint(1, m - 1), rng.randint(2, 4), "overlapping",
+            "arbitrary", seed=seed,
+        )
+        candidates, k = instance.profile.candidates, instance.k
+        packed = build_order(instance).packed
+        regions = compute_regions(candidates, instance.constraints, packed)
+        rows = build_rows(regions, k, instance.constraints)
+        region_of = {name: i for i, r in enumerate(regions) for name in r.members}
+        feasible = []
+        for committee in itertools.combinations(candidates, k):
+            if not check_committee(committee, k, instance.constraints):
+                counts = [0] * len(regions)
+                for name in committee:
+                    counts[region_of[name]] += 1
+                feasible.append((counts, sum(packed[name] for name in committee)))
+        boxes = []
+        for _ in range(8):
+            limits = [sorted(rng.randint(0, r.size) for _ in "ab") for r in regions]
+            lows, highs = [a for a, _ in limits], [b for _, b in limits]
+            inside = [
+                key for counts, key in feasible
+                if all(a <= c <= b for c, a, b in zip(counts, lows, highs))
+            ]
+            boxes.append((lows, highs, max(inside, default=None)))
+        return rng, _LagrangianBound(regions, rows, len(packed)), boxes
+
+    @staticmethod
+    def random_multipliers(rng, rows, unit):
+        """Integer multipliers of valid sign: at most 0 on rows without an
+        upper bound, any sign elsewhere."""
+        values = []
+        for row in rows:
+            value = rng.randint(-3 * unit, 3 * unit)
+            values.append(-abs(value) if row.high is None else value)
+        return values
+
+    def test_bound_never_cuts_off_the_best_committee(self):
+        for seed in range(40):
+            rng, bounds, boxes = self.boxes(seed)
+            unit = 1 << bounds.m
+            for lows, highs, best in boxes:
+                if best is None:
+                    continue
+                for scale in (0, unit, 40 * unit):
+                    mu = self.random_multipliers(rng, bounds.rows, scale)
+                    assert bounds.lagrangian(mu, lows, highs, bounds.prefixes) >= best
+                    assert not bounds.prunes((True, mu), lows, highs, best - 1)
+                found = bounds.multipliers(lows, highs, lows, True)
+                if found is not None and found[0]:
+                    bound = bounds.lagrangian(found[1], lows, highs, bounds.prefixes)
+                    assert bound >= best
+                    assert not bounds.prunes(found, lows, highs, best - 1)
+
+    def test_farkas_check_fires_only_on_empty_boxes(self):
+        fired = lp_fired = 0
+        for seed in range(40):
+            rng, bounds, boxes = self.boxes(seed)
+            for lows, highs, best in boxes:
+                for scale in (0, 3, 3, 3, 3, 3):
+                    mu = self.random_multipliers(rng, bounds.rows, scale)
+                    if bounds.prunes((False, mu), lows, highs, None):
+                        assert best is None, seed
+                        fired += 1
+                found = bounds.multipliers(lows, highs, lows, False)
+                if found is not None and bounds.prunes(found, lows, highs, None):
+                    assert best is None, seed
+                    lp_fired += 1
+        assert fired and lp_fired
+
+
+def test_a_region_solve_imports_no_numeric_library():
+    # the LP is plain Python: scipy or numpy must never become a dependency
+    script = (
+        "import sys, comsel\n"
+        "instance = comsel.gen_random(\n"
+        "    12, 5, 6, 5, 'overlapping', 'arbitrary', seed=176)\n"
+        "result = comsel.solve_instance(instance, solver='region')\n"
+        "assert result.stats['lp_solves'] == 1\n"
+        "loaded = sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy'))\n"
+        "print(' '.join(loaded))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        timeout=60, check=True,
+    )
+    assert done.stdout.strip() == ""
