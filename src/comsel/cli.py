@@ -135,12 +135,11 @@ def parse_instance(text: str) -> ElectionInstance:
                     "malformed-field",
                     f"field 'voters[{index}]' must be a list of strings",
                 )
-        rankings = tuple(map(tuple, voters))
         k = _require(doc, "k")
         # the profile's permutation check rejects every entry that is not a
         # candidate; only an unhashable one makes it raise TypeError
         try:
-            profile = ElectionProfile(tuple(candidates), rankings, k)
+            profile = ElectionProfile(tuple(candidates), voters, k)
         except TypeError:
             raise ParseError(
                 "malformed-field", "field 'voters' must hold lists of strings"

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
 
@@ -42,7 +43,10 @@ class ElectionProfile:
     """Candidates, strict voter rankings (best first), and the committee size.
 
     Every ranking must be a permutation of the full candidate set.  The
-    committee size may be zero; an empty committee is a legal outcome.
+    rankings are validated once, here, and stored as tuples of the
+    candidates' own name objects, so scoring and counting compare names by
+    identity with cached hashes.  The committee size may be zero; an empty
+    committee is a legal outcome.
     """
 
     candidates: tuple[str, ...]
@@ -54,8 +58,9 @@ class ElectionProfile:
             raise InputError(
                 "a profile needs at least one candidate", code="empty-profile"
             )
-        universe = frozenset(self.candidates)
-        if len(universe) != len(self.candidates):
+        canon = {c: c for c in self.candidates}
+        m = len(canon)
+        if m != len(self.candidates):
             dupe = next(c for c in self.candidates if self.candidates.count(c) > 1)
             raise InputError(
                 f"candidate identifiers must be distinct; {dupe!r} repeats",
@@ -63,13 +68,26 @@ class ElectionProfile:
             )
         if not self.voters:
             raise InputError("a profile needs at least one voter", code="empty-profile")
+        rankings = []
         for index, ranking in enumerate(self.voters):
-            if len(ranking) != len(universe) or frozenset(ranking) != universe:
+            # the lookup comes first, so an unhashable entry raises TypeError
+            # whatever the ranking's length
+            try:
+                if len(ranking) > 1:
+                    interned = itemgetter(*ranking)(canon)
+                else:  # itemgetter needs a key, and returns a single one bare
+                    interned = tuple(canon[c] for c in ranking)
+            except KeyError:
+                set(ranking)  # raises TypeError on an unhashable entry
+                interned = ()
+            if len(interned) != m or len(set(interned)) != m:
                 raise InputError(
                     f"voter {index}: ranking is not a permutation of the candidate "
                     f"set (voter index {index}, counting from 0)",
                     code="non-permutation-ranking",
                 )
+            rankings.append(interned)
+        object.__setattr__(self, "voters", tuple(rankings))
         if not isinstance(self.k, int) or isinstance(self.k, bool):
             shown = repr(self.k)
             if isinstance(self.k, Fraction):  # a document's decimal, as written
@@ -87,10 +105,10 @@ class ElectionProfile:
     def build(
         cls,
         candidates: Iterable[str],
-        voters: Iterable[Iterable[str]],
+        voters: Iterable[Sequence[str]],
         k: int,
     ) -> "ElectionProfile":
-        return cls(tuple(candidates), tuple(tuple(v) for v in voters), k)
+        return cls(tuple(candidates), tuple(voters), k)
 
     @property
     def num_candidates(self) -> int:

@@ -339,9 +339,7 @@ def gen_random(
     rng = random.Random(seed)
     width = max(1, len(str(num_candidates - 1)))
     candidates = tuple(f"c{i:0{width}d}" for i in range(num_candidates))
-    voters = tuple(
-        tuple(rng.sample(candidates, num_candidates)) for _ in range(num_voters)
-    )
+    voters = [rng.sample(candidates, num_candidates) for _ in range(num_voters)]
     profile = ElectionProfile.build(candidates, voters, k)
 
     names = tuple(f"g{j}" for j in range(num_labels))

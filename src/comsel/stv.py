@@ -11,9 +11,11 @@ The count keeps one invariant: each hopeful candidate holds a pile
 preference, at ``ranking[position]``, it is.  A round pops only the elected
 or eliminated candidate's pile and moves each of its ballots on to its next
 hopeful preference, at the Gregory surplus factor on election and at full
-weight on elimination.  Tallies are re-summed from the piles every round,
-one product per distinct weight: after a few Gregory transfers a running
-tally's denominator grows with every add, so re-summing is cheaper.
+weight on elimination.  The moved ballots of one weight are grouped by
+destination first, so each pile receives a weight once per group, not once
+per ballot.  Tallies are re-summed from the piles every round, one product
+per distinct weight: after a few Gregory transfers a running tally's
+denominator grows with every add, so re-summing is cheaper.
 """
 
 from __future__ import annotations
@@ -69,15 +71,16 @@ def _count(
             weight *= factor
             if weight == 0:
                 continue
+            moved: dict[str, list[tuple[tuple[str, ...], int]]] = {}
             for ranking, position in group:
                 # rankings are full permutations and a hopeful candidate
                 # remains after the pop, so this stops inside the ranking
                 position += 1
                 while ranking[position] not in piles:
                     position += 1
-                piles[ranking[position]].setdefault(weight, []).append(
-                    (ranking, position)
-                )
+                moved.setdefault(ranking[position], []).append((ranking, position))
+            for candidate, ballots in moved.items():
+                piles[candidate].setdefault(weight, []).extend(ballots)
     order = tuple(elected) + tuple(piles) + tuple(reversed(eliminated))
     return rounds, order
 

@@ -98,6 +98,10 @@ class TestParseInstance:
             "malformed-field", voters=[["a", "c", "b", "d"], ["a", ["b"], "c", "d"]]
         )
         expect_code("non-permutation-ranking", voters=[["a", "c", "b", 4]])
+        # an unhashable entry is a malformed field whatever the ranking's length
+        expect_code("malformed-field", voters=[[["a"]]])
+        expect_code("malformed-field", voters=[["a", "b", "c", "d", {"x": 1}]])
+        expect_code("malformed-field", voters=[["z", ["a"]]])
         expect_code("invalid-k", k="2")
         expect_code("invalid-k", k=True)
         expect_code("invalid-k", k=7)

@@ -47,6 +47,38 @@ class TestProfileValidation:
         ElectionProfile.build("ab", (("a", "b"),), 2)
 
 
+class TestProfileRankings:
+    def test_rankings_hold_the_candidates_own_names(self):
+        candidates = ("c1", "c2", "c3")
+        # equal names that are distinct objects, as a JSON parser makes them
+        voters = [
+            ["".join(["c", str(i)]) for i in order] for order in ((3, 1, 2), (1, 2, 3))
+        ]
+        assert voters[0][1] == "c1" and voters[0][1] is not candidates[0]
+        profile = ElectionProfile(candidates, voters, 1)
+        assert profile.voters == (("c3", "c1", "c2"), ("c1", "c2", "c3"))
+        assert all(type(ranking) is tuple for ranking in profile.voters)
+        by_name = {c: c for c in candidates}
+        assert all(
+            entry is by_name[entry] for ranking in profile.voters for entry in ranking
+        )
+
+    def test_one_candidate(self):
+        profile = ElectionProfile(("a",), [["a"], ["a"]], 1)
+        assert profile.voters == (("a",), ("a",))
+        with pytest.raises(InputError, match="permutation"):
+            ElectionProfile(("a",), [["b"]], 1)
+        # a single entry that is a name of another length is still refused
+        with pytest.raises(InputError, match="permutation"):
+            ElectionProfile(("ab", "c"), [["ab"]], 1)
+
+    def test_build_equals_the_constructor(self):
+        voters = [["b", "a", "c"], ("c", "b", "a")]
+        built = ElectionProfile.build(iter("abc"), iter(voters), 2)
+        assert built == ElectionProfile(("a", "b", "c"), voters, 2)
+        assert built.voters == (("b", "a", "c"), ("c", "b", "a"))
+
+
 class TestScoringFunction:
     def test_sntv_vector(self):
         assert ScoringFunction.sntv(4).gamma == (1, 0, 0, 0)

@@ -1,5 +1,6 @@
 """Transfer-based rankings: plain elimination and quota counting."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -127,3 +128,60 @@ def test_all_rankings_candidate_cap():
     profile = ElectionProfile.build(names, (tuple(names),), 1)
     with pytest.raises(BudgetExceededError, match="cap"):
         stv_simple_all_rankings(profile)
+
+
+def recount(profile, variant):
+    """The count done plainly: every ballot carries its own weight, and
+    every round rescans every ballot for its first hopeful preference."""
+    quota = profile.num_voters // (profile.k + 1) + 1
+    ballots = [[ranking, Fraction(1)] for ranking in profile.voters]
+    hopeful = sorted(profile.candidates)
+    rounds = []
+    while len(hopeful) > 1:
+        tops = [next(c for c in ranking if c in hopeful) for ranking, _ in ballots]
+        tallies = {c: Fraction(0) for c in hopeful}
+        for top, (_, weight) in zip(tops, ballots):
+            tallies[top] += weight
+        action, chosen, factor = "eliminate", min(tallies, key=tallies.get), 1
+        best = max(tallies, key=tallies.get)
+        if variant == "droop_gregory" and tallies[best] >= quota:
+            action, chosen = "elect", best
+            factor = (tallies[best] - quota) / tallies[best]
+        for top, ballot in zip(tops, ballots):
+            if top == chosen:
+                ballot[1] *= factor
+        rounds.append((action, chosen, tallies))
+        hopeful.remove(chosen)
+    return rounds
+
+
+def random_profiles(count, seed):
+    """Small profiles drawn from a few distinct rankings, so that many
+    ballots repeat and share a pile."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        names = [f"c{i}" for i in range(rng.randint(1, 6))]
+        pool = [rng.sample(names, len(names)) for _ in range(rng.randint(1, 4))]
+        voters = [rng.choice(pool) for _ in range(rng.randint(1, 30))]
+        yield ElectionProfile.build(names, voters, rng.randint(0, len(names)))
+
+
+@pytest.mark.parametrize("variant", ["simple", "droop_gregory"])
+def test_rounds_match_a_per_ballot_recount(variant):
+    for profile in random_profiles(300, seed=11):
+        rounds = stv_rounds(profile, variant)
+        expected = recount(profile, variant)
+        assert [(r.action, r.candidate, r.tallies) for r in rounds] == expected
+        assert all(
+            type(value) is Fraction for r in rounds for value in r.tallies.values()
+        )
+
+
+@pytest.mark.parametrize("variant", ["simple", "droop_gregory"])
+def test_rounds_ignore_voter_order(variant):
+    rng = random.Random(12)
+    for profile in random_profiles(150, seed=13):
+        voters = list(profile.voters)
+        rng.shuffle(voters)
+        shuffled = ElectionProfile(profile.candidates, voters, profile.k)
+        assert stv_rounds(shuffled, variant) == stv_rounds(profile, variant)
