@@ -3,9 +3,7 @@
 from .bruteforce import (
     OracleBudget,
     enumerate_feasible,
-    existence_query,
     solve_bruteforce,
-    stv_simple_all_rankings,
 )
 from .constraints import (
     ConstraintSet,
@@ -16,7 +14,6 @@ from .constraints import (
     Violation,
     build_dominance_graph,
     check_committee,
-    is_tree_like,
     transitive_closure,
 )
 from .elections import (
@@ -35,7 +32,6 @@ from .errors import (
 )
 from .generators import (
     Graph,
-    format_graph,
     gen_clique_bloc,
     gen_clique_sntv,
     gen_random,
@@ -53,7 +49,6 @@ from .instances import (
 from .orders import (
     LeximaxOrder,
     LeximinOrder,
-    ObligatoryFirstOrder,
     ScoreOrder,
     WeightOrder,
     best_singletons,
@@ -87,7 +82,6 @@ __all__ = [
     "LeximaxOrder",
     "LeximinOrder",
     "ORDER_KINDS",
-    "ObligatoryFirstOrder",
     "OracleBudget",
     "ParseError",
     "Rule",
@@ -109,14 +103,11 @@ __all__ = [
     "check_committee",
     "choose_solver",
     "enumerate_feasible",
-    "existence_query",
-    "format_graph",
     "gen_clique_bloc",
     "gen_clique_sntv",
     "gen_random",
     "gen_vertex_cover_dominance",
     "gen_vertex_cover_intervals",
-    "is_tree_like",
     "parse_graph",
     "ranking_of",
     "score_all",
@@ -126,7 +117,6 @@ __all__ = [
     "solve_tree",
     "stv_ranking",
     "stv_rounds",
-    "stv_simple_all_rankings",
     "transitive_closure",
     "__version__",
 ]

@@ -1,9 +1,11 @@
-"""Exhaustive reference solver.
+"""Exhaustive reference solver: the oracle.
 
 Walks every size-k candidate subset in lexicographic order, keeps the
 feasible ones, and picks the best under the committee order.  Budgets cap
 the pool size and the number of subsets so a stray call cannot hang the
-process; exceeding either raises instead of silently truncating.
+process; exceeding either raises instead of silently truncating.  Whether
+some feasible committee is at least as good as a reference is this
+optimum's key compared with the reference's.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .constraints import ConstraintSet
-from .elections import ElectionProfile, Score
+from .elections import Score
 from .errors import BudgetExceededError, InputError
 from .orders import WeightOrder
 from .result import SolveResult
@@ -97,29 +99,6 @@ def enumerate_feasible(
     return walk()
 
 
-def existence_query(
-    candidates: Iterable[str],
-    k: int,
-    constraints: ConstraintSet,
-    order: WeightOrder,
-    reference: Iterable[str],
-    budget: OracleBudget = OracleBudget(),
-) -> bool:
-    """True iff some feasible committee is at least as good as the reference.
-
-    The reference must itself have k members; it need not be feasible.
-    """
-    ref = tuple(sorted(set(reference)))
-    if len(ref) != k:
-        raise InputError(
-            f"reference committee has {len(ref)} members, expected {k}"
-        )
-    for committee in enumerate_feasible(candidates, k, constraints, budget):
-        if order.compare(committee, ref) >= 0:
-            return True
-    return False
-
-
 def solve_bruteforce(
     candidates: Iterable[str],
     k: int,
@@ -158,44 +137,3 @@ def solve_bruteforce(
         solver="oracle",
         stats=stats,
     )
-
-
-def stv_simple_all_rankings(
-    profile: ElectionProfile, max_candidates: int = 8
-) -> frozenset[tuple[str, ...]]:
-    """Every ranking the plain elimination rule can produce when round ties
-    are broken arbitrarily instead of lexicographically.
-
-    The worst case explores factorially many elimination orders, so the
-    candidate count is capped.
-    """
-    if profile.num_candidates > max_candidates:
-        raise BudgetExceededError(
-            f"{profile.num_candidates} candidates exceed the all-rankings cap "
-            f"of {max_candidates}"
-        )
-    memo: dict[frozenset[str], frozenset[tuple[str, ...]]] = {}
-
-    def suffixes(active: frozenset[str]) -> frozenset[tuple[str, ...]]:
-        if len(active) <= 1:
-            return frozenset({tuple(sorted(active))})
-        cached = memo.get(active)
-        if cached is not None:
-            return cached
-        tallies = {name: 0 for name in active}
-        for ranking in profile.voters:
-            for name in ranking:
-                if name in active:
-                    tallies[name] += 1
-                    break
-        low = min(tallies.values())
-        out: set[tuple[str, ...]] = set()
-        for name in sorted(active):
-            if tallies[name] == low:
-                for suffix in suffixes(active - {name}):
-                    out.add(suffix + (name,))
-        result = frozenset(out)
-        memo[active] = result
-        return result
-
-    return suffixes(frozenset(profile.candidates))

@@ -324,9 +324,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             else:
                 instance = gen_vertex_cover_dominance(graph, args.cover_size)
         elif args.generator == "clique-sntv":
-            instance, _ = gen_clique_sntv(graph, args.clique_size)
+            instance = gen_clique_sntv(graph, args.clique_size)
         else:
-            instance, _ = gen_clique_bloc(graph, args.clique_size)
+            instance = gen_clique_bloc(graph, args.clique_size)
     _write_text(args.output, serialize_instance(instance))
     return 0
 

@@ -261,12 +261,6 @@ def transitive_closure(
     return closed
 
 
-def is_tree_like(labeling: Labeling, dominances: Iterable[Dominance]) -> bool:
-    """Whether, per label, all labels dominating it form a chain."""
-    constraints = ConstraintSet(labeling, dominances=tuple(dominances))
-    return constraints.chain_violation is None
-
-
 @dataclass(frozen=True)
 class DominanceForest:
     """Forest layout of the dominance relation.

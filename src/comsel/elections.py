@@ -226,7 +226,3 @@ class SingletonRanking:
             by_score.setdefault(scores[candidate], []).append(candidate)
         levels = sorted(by_score, reverse=True)
         return cls(tuple(frozenset(by_score[level]) for level in levels))
-
-    @property
-    def candidates(self) -> frozenset[str]:
-        return frozenset().union(*self.tiers)

@@ -79,12 +79,6 @@ def parse_graph(text: str) -> Graph:
         raise ParseError("invalid-graph", str(exc)) from None
 
 
-def format_graph(graph: Graph) -> str:
-    lines = [f"{graph.num_vertices} {graph.num_edges}"]
-    lines.extend(f"{u} {v}" for u, v in graph.edges)
-    return "\n".join(lines) + "\n"
-
-
 def _vertex_names(num_vertices: int) -> tuple[str, ...]:
     width = max(1, len(str(num_vertices - 1)))
     return tuple(f"v{i:0{width}d}" for i in range(num_vertices))
@@ -181,16 +175,14 @@ def _clique_base(graph: Graph, clique_size: int) -> None:
         )
 
 
-def gen_clique_sntv(
-    graph: Graph, clique_size: int
-) -> tuple[ElectionInstance, tuple[str, ...]]:
+def gen_clique_sntv(graph: Graph, clique_size: int) -> ElectionInstance:
     """Clique search as committee selection under plurality scores.
 
     Vertex candidates score nothing, each edge candidate gets exactly one
     first-place vote, and a committee may only take an edge together with
     both endpoints.  A blocked-out reference group of k + C(k, 2) extra
     candidates scores C(k, 2); some feasible committee matches that exactly
-    when the graph has a k-clique.
+    when the graph has a k-clique.  The group is the instance's reference.
     """
     _clique_base(graph, clique_size)
     k = clique_size
@@ -219,14 +211,13 @@ def gen_clique_sntv(
         groups, (Interval("ref", 0, 0),), dominances
     )
     profile = ElectionProfile.build(candidates, voters, total)
-    instance = ElectionInstance(
+    return ElectionInstance(
         profile,
         constraints,
         WeaklySeparableRule("sntv"),
         "score",
         reference=refs,
     )
-    return instance, refs
 
 
 def _pad_for_bloc(graph: Graph, clique_size: int) -> tuple[Graph, int]:
@@ -247,9 +238,7 @@ def _pad_for_bloc(graph: Graph, clique_size: int) -> tuple[Graph, int]:
     return Graph(grown, tuple(edges)), clique_size + 3 * original
 
 
-def gen_clique_bloc(
-    graph: Graph, clique_size: int
-) -> tuple[ElectionInstance, tuple[str, ...]]:
+def gen_clique_bloc(graph: Graph, clique_size: int) -> ElectionInstance:
     """Clique search again, under top-K approval with three voters.
 
     Padding with universal vertices first caps the edge count at twice
@@ -257,7 +246,7 @@ def gen_clique_bloc(
     once.  Blocked dummy candidates sit right behind each voter's intended
     approvals and soak up the rest of the approval window; vertices stay at
     zero.  The blocked reference group scores C(k, 2), matched by a feasible
-    committee exactly when a k-clique exists.
+    committee exactly when a k-clique exists; it is the instance's reference.
     """
     _clique_base(graph, clique_size)
     padded, k = _pad_for_bloc(graph, clique_size)
@@ -291,14 +280,13 @@ def gen_clique_bloc(
         dominances,
     )
     profile = ElectionProfile.build(candidates, voters, total)
-    instance = ElectionInstance(
+    return ElectionInstance(
         profile,
         constraints,
         WeaklySeparableRule("bloc"),
         "score",
         reference=refs,
     )
-    return instance, refs
 
 
 def gen_random(

@@ -2,10 +2,10 @@
 
 A committee's key is the sum of its members' weights (larger is better),
 so solvers add the keys of disjoint parts instead of rescanning members.
-Comparisons are between equal-size committees only, and extending both
-sides with the same candidates never reverses one.  Score orders weigh a
-candidate by its score, the lexi orders by a mixed-radix digit of its
-tier, and the obligatory-first order lifts obligatory candidates.
+Keys rank equal-size committees only, and extending both sides with the
+same candidates never reverses a comparison.  Score orders weigh a
+candidate by its score, and the lexi orders by a mixed-radix digit of its
+tier.
 """
 
 from __future__ import annotations
@@ -15,15 +15,12 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .elections import Score, SingletonRanking
-from .errors import ContractViolation, InputError
+from .errors import InputError
 
 
 class WeightOrder:
-    """Committees ranked by the sum of fixed per-candidate weights.
-
-    ``compare`` returns a positive int when the first committee is strictly
-    better, zero on indifference, and a negative int when it is worse.
-    """
+    """Committees ranked by the sum of fixed per-candidate weights: of two
+    equal-size committees, the one with the larger ``key_of`` is better."""
 
     def __init__(self, weights: Mapping[str, Score]):
         self.weights = dict(weights)
@@ -41,17 +38,6 @@ class WeightOrder:
             except KeyError:
                 raise InputError(f"unknown candidate {candidate!r}") from None
         return total
-
-    def compare(self, left: Iterable[str], right: Iterable[str]) -> int:
-        first = frozenset(left)
-        second = frozenset(right)
-        if len(first) != len(second):
-            raise ContractViolation(
-                f"cannot compare committees of sizes {len(first)} and {len(second)}"
-            )
-        left_key = self.key_of(first)
-        right_key = self.key_of(second)
-        return (left_key > right_key) - (left_key < right_key)
 
 
 def pack(weights: Mapping[str, Score]) -> dict[str, int]:
@@ -118,23 +104,6 @@ class LeximinOrder(WeightOrder):
 
     def __init__(self, ranking: SingletonRanking):
         super().__init__({c: -w for c, w in _mixed_radix(ranking.tiers).items()})
-
-
-class ObligatoryFirstOrder(WeightOrder):
-    """A base order under which committees holding more obligatory
-    candidates always win; the base order breaks balanced comparisons.
-
-    An obligatory member weighs its base weight plus ``1 + Σ|base weight|``.
-    Two committees of one size differ in base key by at most ``Σ|base
-    weight|``, so the lift outweighs any base gap, whatever the weights'
-    signs and type."""
-
-    def __init__(self, base: WeightOrder, obligatory: Iterable[str]):
-        chosen = frozenset(obligatory)
-        lift = 1 + sum(abs(w) for w in base.weights.values())
-        super().__init__(
-            {c: w + lift if c in chosen else w for c, w in base.weights.items()}
-        )
 
 
 def best_singletons(

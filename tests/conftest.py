@@ -1,14 +1,20 @@
-"""Shared fixtures: two fixed four-candidate profiles reused across the
-regression tests, graph brute-force helpers for the reduction checks, and
-a terminal hook that reprints the acceptance verdict lines after the run."""
+"""Shared fixtures and reference code the package does not ship: two fixed
+four-candidate profiles reused across the regression tests, graph
+brute-force helpers for the reduction checks, the decision query of the
+hardness reductions, reference orders and STV rankings, and a terminal
+hook that reprints the acceptance verdict lines after the run."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
 
-from comsel import ElectionProfile, Graph
+from comsel import (
+    BudgetExceededError, ElectionProfile, Graph, OracleBudget, WeightOrder,
+    solve_bruteforce,
+)
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -40,6 +46,80 @@ def min_cover_size(graph: Graph) -> int:
             return size
     return graph.num_vertices
 
+
+def format_graph(graph: Graph) -> str:
+    """The text form ``parse_graph`` reads: a count line, then one edge a line."""
+    lines = [f"{graph.num_vertices} {graph.num_edges}"]
+    lines.extend(f"{u} {v}" for u, v in graph.edges)
+    return "\n".join(lines) + "\n"
+
+
+def compare(order: WeightOrder, left, right) -> int:
+    """Positive when committee ``left`` is strictly better than ``right``,
+    zero on indifference, negative when it is worse."""
+    gap = order.key_of(frozenset(left)) - order.key_of(frozenset(right))
+    return (gap > 0) - (gap < 0)
+
+
+def reference_witness(
+    candidates, k, constraints, order, reference, budget=OracleBudget()
+):
+    """The oracle's optimum when it is at least as good as the reference,
+    else None: whether some feasible committee matches the reference is the
+    optimum's key compared with the reference's."""
+    result = solve_bruteforce(candidates, k, constraints, order, budget)
+    key = order.key_of(result.committee)
+    return result if result.is_optimal and key >= order.key_of(reference) else None
+
+
+class ObligatoryFirstOrder(WeightOrder):
+    """Committees holding more obligatory candidates win; the base order
+    breaks balanced comparisons.  An obligatory member weighs its base
+    weight plus ``1 + Σ|base weight|``, more than any base gap between two
+    committees of one size."""
+
+    def __init__(self, base: WeightOrder, obligatory):
+        chosen = frozenset(obligatory)
+        lift = 1 + sum(abs(w) for w in base.weights.values())
+        super().__init__(
+            {c: w + lift if c in chosen else w for c, w in base.weights.items()}
+        )
+
+
+def stv_simple_all_rankings(
+    profile: ElectionProfile, max_candidates: int = 8
+) -> frozenset[tuple[str, ...]]:
+    """Every ranking the plain elimination rule can produce when round ties
+    are broken arbitrarily instead of lexicographically.
+
+    The worst case explores factorially many elimination orders, so the
+    candidate count is capped.
+    """
+    if profile.num_candidates > max_candidates:
+        raise BudgetExceededError(
+            f"{profile.num_candidates} candidates exceed the all-rankings cap "
+            f"of {max_candidates}"
+        )
+
+    @functools.cache
+    def suffixes(active: frozenset[str]) -> frozenset[tuple[str, ...]]:
+        if len(active) <= 1:
+            return frozenset({tuple(sorted(active))})
+        tallies = {name: 0 for name in active}
+        for ranking in profile.voters:
+            for name in ranking:
+                if name in active:
+                    tallies[name] += 1
+                    break
+        low = min(tallies.values())
+        out: set[tuple[str, ...]] = set()
+        for name in sorted(active):
+            if tallies[name] == low:
+                for suffix in suffixes(active - {name}):
+                    out.add(suffix + (name,))
+        return frozenset(out)
+
+    return suffixes(frozenset(profile.candidates))
 
 @pytest.fixture
 def profile_a() -> ElectionProfile:

@@ -1,0 +1,34 @@
+"""The public surface: every name README's library section uses is
+exported, and every exported name resolves."""
+
+import ast
+import fnmatch
+import re
+from pathlib import Path
+
+import comsel
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_names_are_exported():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library use") :].split("\n## ")[0]
+    named = {
+        alias.name
+        for code in re.findall(r"```python\n(.*?)```", section, flags=re.S)
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom) and node.module == "comsel"
+        for alias in node.names
+    }
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    spans = re.findall(r"`([^`]+)`", prose)
+    named |= {span for span in spans if re.fullmatch(r"[A-Za-z_]\w*\*?", span)}
+    assert "solve_instance" in named
+    assert [n for n in sorted(named) if not fnmatch.filter(comsel.__all__, n)] == []
+
+
+def test_every_exported_name_resolves():
+    assert len(set(comsel.__all__)) == len(comsel.__all__)
+    for name in comsel.__all__:
+        getattr(comsel, name)

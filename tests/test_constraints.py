@@ -12,7 +12,6 @@ from comsel import (
     Labeling,
     build_dominance_graph,
     check_committee,
-    is_tree_like,
     transitive_closure,
 )
 
@@ -170,14 +169,17 @@ class TestDominanceStructure:
         assert "p" not in acyclic["p"]
 
     def test_tree_like_cases(self):
+        def tree_like(labeling, dominances):
+            return ConstraintSet(labeling, dominances=dominances).chain_violation is None
+
         chain = labels("l1", "l2", "l3")
-        assert is_tree_like(chain, (Dominance("l1", "l2"), Dominance("l2", "l3")))
+        assert tree_like(chain, (Dominance("l1", "l2"), Dominance("l2", "l3")))
         # two incomparable labels dominate l3
-        assert not is_tree_like(chain, (Dominance("l1", "l3"), Dominance("l2", "l3")))
+        assert not tree_like(chain, (Dominance("l1", "l3"), Dominance("l2", "l3")))
         # a two-cycle collapses to one node, so it stays tree-like
-        assert is_tree_like(chain, (Dominance("l1", "l2"), Dominance("l2", "l1")))
+        assert tree_like(chain, (Dominance("l1", "l2"), Dominance("l2", "l1")))
         diamond = labels("a", "b", "c", "d")
-        assert not is_tree_like(
+        assert not tree_like(
             diamond,
             (
                 Dominance("a", "b"),
@@ -187,7 +189,7 @@ class TestDominanceStructure:
             ),
         )
         star = labels("hub", "s1", "s2", "s3")
-        assert is_tree_like(
+        assert tree_like(
             star,
             (
                 Dominance("hub", "s1"),
@@ -195,7 +197,7 @@ class TestDominanceStructure:
                 Dominance("hub", "s3"),
             ),
         )
-        assert is_tree_like(Labeling({}), ())
+        assert tree_like(Labeling({}), ())
 
     def test_forest_layout_of_a_chain(self):
         labeling = labels("l1", "l2", "l3")

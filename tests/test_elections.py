@@ -154,10 +154,6 @@ class TestSingletonRanking:
             frozenset("d"),
         )
 
-    def test_candidates_property(self):
-        ranking = SingletonRanking.from_order("xy")
-        assert ranking.candidates == frozenset({"x", "y"})
-
     def test_overlapping_tiers_rejected(self):
         with pytest.raises(InputError, match="disjoint"):
             SingletonRanking((frozenset("ab"), frozenset("bc")))

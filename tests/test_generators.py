@@ -13,18 +13,15 @@ from comsel import (
     build_order,
     candidate_scores,
     enumerate_feasible,
-    existence_query,
-    format_graph,
     gen_clique_bloc,
     gen_clique_sntv,
     gen_random,
     gen_vertex_cover_dominance,
     gen_vertex_cover_intervals,
-    is_tree_like,
     parse_graph,
 )
 from comsel.generators import _pad_for_bloc
-from conftest import has_clique, has_cover
+from conftest import format_graph, has_clique, has_cover, reference_witness
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
 PATH = Graph(3, ((0, 1), (1, 2)))
@@ -48,19 +45,17 @@ def feasible(instance):
     return found is not None
 
 
-def reference_reachable(instance, refs, enumeration=10**6):
-    budget = OracleBudget(
-        max_candidates=max(14, instance.profile.num_candidates),
-        max_committee_enumeration=enumeration,
-    )
-    return existence_query(
+def reference_reachable(instance):
+    budget = OracleBudget(max_candidates=max(14, instance.profile.num_candidates))
+    witness = reference_witness(
         instance.profile.candidates,
         instance.profile.k,
         instance.constraints,
         build_order(instance),
-        refs,
+        instance.reference,
         budget,
     )
+    return witness is not None
 
 
 class TestGraph:
@@ -154,32 +149,31 @@ class TestVertexCoverDominance:
 
 class TestCliqueSntv:
     def test_shape(self):
-        instance, refs = gen_clique_sntv(TRIANGLE, 3)
-        assert len(refs) == 3 + 3
+        instance = gen_clique_sntv(TRIANGLE, 3)
+        assert len(instance.reference) == 3 + 3
         assert instance.profile.k == 6
-        assert instance.reference == refs
         assert Interval("ref", 0, 0) in instance.constraints.intervals
         # picking an edge requires both endpoints
         assert len(instance.constraints.dominances) == 2 * TRIANGLE.num_edges
 
     def test_scores(self):
-        instance, refs = gen_clique_sntv(TRIANGLE, 3)
+        instance = gen_clique_sntv(TRIANGLE, 3)
         scores = candidate_scores(instance)
         for name in ("v0", "v1", "v2"):
             assert scores[name] == 0
         for name in ("e0_1", "e0_2", "e1_2"):
             assert scores[name] == 1
-        assert sorted(scores[r] for r in refs) == [0, 0, 0, 1, 1, 1]
+        assert sorted(scores[r] for r in instance.reference) == [0, 0, 0, 1, 1, 1]
 
     def test_clique_correspondence_on_named_graphs(self):
-        triangle, refs = gen_clique_sntv(TRIANGLE, 3)
-        assert reference_reachable(triangle, refs)
-        path, refs = gen_clique_sntv(PATH, 3)
-        assert not reference_reachable(path, refs)
-        near, refs = gen_clique_sntv(NEAR_K4, 3)
-        assert reference_reachable(near, refs)
-        near4, refs = gen_clique_sntv(NEAR_K4, 4)
-        assert not reference_reachable(near4, refs)
+        triangle = gen_clique_sntv(TRIANGLE, 3)
+        assert reference_reachable(triangle)
+        path = gen_clique_sntv(PATH, 3)
+        assert not reference_reachable(path)
+        near = gen_clique_sntv(NEAR_K4, 3)
+        assert reference_reachable(near)
+        near4 = gen_clique_sntv(NEAR_K4, 4)
+        assert not reference_reachable(near4)
 
     def test_clique_size_must_be_at_least_two(self):
         with pytest.raises(InputError, match="at least 2"):
@@ -202,32 +196,32 @@ class TestCliqueBloc:
             assert all((old, new) in adjacency for old in range(new))
 
     def test_shape_without_padding(self):
-        instance, refs = gen_clique_bloc(TRIANGLE, 3)
+        instance = gen_clique_bloc(TRIANGLE, 3)
         assert instance.profile.num_voters == 3
         assert instance.rule == WeaklySeparableRule("bloc")
-        assert len(refs) == 6
+        assert len(instance.reference) == 6
         labeling = instance.constraints.labeling
         assert len(labeling.members("dum")) == 6
         assert Interval("dum", 0, 0) in instance.constraints.intervals
         assert Interval("ref", 0, 0) in instance.constraints.intervals
 
     def test_scores_every_edge_approved_once(self):
-        instance, refs = gen_clique_bloc(TRIANGLE, 3)
+        instance = gen_clique_bloc(TRIANGLE, 3)
         scores = candidate_scores(instance)
         for name in ("v0", "v1", "v2"):
             assert scores[name] == 0
         for name in ("e0_1", "e0_2", "e1_2"):
             assert scores[name] == 1
-        assert sorted(scores[r] for r in refs) == [0, 0, 0, 1, 1, 1]
+        assert sorted(scores[r] for r in instance.reference) == [0, 0, 0, 1, 1, 1]
 
     def test_clique_correspondence_on_named_graphs(self):
-        triangle, refs = gen_clique_bloc(TRIANGLE, 3)
-        assert reference_reachable(triangle, refs)
-        path, refs = gen_clique_bloc(PATH, 3)
-        assert not reference_reachable(path, refs)
+        triangle = gen_clique_bloc(TRIANGLE, 3)
+        assert reference_reachable(triangle)
+        path = gen_clique_bloc(PATH, 3)
+        assert not reference_reachable(path)
 
     def test_padded_scores_stay_structured(self):
-        instance, refs = gen_clique_bloc(Graph(6, ((0, 1), (2, 3))), 2)
+        instance = gen_clique_bloc(Graph(6, ((0, 1), (2, 3))), 2)
         scores = candidate_scores(instance)
         for name in instance.profile.candidates:
             if name.startswith("v"):
@@ -235,7 +229,7 @@ class TestCliqueBloc:
             elif name.startswith("e"):
                 assert scores[name] == 1
         pairs = 20 * 19 // 2
-        assert sum(scores[r] for r in refs) == pairs
+        assert sum(scores[r] for r in instance.reference) == pairs
 
 
 class TestRandomInstances:
@@ -254,7 +248,7 @@ class TestRandomInstances:
             instance = gen_random(10, 3, 4, 3, "disjoint", "tree_like", seed=seed)
             labeling = instance.constraints.labeling
             assert labeling.is_disjoint
-            assert is_tree_like(labeling, instance.constraints.dominances)
+            assert instance.constraints.chain_violation is None
             assert len(labeling) == 3
 
     def test_overlapping_mode_produces_overlaps(self):
@@ -318,5 +312,5 @@ def test_generated_feasibility_matches_graph_search():
         expected = has_cover(graph, k)
         assert feasible(gen_vertex_cover_intervals(graph, k)) == expected
         assert feasible(gen_vertex_cover_dominance(graph, k)) == expected
-        instance, refs = gen_clique_sntv(graph, 2)
-        assert reference_reachable(instance, refs) == has_clique(graph, 2)
+        instance = gen_clique_sntv(graph, 2)
+        assert reference_reachable(instance) == has_clique(graph, 2)

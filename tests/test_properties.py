@@ -11,7 +11,6 @@ from comsel import (
     ElectionProfile,
     LeximaxOrder,
     LeximinOrder,
-    ObligatoryFirstOrder,
     ScoreOrder,
     ScoringFunction,
     SingletonRanking,
@@ -24,9 +23,9 @@ from comsel import (
     solve_instance,
     stv_ranking,
     stv_rounds,
-    stv_simple_all_rankings,
     transitive_closure,
 )
+from conftest import ObligatoryFirstOrder, compare, stv_simple_all_rankings
 
 ORDER_KINDS = ("score", "leximax", "leximin", "wrapped")
 
@@ -69,8 +68,8 @@ def comparison_case(draw):
 @settings(max_examples=300, deadline=None)
 def test_responsiveness_under_shared_extensions(case):
     order, first, second, extension = case
-    before = order.compare(first, second)
-    after = order.compare(first | extension, second | extension)
+    before = compare(order, first, second)
+    after = compare(order, first | extension, second | extension)
     if before > 0:
         assert after >= 0
     elif before == 0:
@@ -81,8 +80,8 @@ def test_responsiveness_under_shared_extensions(case):
 @settings(max_examples=200, deadline=None)
 def test_comparison_is_antisymmetric_and_total(case):
     order, first, second, _ = case
-    forward = order.compare(first, second)
-    backward = order.compare(second, first)
+    forward = compare(order, first, second)
+    backward = compare(order, second, first)
     assert isinstance(forward, int)
     assert (forward > 0) == (backward < 0)
     assert (forward == 0) == (backward == 0)
@@ -97,8 +96,8 @@ def test_comparison_is_transitive(pair, data):
         frozenset(data.draw(st.permutations(names))[:size]) for _ in range(3)
     ]
     a, b, c = committees
-    if order.compare(a, b) >= 0 and order.compare(b, c) >= 0:
-        assert order.compare(a, c) >= 0
+    if compare(order, a, b) >= 0 and compare(order, b, c) >= 0:
+        assert compare(order, a, c) >= 0
 
 
 @given(order_and_universe(), st.data())
@@ -109,7 +108,7 @@ def test_keys_agree_with_comparisons(pair, data):
     first = frozenset(data.draw(st.permutations(names))[:size])
     second = frozenset(data.draw(st.permutations(names))[:size])
     keys = (order.key_of(first), order.key_of(second))
-    compared = order.compare(first, second)
+    compared = compare(order, first, second)
     assert compared == (keys[0] > keys[1]) - (keys[0] < keys[1])
 
 
@@ -173,7 +172,7 @@ def test_score_order_tracks_committee_scores(profile):
     committees = list(itertools.combinations(profile.candidates, profile.k))
     for first, second in itertools.product(committees, committees):
         difference = sum(scores[c] for c in first) - sum(scores[c] for c in second)
-        compared = order.compare(first, second)
+        compared = compare(order, first, second)
         assert compared == (difference > 0) - (difference < 0)
 
 
@@ -243,8 +242,8 @@ def test_bruteforce_winner_weakly_beats_every_feasible_committee(profile):
     result = solve_bruteforce(profile.candidates, profile.k, constraints, order)
     assert result.status == "optimal"
     for committee in enumerate_feasible(profile.candidates, profile.k, constraints):
-        assert order.compare(result.committee, committee) >= 0
-        if order.compare(result.committee, committee) == 0:
+        assert compare(order, result.committee, committee) >= 0
+        if compare(order, result.committee, committee) == 0:
             assert result.committee <= committee
 
 

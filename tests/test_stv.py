@@ -11,8 +11,8 @@ from comsel import (
     InputError,
     stv_ranking,
     stv_rounds,
-    stv_simple_all_rankings,
 )
+from conftest import stv_simple_all_rankings
 
 
 def ordering(ranking):

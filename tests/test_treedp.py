@@ -7,7 +7,6 @@ from comsel import (
     ContractViolation,
     Dominance,
     Interval,
-    ObligatoryFirstOrder,
     ScoreOrder,
     StvRule,
     WeaklySeparableRule,
@@ -50,12 +49,6 @@ class TestPreprocess:
         )
         pre = preprocess_intervals("abcd", 2, constraints, ORDER)
         assert pre.lows == {"l1": 1, "l2": 1}
-
-    def test_obligatory_members_outrank_everything_under_any_base(self):
-        for scores in (SCORES, {"a": 0, "b": 100, "c": 1, "d": 2}):
-            wrapped = ObligatoryFirstOrder(ScoreOrder(scores), ("a", "c"))
-            assert wrapped.compare(("a", "c"), ("a", "b")) > 0
-            assert wrapped.compare(("c", "d"), ("b", "d")) > 0
 
     def test_conflicting_bounds_reported(self):
         constraints = ConstraintSet.build(
