@@ -19,7 +19,6 @@ from .constraints import (
 from .elections import (
     ElectionProfile,
     Score,
-    ScoringFunction,
     SingletonRanking,
     score_all,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "SOLVERS",
     "Score",
     "ScoreOrder",
-    "ScoringFunction",
     "SingletonRanking",
     "SolveResult",
     "StvRound",

@@ -108,18 +108,29 @@ def _parse_rule(raw: Any) -> Rule:
     return WeaklySeparableRule(raw["gamma"])
 
 
+def _exact_decimal(text: str) -> Fraction:
+    """A JSON decimal as an exact Fraction.  Fraction builds 10**exponent,
+    so an exponent beyond Python's integer digit limit is refused first."""
+    limit = sys.get_int_max_str_digits()
+    exponent = text.lower().partition("e")[2]
+    if limit and exponent and abs(int(exponent)) > limit:
+        raise ValueError(f"{text} needs more than {limit} digits")
+    return Fraction(text)
+
+
 def parse_instance(text: str) -> ElectionInstance:
     """Read a JSON instance document, naming the first violation.
 
     The parser checks the document's shape only: field types, required
     fields and exact field sets.  Decimal numbers are read as exact
-    Fractions (``0.1`` is 1/10, not the nearest float).  Every semantic
-    check is made by the model constructors, whose ``InputError`` codes
-    become ``ParseError`` codes.
+    Fractions (``0.1`` is 1/10, not the nearest float); a number past
+    Python's integer digit limit, or nesting past its recursion limit, is
+    malformed JSON.  Every semantic check is made by the model constructors,
+    whose ``InputError`` codes become ``ParseError`` codes.
     """
     try:
-        doc = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_float=_exact_decimal)
+    except (ValueError, RecursionError) as exc:  # also too long or too deep
         raise ParseError("malformed-json", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("malformed-json", "the top level must be an object")
@@ -248,10 +259,13 @@ def result_to_document(result: SolveResult) -> dict:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:  # cannot be read as text: an io error
+        raise OSError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _write_text(path: str | None, text: str) -> None:

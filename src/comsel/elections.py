@@ -1,4 +1,8 @@
-"""Election data model and positional scoring."""
+"""Election data model and positional scoring.
+
+``score_all`` scores every candidate under a ``WeaklySeparableRule``, whose
+``vector(profile)`` (in ``comsel.instances``) sizes and checks the vector.
+"""
 
 from __future__ import annotations
 
@@ -7,16 +11,16 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import InputError
 
+if TYPE_CHECKING:  # instances imports this module
+    from .instances import WeaklySeparableRule
+
 # an int whenever the value is integral, an exact Fraction otherwise
 Score = int | Fraction
-
-PRESET_NAMES = ("sntv", "borda", "bloc")
 
 
 def as_score(value: object) -> Score:
@@ -119,75 +123,16 @@ class ElectionProfile:
         return len(self.voters)
 
 
-@dataclass(frozen=True)
-class ScoringFunction:
-    """Per-position scores; entry 0 is the value of a voter's top position."""
-
-    gamma: tuple[Score, ...]
-
-    def __post_init__(self) -> None:
-        if not self.gamma:
-            raise InputError(
-                "a scoring function needs at least one position", code="invalid-gamma"
-            )
-        object.__setattr__(self, "gamma", tuple(as_score(v) for v in self.gamma))
-
-    @classmethod
-    def sntv(cls, num_candidates: int) -> "ScoringFunction":
-        return cls((1,) + (0,) * (num_candidates - 1))
-
-    @classmethod
-    def borda(cls, num_candidates: int) -> "ScoringFunction":
-        return cls(tuple(range(num_candidates - 1, -1, -1)))
-
-    @classmethod
-    def bloc(cls, num_candidates: int, k: int) -> "ScoringFunction":
-        if not 0 <= k <= num_candidates:
-            raise InputError(
-                f"bloc size {k} outside 0..{num_candidates}", code="invalid-k"
-            )
-        return cls((1,) * k + (0,) * (num_candidates - k))
-
-    @classmethod
-    def preset(cls, name: str, num_candidates: int, k: int) -> "ScoringFunction":
-        if name == "sntv":
-            return cls.sntv(num_candidates)
-        if name == "borda":
-            return cls.borda(num_candidates)
-        if name == "bloc":
-            return cls.bloc(num_candidates, k)
-        raise InputError(f"unknown scoring preset {name!r}", code="invalid-gamma")
-
-    def __len__(self) -> int:
-        return len(self.gamma)
-
-    @cached_property
-    def integer_weights(self) -> tuple[tuple[int, ...], int]:
-        """The vector times its scale, without its trailing zeros, and the
-        scale: the least common multiple of its denominators (1 for an
-        integral vector)."""
-        scale = math.lcm(*(v.denominator for v in self.gamma))
-        weights = [int(v * scale) for v in self.gamma]
-        while weights and not weights[-1]:
-            weights.pop()
-        return tuple(weights), scale
-
-
-def _require_match(profile: ElectionProfile, scoring: ScoringFunction) -> None:
-    if len(scoring) != profile.num_candidates:
-        raise InputError(
-            f"scoring function has {len(scoring)} positions for "
-            f"{profile.num_candidates} candidates",
-            code="invalid-gamma",
-        )
-
-
-def score_all(profile: ElectionProfile, scoring: ScoringFunction) -> dict[str, Score]:
-    """Positional score of every candidate, from how often each one holds
-    each position: integer counts times the integer weights, divided by the
-    scale once at the end.  Positions worth nothing are not counted."""
-    _require_match(profile, scoring)
-    weights, scale = scoring.integer_weights
+def score_all(profile: ElectionProfile, rule: WeaklySeparableRule) -> dict[str, Score]:
+    """Positional score of every candidate under the rule's vector, from how
+    often each one holds each position: integer counts times the vector
+    scaled by the least common multiple of its denominators, divided by
+    that scale once at the end.  Positions worth nothing are not counted."""
+    gamma = rule.vector(profile)
+    scale = math.lcm(*(v.denominator for v in gamma))
+    weights = [int(v * scale) for v in gamma]
+    while weights and not weights[-1]:
+        weights.pop()
     totals = dict.fromkeys(profile.candidates, 0)
     # one column of the rankings per position; zip stops after the last
     # nonzero weight, so trailing positions are never read

@@ -1,30 +1,37 @@
-"""Self-contained problem instances: profile, constraints, rule, order."""
+"""Self-contained problem instances: profile, constraints, rule, order.
+
+``WeaklySeparableRule`` is the one positional rule type: its constructor
+checks a preset name or coerces each explicit entry, and ``vector(profile)``
+sizes a preset, or checks an explicit vector's length, for a profile.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .constraints import ConstraintSet
-from .elections import (
-    PRESET_NAMES,
-    ElectionProfile,
-    Score,
-    ScoringFunction,
-    as_score,
-)
+from .elections import ElectionProfile, Score, as_score
 from .errors import InputError
 from .stv import VARIANTS
 
 ORDER_KINDS = ("score", "leximax", "leximin")
+
+# each preset's vector for m candidates and committee size k, 0 <= k <= m
+_PRESETS = {
+    "sntv": lambda m, k: (1,) + (0,) * (m - 1),
+    "borda": lambda m, k: tuple(range(m - 1, -1, -1)),
+    "bloc": lambda m, k: (1,) * k + (0,) * (m - k),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 @dataclass(frozen=True)
 class WeaklySeparableRule:
     """Positional scoring rule named by preset or given as an explicit vector.
 
-    An explicit vector must have one entry per candidate; presets are sized
-    when the instance is known.
+    Entry 0 of a vector is the value of a voter's top position.  An
+    explicit vector must have one entry per candidate; presets are sized
+    when the profile is known.
     """
 
     gamma: str | tuple[Score, ...]
@@ -46,16 +53,17 @@ class WeaklySeparableRule:
             )
         object.__setattr__(self, "gamma", values)
 
-    def scoring_for(self, num_candidates: int, k: int) -> ScoringFunction:
+    def vector(self, profile: ElectionProfile) -> tuple[Score, ...]:
+        """The vector sized for the profile: one entry per candidate."""
+        m = profile.num_candidates
         if isinstance(self.gamma, str):
-            return ScoringFunction.preset(self.gamma, num_candidates, k)
-        if len(self.gamma) != num_candidates:
+            return _PRESETS[self.gamma](m, profile.k)
+        if len(self.gamma) != m:
             raise InputError(
-                f"scoring vector has {len(self.gamma)} entries for "
-                f"{num_candidates} candidates",
+                f"scoring vector has {len(self.gamma)} entries for {m} candidates",
                 code="invalid-gamma",
             )
-        return ScoringFunction(self.gamma)
+        return self.gamma
 
 
 @dataclass(frozen=True)
@@ -106,9 +114,8 @@ class ElectionInstance:
                 code="order-rule-mismatch",
             )
         self.constraints.labeling.validate_against(self.profile.candidates)
-        # building the scoring function sizes the preset and checks the
-        # explicit vector's length now
-        _ = self.scoring
+        if isinstance(self.rule, WeaklySeparableRule):
+            self.rule.vector(self.profile)  # checks an explicit length now
         object.__setattr__(self, "reference", tuple(self.reference))
         if self.reference:
             if len(set(self.reference)) != len(self.reference):
@@ -134,11 +141,3 @@ class ElectionInstance:
     @property
     def k(self) -> int:
         return self.profile.k
-
-    @cached_property
-    def scoring(self) -> ScoringFunction | None:
-        """The rule's scoring function sized for this profile, built once;
-        None for ranking-only rules."""
-        if not isinstance(self.rule, WeaklySeparableRule):
-            return None
-        return self.rule.scoring_for(self.profile.num_candidates, self.profile.k)

@@ -20,9 +20,9 @@ SOLVERS = ("auto", "dp", "region", "oracle")
 
 def candidate_scores(instance: ElectionInstance) -> dict[str, Score] | None:
     """Positional score of every candidate, or None for ranking-only rules."""
-    if instance.scoring is None:
+    if isinstance(instance.rule, StvRule):
         return None
-    return score_all(instance.profile, instance.scoring)
+    return score_all(instance.profile, instance.rule)
 
 
 def ranking_of(instance: ElectionInstance) -> SingletonRanking:

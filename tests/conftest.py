@@ -1,8 +1,9 @@
 """Shared fixtures and reference code the package does not ship: two fixed
 four-candidate profiles reused across the regression tests, graph
-brute-force helpers for the reduction checks, the decision query of the
-hardness reductions, reference orders and STV rankings, and a terminal
-hook that reprints the acceptance verdict lines after the run."""
+brute-force helpers for the reduction checks, an oracle feasibility test,
+the decision query of the hardness reductions, reference orders and STV
+rankings, and a terminal hook that reprints the acceptance verdict lines
+after the run."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import pytest
 
 from comsel import (
     BudgetExceededError, ElectionProfile, Graph, OracleBudget, WeightOrder,
-    solve_bruteforce,
+    enumerate_feasible, solve_bruteforce,
 )
 
 ACCEPTANCE_LINES: list[str] = []
@@ -52,6 +53,17 @@ def format_graph(graph: Graph) -> str:
     lines = [f"{graph.num_vertices} {graph.num_edges}"]
     lines.extend(f"{u} {v}" for u, v in graph.edges)
     return "\n".join(lines) + "\n"
+
+
+def feasible(instance, k=None) -> bool:
+    """Whether some committee of size ``k`` (the instance's own by default)
+    meets the instance's constraints, by oracle enumeration."""
+    candidates = instance.profile.candidates
+    budget = OracleBudget(max_candidates=max(14, len(candidates)))
+    found = enumerate_feasible(
+        candidates, instance.k if k is None else k, instance.constraints, budget
+    )
+    return next(iter(found), None) is not None
 
 
 def compare(order: WeightOrder, left, right) -> int:

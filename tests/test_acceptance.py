@@ -32,7 +32,6 @@ from comsel import (
     candidate_scores,
     check_committee,
     choose_solver,
-    enumerate_feasible,
     gen_clique_bloc,
     gen_clique_sntv,
     gen_random,
@@ -44,7 +43,7 @@ from comsel import (
 )
 from comsel.generators import _pad_for_bloc
 from conftest import (
-    ACCEPTANCE_LINES, ObligatoryFirstOrder, compare, has_clique, has_cover,
+    ACCEPTANCE_LINES, ObligatoryFirstOrder, compare, feasible, has_clique, has_cover,
     min_cover_size, reference_witness, stv_simple_all_rankings,
 )
 
@@ -297,21 +296,6 @@ def random_graph(rng, num_vertices, density=0.5):
     return Graph(num_vertices, edges)
 
 
-def feasible_at(instance, k):
-    budget = OracleBudget(
-        max_candidates=max(14, instance.profile.num_candidates)
-    )
-    found = next(
-        iter(
-            enumerate_feasible(
-                instance.profile.candidates, k, instance.constraints, budget
-            )
-        ),
-        None,
-    )
-    return found is not None
-
-
 def clique_reachability(generator, graph, clique_size):
     """Solve the generated instance outright and compare with the graph.
 
@@ -347,10 +331,10 @@ def test_reductions_mirror_graph_problems():
         for graph in all_graphs(n):
             for k in range(0, n + 1):
                 expected = has_cover(graph, k)
-                assert feasible_at(gen_vertex_cover_intervals(graph, k), k) == expected
+                assert feasible(gen_vertex_cover_intervals(graph, k), k) == expected
                 if k >= 1:
                     assert (
-                        feasible_at(gen_vertex_cover_dominance(graph, k), k)
+                        feasible(gen_vertex_cover_dominance(graph, k), k)
                         == expected
                     )
 
@@ -360,13 +344,13 @@ def test_reductions_mirror_graph_problems():
     for graph in all_graphs(6):
         tau = min_cover_size(graph)
         intervals = gen_vertex_cover_intervals(graph, tau)
-        assert feasible_at(intervals, tau)
+        assert feasible(intervals, tau)
         if tau >= 1:
             dominance = gen_vertex_cover_dominance(graph, tau)
-            assert feasible_at(dominance, tau)
-            assert not feasible_at(intervals, tau - 1)
+            assert feasible(dominance, tau)
+            assert not feasible(intervals, tau - 1)
             if tau >= 2:
-                assert not feasible_at(dominance, tau - 1)
+                assert not feasible(dominance, tau - 1)
 
     # 200 random graphs on up to eight vertices, random cover sizes
     rng = random.Random(7)
@@ -375,9 +359,9 @@ def test_reductions_mirror_graph_problems():
         graph = random_graph(rng, n)
         k = rng.randint(0, n)
         expected = has_cover(graph, k)
-        assert feasible_at(gen_vertex_cover_intervals(graph, k), k) == expected
+        assert feasible(gen_vertex_cover_intervals(graph, k), k) == expected
         if k >= 1:
-            assert feasible_at(gen_vertex_cover_dominance(graph, k), k) == expected
+            assert feasible(gen_vertex_cover_dominance(graph, k), k) == expected
 
     # clique reduction under plurality scores: exhaustive where the oracle
     # stays cheap, sampled at the expensive sizes

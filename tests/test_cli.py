@@ -1,6 +1,7 @@
 """JSON document parsing, serialization, and the command-line verbs."""
 
 import json
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -70,6 +71,10 @@ class TestParseInstance:
         assert info.value.code == "malformed-json"
         with pytest.raises(ParseError) as info:
             parse_instance("[1, 2]")
+        assert info.value.code == "malformed-json"
+        # nesting deeper than the parser's recursion limit
+        with pytest.raises(ParseError) as info:
+            parse_instance("[" * 100_000 + "]" * 100_000)
         assert info.value.code == "malformed-json"
 
     def test_unknown_top_level_field(self):
@@ -440,6 +445,40 @@ class TestMain:
     def test_missing_input_file(self, tmp_path, capsys):
         assert main(["solve", "--input", str(tmp_path / "nope.json")]) == 2
         assert capsys.readouterr().err.startswith("error[io]")
+
+    def test_oversize_numbers_are_malformed_json(self, tmp_path, capsys):
+        # a 5 000-digit integer is over Python's int-string limit, and
+        # 1e30000000 would take Fraction minutes to build
+        for gamma in ("1" * 5000, "1e30000000", "-2.5E-30000000"):
+            path = tmp_path / "huge.json"
+            text = json.dumps(document(rule={"type": "weakly_separable",
+                                             "gamma": [0, 0, 0, 0]}))
+            path.write_text(text.replace("[0, 0, 0, 0]", f"[{gamma}, 0, 0, 0]"))
+            started = time.perf_counter()
+            assert main(["solve", "--input", str(path)]) == 2, gamma
+            assert time.perf_counter() - started < 1
+            err = capsys.readouterr().err
+            assert err.startswith("error[malformed-json]"), err
+            assert "Traceback" not in err
+        # exponents within the limit still read exactly
+        doc = document(rule={"type": "weakly_separable", "gamma": [0, 0, 0, 0]})
+        text = json.dumps(doc).replace("[0, 0, 0, 0]", "[3e2, 2E1, 1e-1, 0]")
+        assert parse_instance(text).rule.gamma == (300, 20, Fraction(1, 10), 0)
+
+    def test_non_utf8_input_is_an_io_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"candidates": ["\xff"]}')
+        graph = tmp_path / "graph.txt"
+        graph.write_bytes(b"2 1\n0 \xff\n")
+        for argv in (
+            ["solve", "--input", str(path)],
+            ["check", "--input", str(path), "--committee", "a"],
+            ["gen", "clique-bloc", "--input", str(graph), "--clique-size", "2"],
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error[io]"), err
+            assert "Traceback" not in err
 
     def test_check_verb(self, tmp_path, capsys):
         doc = document(

@@ -1,4 +1,4 @@
-"""Profiles, positional scoring functions, and singleton rankings."""
+"""Profiles, positional rule vectors and scores, and singleton rankings."""
 
 from fractions import Fraction
 
@@ -7,8 +7,8 @@ import pytest
 from comsel import (
     ElectionProfile,
     InputError,
-    ScoringFunction,
     SingletonRanking,
+    WeaklySeparableRule,
     score_all,
 )
 
@@ -79,62 +79,62 @@ class TestProfileRankings:
         assert built.voters == (("b", "a", "c"), ("c", "b", "a"))
 
 
+def sized(gamma, m, k=1):
+    """The rule's vector for ``m`` candidates and committee size ``k``."""
+    profile = ElectionProfile.build(
+        [f"c{i}" for i in range(m)], [[f"c{i}" for i in range(m)]], k
+    )
+    return WeaklySeparableRule(gamma).vector(profile)
+
+
 class TestScoringFunction:
+    """A positional rule's vector, sized to a profile."""
+
     def test_sntv_vector(self):
-        assert ScoringFunction.sntv(4).gamma == (1, 0, 0, 0)
+        assert sized("sntv", 4) == (1, 0, 0, 0)
 
     def test_borda_vector(self):
-        assert ScoringFunction.borda(4).gamma == (3, 2, 1, 0)
+        assert sized("borda", 4) == (3, 2, 1, 0)
 
     def test_bloc_vector_uses_committee_size(self):
-        assert ScoringFunction.bloc(5, 2).gamma == (1, 1, 0, 0, 0)
-        assert ScoringFunction.bloc(3, 0).gamma == (0, 0, 0)
-
-    def test_bloc_size_out_of_range(self):
-        with pytest.raises(InputError, match="bloc size"):
-            ScoringFunction.bloc(3, 4)
+        assert sized("bloc", 5, 2) == (1, 1, 0, 0, 0)
+        assert sized("bloc", 3, 0) == (0, 0, 0)
 
     def test_preset_dispatch(self):
-        assert ScoringFunction.preset("sntv", 3, 1).gamma == (1, 0, 0)
-        assert ScoringFunction.preset("bloc", 3, 2).gamma == (1, 1, 0)
-        with pytest.raises(InputError, match="unknown scoring preset"):
-            ScoringFunction.preset("dowdall", 3, 1)
-
-    def test_empty_vector_rejected(self):
-        with pytest.raises(InputError, match="at least one position"):
-            ScoringFunction(())
+        assert sized("sntv", 3, 1) == (1, 0, 0)
+        assert sized("bloc", 3, 2) == (1, 1, 0)
 
     def test_values_coerced_to_rationals(self):
-        fn = ScoringFunction((Fraction(1, 2), 1, 0))
-        assert fn.gamma == (Fraction(1, 2), Fraction(1), Fraction(0))
+        rule = WeaklySeparableRule((Fraction(1, 2), 1, 0))
+        assert rule.gamma == (Fraction(1, 2), Fraction(1), Fraction(0))
         with pytest.raises(InputError):
-            ScoringFunction((True, 0))
+            WeaklySeparableRule((True, 0))
         # a float is read as the decimal it prints as; integral values are ints
-        fn = ScoringFunction((0.1, 0.25, 2.0, 0))
-        assert fn.gamma == (Fraction(1, 10), Fraction(1, 4), 2, 0)
-        assert [type(v) for v in fn.gamma] == [Fraction, Fraction, int, int]
+        rule = WeaklySeparableRule((0.1, 0.25, 2.0, 0))
+        assert rule.gamma == (Fraction(1, 10), Fraction(1, 4), 2, 0)
+        assert [type(v) for v in rule.gamma] == [Fraction, Fraction, int, int]
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(InputError, match="finite") as info:
-                ScoringFunction((bad, 0))
+                WeaklySeparableRule((bad, 0))
             assert info.value.code == "invalid-gamma"
 
 
 class TestScoring:
     def test_sntv_counts_first_places(self, profile_a):
-        scores = score_all(profile_a, ScoringFunction.sntv(4))
+        scores = score_all(profile_a, WeaklySeparableRule("sntv"))
         assert scores == {"a": 2, "b": 1, "c": 0, "d": 2}
 
     def test_borda_scores(self, profile_a):
-        scores = score_all(profile_a, ScoringFunction.borda(4))
+        scores = score_all(profile_a, WeaklySeparableRule("borda"))
         assert scores == {"a": 7, "b": 8, "c": 9, "d": 6}
 
     def test_single_voter_sntv_scores_runner_up_zero(self):
         profile = ElectionProfile.build("ab", (("a", "b"),), 1)
-        assert score_all(profile, ScoringFunction.sntv(2))["b"] == 0
+        assert score_all(profile, WeaklySeparableRule("sntv"))["b"] == 0
 
     def test_vector_length_must_match(self, profile_a):
-        with pytest.raises(InputError, match="positions"):
-            score_all(profile_a, ScoringFunction.borda(3))
+        with pytest.raises(InputError, match="entries"):
+            score_all(profile_a, WeaklySeparableRule((2, 1, 0)))
 
 
 class TestSingletonRanking:

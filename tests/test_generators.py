@@ -12,7 +12,6 @@ from comsel import (
     WeaklySeparableRule,
     build_order,
     candidate_scores,
-    enumerate_feasible,
     gen_clique_bloc,
     gen_clique_sntv,
     gen_random,
@@ -21,28 +20,15 @@ from comsel import (
     parse_graph,
 )
 from comsel.generators import _pad_for_bloc
-from conftest import format_graph, has_clique, has_cover, reference_witness
+from conftest import (
+    feasible, format_graph, has_clique, has_cover, reference_witness,
+)
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
 PATH = Graph(3, ((0, 1), (1, 2)))
 SINGLE_EDGE = Graph(2, ((0, 1),))
 TWO_EDGES = Graph(4, ((0, 1), (2, 3)))
 NEAR_K4 = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))
-
-
-def feasible(instance):
-    found = next(
-        iter(
-            enumerate_feasible(
-                instance.profile.candidates,
-                instance.profile.k,
-                instance.constraints,
-                OracleBudget(max_candidates=max(14, instance.profile.num_candidates)),
-            )
-        ),
-        None,
-    )
-    return found is not None
 
 
 def reference_reachable(instance):

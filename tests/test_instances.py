@@ -1,6 +1,5 @@
 """Instance records, rule objects, and solver routing."""
 
-import json
 import sys
 
 import pytest
@@ -16,7 +15,6 @@ from comsel import (
     LeximaxOrder,
     LeximinOrder,
     ScoreOrder,
-    ScoringFunction,
     StvRule,
     WeaklySeparableRule,
     build_order,
@@ -25,7 +23,6 @@ from comsel import (
     ranking_of,
     solve_instance,
 )
-from comsel.cli import parse_instance
 
 
 def make(profile, rule=WeaklySeparableRule("borda"), order_kind="score", **kw):
@@ -61,9 +58,12 @@ class TestRules:
 
     def test_explicit_vector_coerced(self):
         rule = WeaklySeparableRule((3, 1, 0))
-        assert rule.scoring_for(3, 1).gamma == (3, 1, 0)
+        three = ElectionProfile.build("abc", ("abc",), 1)
+        assert rule.vector(three) == (3, 1, 0)
+        # the vector coerced once by the constructor is the one scored
+        assert rule.vector(three) is rule.gamma
         with pytest.raises(InputError, match="entries"):
-            rule.scoring_for(4, 1)
+            rule.vector(ElectionProfile.build("abcd", ("abcd",), 1))
 
     def test_empty_vector_rejected(self):
         with pytest.raises(InputError, match="at least one entry"):
@@ -71,7 +71,8 @@ class TestRules:
 
     def test_bloc_preset_uses_the_committee_size(self):
         rule = WeaklySeparableRule("bloc")
-        assert rule.scoring_for(4, 2).gamma == (1, 1, 0, 0)
+        profile = ElectionProfile.build("abcd", ("abcd",), 2)
+        assert rule.vector(profile) == (1, 1, 0, 0)
 
     def test_stv_variant_checked(self):
         StvRule("droop_gregory")
@@ -232,27 +233,6 @@ class TestRouting:
         assert result.is_optimal
         assert len(closures) == 1
         assert len(checks) == 1
-
-    def test_scoring_function_built_once_per_document(self, monkeypatch):
-        original = ScoringFunction.__post_init__
-        built = []
-
-        def counting(self):
-            built.append(self)
-            original(self)
-
-        monkeypatch.setattr(ScoringFunction, "__post_init__", counting)
-        for gamma in ([5, 4, 3, 1], "borda"):
-            built.clear()
-            doc = {
-                "candidates": ["a", "b", "c", "d"],
-                "voters": [["a", "c", "d", "b"], ["b", "a", "c", "d"]],
-                "k": 2,
-                "rule": {"type": "weakly_separable", "gamma": gamma},
-            }
-            result = solve_instance(parse_instance(json.dumps(doc)))
-            assert result.is_optimal
-            assert len(built) == 1, gamma
 
     def test_forced_solvers_agree(self, profile_a):
         constraints = ConstraintSet.build(

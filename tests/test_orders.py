@@ -197,9 +197,9 @@ def test_obligatory_weights_compare_as_the_tuple_definition():
 
 class TestBestSingletons:
     def test_picks_top_scorers_best_first(self, profile_a):
-        from comsel import ScoringFunction, score_all
+        from comsel import WeaklySeparableRule, score_all
 
-        order = ScoreOrder(score_all(profile_a, ScoringFunction.borda(4)))
+        order = ScoreOrder(score_all(profile_a, WeaklySeparableRule("borda")))
         assert best_singletons(order, "abcd", 2) == ("c", "b")
 
     def test_zero_count(self):

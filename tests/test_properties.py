@@ -12,7 +12,6 @@ from comsel import (
     LeximaxOrder,
     LeximinOrder,
     ScoreOrder,
-    ScoringFunction,
     SingletonRanking,
     StvRule,
     WeaklySeparableRule,
@@ -123,31 +122,40 @@ def profiles(draw, max_candidates=6, max_voters=5):
 
 
 @st.composite
-def scoring_vectors(draw, m):
-    """A vector of m entries and the exact value of each: integers,
-    Fractions, or decimal floats read as the decimal they print as."""
-    kind = draw(st.sampled_from(("int", "fraction", "decimal")))
+def scoring_rules(draw, m, k):
+    """A positional rule for m candidates and committee size k, with the
+    exact value of each position: a preset, or an explicit vector of
+    integers, Fractions, or decimal floats read as the decimal they print
+    as."""
+    kind = draw(st.sampled_from(("sntv", "borda", "bloc", "int", "fraction",
+                                 "decimal")))
+    if kind == "sntv":
+        return WeaklySeparableRule(kind), tuple(Fraction(p == 0) for p in range(m))
+    if kind == "borda":
+        return WeaklySeparableRule(kind), tuple(Fraction(m - 1 - p) for p in range(m))
+    if kind == "bloc":
+        return WeaklySeparableRule(kind), tuple(Fraction(p < k) for p in range(m))
     numerators = draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m))
     if kind == "int":
-        return tuple(numerators), tuple(Fraction(i) for i in numerators)
-    if kind == "fraction":
+        gamma, exact = tuple(numerators), tuple(Fraction(i) for i in numerators)
+    elif kind == "fraction":
         denominators = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
-        exact = tuple(Fraction(i, d) for i, d in zip(numerators, denominators))
-        return exact, exact
-    return tuple(i / 10 for i in numerators), tuple(
-        Fraction(i, 10) for i in numerators
-    )
+        gamma = exact = tuple(Fraction(i, d) for i, d in zip(numerators, denominators))
+    else:
+        gamma = tuple(i / 10 for i in numerators)
+        exact = tuple(Fraction(i, 10) for i in numerators)
+    return WeaklySeparableRule(gamma), exact
 
 
 @given(profiles(max_voters=8), st.data())
 @settings(max_examples=200, deadline=None)
 def test_score_all_matches_a_per_voter_sum(profile, data):
-    gamma, exact = data.draw(scoring_vectors(profile.num_candidates))
+    rule, exact = data.draw(scoring_rules(profile.num_candidates, profile.k))
     expected = {c: Fraction(0) for c in profile.candidates}
     for ranking in profile.voters:
         for position, candidate in enumerate(ranking):
             expected[candidate] += exact[position]
-    scores = score_all(profile, ScoringFunction(gamma))
+    scores = score_all(profile, rule)
     assert scores == expected
     if all(value.denominator == 1 for value in exact):
         # integral vectors give int scores, so every solver key is an int
@@ -157,7 +165,7 @@ def test_score_all_matches_a_per_voter_sum(profile, data):
 @given(profiles())
 @settings(max_examples=150, deadline=None)
 def test_scores_ignore_voter_order(profile):
-    scoring = ScoringFunction.borda(profile.num_candidates)
+    scoring = WeaklySeparableRule("borda")
     reversed_profile = ElectionProfile(
         profile.candidates, tuple(reversed(profile.voters)), profile.k
     )
@@ -167,7 +175,7 @@ def test_scores_ignore_voter_order(profile):
 @given(profiles())
 @settings(max_examples=100, deadline=None)
 def test_score_order_tracks_committee_scores(profile):
-    scores = score_all(profile, ScoringFunction.sntv(profile.num_candidates))
+    scores = score_all(profile, WeaklySeparableRule("sntv"))
     order = ScoreOrder(scores)
     committees = list(itertools.combinations(profile.candidates, profile.k))
     for first, second in itertools.product(committees, committees):
@@ -236,8 +244,7 @@ def test_unconstrained_enumeration_counts_all_subsets(m, k):
 @given(profiles(max_candidates=5))
 @settings(max_examples=100, deadline=None)
 def test_bruteforce_winner_weakly_beats_every_feasible_committee(profile):
-    scoring = ScoringFunction.borda(profile.num_candidates)
-    order = ScoreOrder(score_all(profile, scoring))
+    order = ScoreOrder(score_all(profile, WeaklySeparableRule("borda")))
     constraints = ConstraintSet.empty()
     result = solve_bruteforce(profile.candidates, profile.k, constraints, order)
     assert result.status == "optimal"
