@@ -1,5 +1,6 @@
 """Instance records, rule objects, and solver routing."""
 
+import json
 import sys
 
 import pytest
@@ -23,6 +24,7 @@ from comsel import (
     ranking_of,
     solve_instance,
 )
+from comsel.cli import parse_instance
 
 
 def make(profile, rule=WeaklySeparableRule("borda"), order_kind="score", **kw):
@@ -233,6 +235,27 @@ class TestRouting:
         assert result.is_optimal
         assert len(closures) == 1
         assert len(checks) == 1
+
+    def test_scoring_function_built_once_per_document(self, monkeypatch):
+        original = WeaklySeparableRule.__post_init__
+        built = []
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(WeaklySeparableRule, "__post_init__", counting)
+        for gamma in ([5, 4, 3, 1], "borda"):
+            built.clear()
+            doc = {
+                "candidates": ["a", "b", "c", "d"],
+                "voters": [["a", "c", "d", "b"], ["b", "a", "c", "d"]],
+                "k": 2,
+                "rule": {"type": "weakly_separable", "gamma": gamma},
+            }
+            result = solve_instance(parse_instance(json.dumps(doc)))
+            assert result.is_optimal
+            assert len(built) == 1, gamma
 
     def test_forced_solvers_agree(self, profile_a):
         constraints = ConstraintSet.build(
