@@ -45,13 +45,7 @@ from .instances import (
     StvRule,
     WeaklySeparableRule,
 )
-from .orders import (
-    LeximaxOrder,
-    LeximinOrder,
-    ScoreOrder,
-    WeightOrder,
-    best_singletons,
-)
+from .orders import best_singletons, leximax_weights, leximin_weights
 from .regions import solve_region_ip
 from .result import SolveResult
 from .solve import (
@@ -78,22 +72,18 @@ __all__ = [
     "InputError",
     "Interval",
     "Labeling",
-    "LeximaxOrder",
-    "LeximinOrder",
     "ORDER_KINDS",
     "OracleBudget",
     "ParseError",
     "Rule",
     "SOLVERS",
     "Score",
-    "ScoreOrder",
     "SingletonRanking",
     "SolveResult",
     "StvRound",
     "StvRule",
     "Violation",
     "WeaklySeparableRule",
-    "WeightOrder",
     "best_singletons",
     "build_dominance_graph",
     "build_order",
@@ -106,6 +96,8 @@ __all__ = [
     "gen_random",
     "gen_vertex_cover_dominance",
     "gen_vertex_cover_intervals",
+    "leximax_weights",
+    "leximin_weights",
     "parse_graph",
     "ranking_of",
     "score_all",

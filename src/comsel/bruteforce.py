@@ -13,12 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .constraints import ConstraintSet
 from .elections import Score
 from .errors import BudgetExceededError, InputError
-from .orders import WeightOrder
 from .result import SolveResult
 
 
@@ -103,10 +102,11 @@ def solve_bruteforce(
     candidates: Iterable[str],
     k: int,
     constraints: ConstraintSet,
-    order: WeightOrder,
+    weights: Mapping[str, Score],
     budget: OracleBudget = OracleBudget(),
 ) -> SolveResult:
-    """Optimal feasible committee by complete enumeration.
+    """Feasible committee with the highest sum of ``weights``, by complete
+    enumeration.
 
     Ties go to the lexicographically smallest committee, which is the one
     found first.
@@ -117,7 +117,7 @@ def solve_bruteforce(
     feasible = 0
     for committee in enumerate_feasible(pool, k, constraints, budget):
         feasible += 1
-        key = order.key_of(committee)
+        key = sum(weights[name] for name in committee)
         if best is None or key > best_key:
             best, best_key = committee, key
     stats = {"examined": math.comb(len(pool), k), "feasible": feasible}

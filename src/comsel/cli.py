@@ -182,9 +182,19 @@ def parse_instance(text: str) -> ElectionInstance:
 
 
 def _json_number(value: Score) -> int | float:
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else float(value)
-    return value
+    """``value`` as a JSON number: an int when integral, else the nearest
+    float.  A fraction past the float range, or an int past Python's
+    integer digit limit, which ``json.dumps`` cannot write, is refused."""
+    try:
+        if value.denominator != 1:
+            return float(value)
+        number = int(value)
+        str(number)  # raises past the digit limit
+        return number
+    except (OverflowError, ValueError):
+        raise InputError(
+            "the score is too large for the result document", code="invalid-gamma"
+        ) from None
 
 
 def _exact_json_number(index: int, value: Score) -> int | float:

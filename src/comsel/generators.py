@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -51,17 +52,31 @@ class Graph:
         return len(self.edges)
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _two_integers(line: str) -> tuple[int, int] | None:
+    """The line's two decimal integers, or None unless it holds just two."""
+    parts = line.split()
+    if len(parts) != 2 or not all(_INTEGER.fullmatch(part) for part in parts):
+        return None
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:  # past Python's integer digit limit
+        return None
+
+
 def parse_graph(text: str) -> Graph:
     """Read the plain edge-list format: a "V E" line, then E "u v" lines."""
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise ParseError("invalid-graph", "empty graph document")
-    head = lines[0].split()
-    if len(head) != 2 or not all(part.lstrip("-").isdigit() for part in head):
+    head = _two_integers(lines[0])
+    if head is None:
         raise ParseError(
             "invalid-graph", f"first line must be 'V E', got {lines[0]!r}"
         )
-    num_vertices, num_edges = int(head[0]), int(head[1])
+    num_vertices, num_edges = head
     if len(lines) - 1 != num_edges:
         raise ParseError(
             "invalid-graph",
@@ -69,10 +84,10 @@ def parse_graph(text: str) -> Graph:
         )
     edges = []
     for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2 or not all(part.lstrip("-").isdigit() for part in parts):
+        edge = _two_integers(line)
+        if edge is None:
             raise ParseError("invalid-graph", f"bad edge line {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append(edge)
     try:
         return Graph(num_vertices, tuple(edges))
     except InputError as exc:

@@ -1,4 +1,4 @@
-"""Committee orders, each a sum of per-candidate weights.
+"""Committee orders, each a map of per-candidate weights.
 
 A committee's key is the sum of its members' weights (larger is better),
 so solvers add the keys of disjoint parts instead of rescanning members.
@@ -11,33 +11,10 @@ tier.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .elections import Score, SingletonRanking
 from .errors import InputError
-
-
-class WeightOrder:
-    """Committees ranked by the sum of fixed per-candidate weights: of two
-    equal-size committees, the one with the larger ``key_of`` is better."""
-
-    def __init__(self, weights: Mapping[str, Score]):
-        self.weights = dict(weights)
-
-    @cached_property
-    def packed(self) -> dict[str, int]:
-        """``pack(self.weights)``."""
-        return pack(self.weights)
-
-    def key_of(self, committee: Iterable[str]) -> Score:
-        total: Score = 0
-        for candidate in committee:
-            try:
-                total = total + self.weights[candidate]
-            except KeyError:
-                raise InputError(f"unknown candidate {candidate!r}") from None
-        return total
 
 
 def pack(weights: Mapping[str, Score]) -> dict[str, int]:
@@ -65,11 +42,6 @@ def unpack(cell: int, packed: Mapping[str, int]) -> tuple[str, ...]:
     return tuple(sorted(name for name, value in packed.items() if value & mask))
 
 
-class ScoreOrder(WeightOrder):
-    """Committees ranked by the sum of the candidates' scores; a key is the
-    committee's score."""
-
-
 def _mixed_radix(tiers: Iterable[frozenset[str]]) -> dict[str, int]:
     """One weight per candidate, each tier a digit of a mixed-radix number,
     the first tier least significant.  A committee holds 0 to s members
@@ -83,33 +55,32 @@ def _mixed_radix(tiers: Iterable[frozenset[str]]) -> dict[str, int]:
     return weights
 
 
-class LeximaxOrder(WeightOrder):
-    """Committees ranked by their best members, then the next best, and so on.
+def leximax_weights(ranking: SingletonRanking) -> dict[str, int]:
+    """Weights that rank committees by their best members, then the next
+    best, and so on.
 
     Among equal-size committees that is more members in the best tier,
     then in the next: the best tier is the most significant digit.
     """
-
-    def __init__(self, ranking: SingletonRanking):
-        super().__init__(_mixed_radix(reversed(ranking.tiers)))
+    return _mixed_radix(reversed(ranking.tiers))
 
 
-class LeximinOrder(WeightOrder):
-    """Committees ranked by their worst members, then the next worst.
+def leximin_weights(ranking: SingletonRanking) -> dict[str, int]:
+    """Weights that rank committees by their worst members, then the next
+    worst.
 
     Among equal-size committees that is fewer members in the worst tier,
     then in the next worst: the worst tier is the most significant digit,
     and the weights are negated.
     """
-
-    def __init__(self, ranking: SingletonRanking):
-        super().__init__({c: -w for c, w in _mixed_radix(ranking.tiers).items()})
+    return {c: -w for c, w in _mixed_radix(ranking.tiers).items()}
 
 
 def best_singletons(
-    order: WeightOrder, pool: Iterable[str], count: int
+    packed: Mapping[str, int], pool: Iterable[str], count: int
 ) -> tuple[str, ...]:
-    """The ``count`` best candidates of the pool under singleton comparisons.
+    """The ``count`` best candidates of the pool under singleton comparisons
+    of their ``pack``-ed weights.
 
     Returned best first; ties are broken toward the lexicographically
     smallest identifier, so no excluded candidate beats an included one.
@@ -118,7 +89,7 @@ def best_singletons(
     if not 0 <= count <= len(items):
         raise InputError(f"cannot pick {count} candidates from a pool of {len(items)}")
     try:
-        ranked = sorted(items, key=order.packed.__getitem__, reverse=True)
+        ranked = sorted(items, key=packed.__getitem__, reverse=True)
     except KeyError as missing:
         raise InputError(f"unknown candidate {missing.args[0]!r}") from None
     return tuple(ranked[:count])

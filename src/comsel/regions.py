@@ -352,15 +352,15 @@ def solve_region_ip(
     candidates: Iterable[str],
     k: int,
     constraints: ConstraintSet,
-    scores: Mapping[str, Score],
+    weights: Mapping[str, Score],
 ) -> SolveResult:
-    """Feasible committee with the highest sum of ``scores``, which may be
-    any per-candidate weights, such as a leximax order's; ties go to the
+    """Feasible committee with the highest sum of ``weights``, such as a
+    candidate's score or a leximax order's tier digit; ties go to the
     lexicographically smallest committee.
 
     The committee is not re-checked here: ``solve_instance`` verifies every
     optimal result once, so direct callers get it unverified."""
-    packed = pack(scores)
+    packed = pack(weights)
     regions = compute_regions(candidates, constraints, packed)
     rows = build_rows(regions, k, constraints)
     count = len(regions)
@@ -434,7 +434,7 @@ def solve_region_ip(
     return SolveResult(
         status="optimal",
         committee=committee,
-        score=sum(scores[name] for name in committee),
+        score=sum(weights[name] for name in committee),
         solver="region",
         stats=dict(stats),
     )

@@ -9,7 +9,7 @@ from .constraints import check_committee
 from .elections import Score, SingletonRanking, as_score, score_all
 from .errors import ContractViolation, InputError
 from .instances import ElectionInstance, StvRule
-from .orders import LeximaxOrder, LeximinOrder, ScoreOrder, WeightOrder
+from .orders import leximax_weights, leximin_weights
 from .regions import solve_region_ip
 from .result import SolveResult
 from .stv import stv_ranking
@@ -32,14 +32,16 @@ def ranking_of(instance: ElectionInstance) -> SingletonRanking:
     return SingletonRanking.from_scores(candidate_scores(instance))
 
 
-def build_order(instance: ElectionInstance) -> WeightOrder:
+def build_order(instance: ElectionInstance) -> dict[str, Score]:
+    """The instance's committee order as its per-candidate weights: of two
+    equal-size committees, the one with the larger weight sum is better."""
     if instance.order_kind == "score":
         # ElectionInstance pairs the score order with scoring rules only
-        return ScoreOrder(candidate_scores(instance))
+        return candidate_scores(instance)
     ranking = ranking_of(instance)
     if instance.order_kind == "leximax":
-        return LeximaxOrder(ranking)
-    return LeximinOrder(ranking)
+        return leximax_weights(ranking)
+    return leximin_weights(ranking)
 
 
 def choose_solver(instance: ElectionInstance) -> str:
@@ -74,20 +76,20 @@ def solve_instance(
     candidates = instance.profile.candidates
     k = instance.k
     constraints = instance.constraints
-    order = build_order(instance)
+    weights = build_order(instance)
     if chosen == "dp":
-        result = solve_tree(candidates, k, constraints, order)
+        result = solve_tree(candidates, k, constraints, weights)
     elif chosen == "region":
-        result = solve_region_ip(candidates, k, constraints, order.weights)
+        result = solve_region_ip(candidates, k, constraints, weights)
     else:
         result = solve_bruteforce(
             candidates,
             k,
             constraints,
-            order,
+            weights,
             budget if budget is not None else OracleBudget(),
         )
-    if not isinstance(order, ScoreOrder):  # a lexi key is no score
+    if instance.order_kind != "score":  # a lexi key is no score
         result = replace(result, score=None)
     elif result.score is not None:  # a weight sum such as 3/10 + 7/10
         result = replace(result, score=as_score(result.score))

@@ -12,10 +12,10 @@ never below a child's floor.  Every merge of two columns is a max-plus
 convolution over sizes, and the answer is the convolution of every root's
 last column and the unlabeled pool's, read at size k.
 
-A cell is one int, the sum of its members' ``WeightOrder.packed`` values
-(see ``orders.pack``), so disjoint committees join by adding their cells
-and comparing cells as ints compares keys first and breaks ties toward the
-smallest committee.  The committee is decoded once, from the winning cell.
+A cell is one int, the sum of its members' ``orders.pack``-ed weights, so
+disjoint committees join by adding their cells and comparing cells as ints
+compares keys first and breaks ties toward the smallest committee.  The
+committee is decoded once, from the winning cell.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .constraints import ConstraintSet, DominanceForest
+from .elections import Score
 from .errors import ContractViolation
-from .orders import WeightOrder, best_singletons, unpack
+from .orders import best_singletons, pack, unpack
 from .result import SolveResult
 
 # size -> best packed cell of that many members; None where none fits
@@ -48,13 +49,13 @@ def preprocess_intervals(
     candidates: Iterable[str],
     k: int,
     constraints: ConstraintSet,
-    order: WeightOrder,
+    packed: Mapping[str, int],
 ) -> Preprocessed:
     """Fold interval bounds through the dominance closure and prune pools.
 
     A dominated label can never out-count a dominating one, so upper
     bounds flow down the closure and lower bounds flow up.  Each label
-    keeps only its best ``high`` members.
+    keeps only its best ``high`` members under the ``pack``-ed weights.
     """
     labeling = constraints.labeling
     universe = sorted(set(candidates))
@@ -84,7 +85,7 @@ def preprocess_intervals(
     if reason is None:
         for name in labeling.names:
             members = sorted(labeling.members(name) & set(universe))
-            kept = best_singletons(order, members, min(eff_high[name], len(members)))
+            kept = best_singletons(packed, members, min(eff_high[name], len(members)))
             pools[name] = kept
             if eff_low[name] > len(kept):
                 reason = (
@@ -93,7 +94,7 @@ def preprocess_intervals(
                 )
                 break
     spare = sorted(set(universe) - labeling.labeled)
-    unlabeled = best_singletons(order, spare, min(k, len(spare)))
+    unlabeled = best_singletons(packed, spare, min(k, len(spare)))
     return Preprocessed(
         pools=pools,
         lows=eff_low,
@@ -173,9 +174,10 @@ def solve_tree(
     candidates: Iterable[str],
     k: int,
     constraints: ConstraintSet,
-    order: WeightOrder,
+    weights: Mapping[str, Score],
 ) -> SolveResult:
-    """Optimal feasible committee, or an infeasibility reason.
+    """Feasible committee with the highest sum of ``weights``, ties to the
+    lexicographically smallest, or an infeasibility reason.
 
     Requires disjoint labels and a tree-like dominance relation; either
     failing raises instead of returning a wrong answer.  The committee is
@@ -187,7 +189,8 @@ def solve_tree(
         raise ContractViolation("the tree solver needs disjoint labels")
     forest = DominanceForest.build(constraints)
     names = sorted(set(candidates))
-    pre = preprocess_intervals(names, k, constraints, order)
+    packed = pack(weights)
+    pre = preprocess_intervals(names, k, constraints, packed)
     counter = {"joins": 0, "tables": 0, "cells": 0}
     if pre.reason is not None:
         return SolveResult(
@@ -198,7 +201,6 @@ def solve_tree(
             reason=pre.reason,
             stats=dict(counter),
         )
-    packed = order.packed
     tables: dict[int, list[Column]] = {}
     pending = [(root, False) for root in forest.roots]
     while pending:
@@ -236,7 +238,7 @@ def solve_tree(
     return SolveResult(
         status="optimal",
         committee=committee,
-        score=order.key_of(committee),
+        score=sum(weights[name] for name in committee),
         solver="dp",
         stats=dict(counter),
     )

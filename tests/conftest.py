@@ -13,7 +13,7 @@ import itertools
 import pytest
 
 from comsel import (
-    BudgetExceededError, ElectionProfile, Graph, OracleBudget, WeightOrder,
+    BudgetExceededError, ElectionProfile, Graph, OracleBudget,
     enumerate_feasible, solve_bruteforce,
 )
 
@@ -66,36 +66,38 @@ def feasible(instance, k=None) -> bool:
     return next(iter(found), None) is not None
 
 
-def compare(order: WeightOrder, left, right) -> int:
+def key(weights, committee):
+    """A committee's key under an order's weight map: its members' weights
+    summed."""
+    return sum(weights[c] for c in frozenset(committee))
+
+
+def compare(weights, left, right) -> int:
     """Positive when committee ``left`` is strictly better than ``right``,
     zero on indifference, negative when it is worse."""
-    gap = order.key_of(frozenset(left)) - order.key_of(frozenset(right))
+    gap = key(weights, left) - key(weights, right)
     return (gap > 0) - (gap < 0)
 
 
 def reference_witness(
-    candidates, k, constraints, order, reference, budget=OracleBudget()
+    candidates, k, constraints, weights, reference, budget=OracleBudget()
 ):
     """The oracle's optimum when it is at least as good as the reference,
     else None: whether some feasible committee matches the reference is the
     optimum's key compared with the reference's."""
-    result = solve_bruteforce(candidates, k, constraints, order, budget)
-    key = order.key_of(result.committee)
-    return result if result.is_optimal and key >= order.key_of(reference) else None
+    result = solve_bruteforce(candidates, k, constraints, weights, budget)
+    found = key(weights, result.committee)
+    return result if result.is_optimal and found >= key(weights, reference) else None
 
 
-class ObligatoryFirstOrder(WeightOrder):
-    """Committees holding more obligatory candidates win; the base order
-    breaks balanced comparisons.  An obligatory member weighs its base
-    weight plus ``1 + Σ|base weight|``, more than any base gap between two
-    committees of one size."""
-
-    def __init__(self, base: WeightOrder, obligatory):
-        chosen = frozenset(obligatory)
-        lift = 1 + sum(abs(w) for w in base.weights.values())
-        super().__init__(
-            {c: w + lift if c in chosen else w for c, w in base.weights.items()}
-        )
+def obligatory_first(weights, obligatory) -> dict:
+    """Weights under which committees holding more obligatory candidates
+    win and the base weights break balanced comparisons.  An obligatory
+    member weighs its base weight plus ``1 + Σ|base weight|``, more than
+    any base gap between two committees of one size."""
+    chosen = frozenset(obligatory)
+    lift = 1 + sum(abs(w) for w in weights.values())
+    return {c: w + lift if c in chosen else w for c, w in weights.items()}
 
 
 def stv_simple_all_rankings(

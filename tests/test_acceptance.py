@@ -21,10 +21,7 @@ from comsel import (
     ElectionInstance,
     ElectionProfile,
     Graph,
-    LeximaxOrder,
-    LeximinOrder,
     OracleBudget,
-    ScoreOrder,
     SingletonRanking,
     StvRule,
     WeaklySeparableRule,
@@ -37,14 +34,16 @@ from comsel import (
     gen_random,
     gen_vertex_cover_dominance,
     gen_vertex_cover_intervals,
+    leximax_weights,
+    leximin_weights,
     solve_instance,
     stv_ranking,
     stv_rounds,
 )
 from comsel.generators import _pad_for_bloc
 from conftest import (
-    ACCEPTANCE_LINES, ObligatoryFirstOrder, compare, feasible, has_clique, has_cover,
-    min_cover_size, reference_witness, stv_simple_all_rankings,
+    ACCEPTANCE_LINES, compare, feasible, has_clique, has_cover, key,
+    min_cover_size, obligatory_first, reference_witness, stv_simple_all_rankings,
 )
 
 
@@ -147,15 +146,13 @@ def test_stv_regression(profile_b):
 
 def random_order(kind, scores, rng):
     if kind == "score":
-        return ScoreOrder(scores)
+        return scores
     if kind == "leximax":
-        return LeximaxOrder(SingletonRanking.from_scores(scores))
+        return leximax_weights(SingletonRanking.from_scores(scores))
     if kind == "leximin":
-        return LeximinOrder(SingletonRanking.from_scores(scores))
+        return leximin_weights(SingletonRanking.from_scores(scores))
     pool = sorted(scores)
-    return ObligatoryFirstOrder(
-        ScoreOrder(scores), rng.sample(pool, rng.randint(0, len(pool)))
-    )
+    return obligatory_first(scores, rng.sample(pool, rng.randint(0, len(pool))))
 
 
 @criterion(3, "responsiveness audit")
@@ -305,7 +302,7 @@ def clique_reachability(generator, graph, clique_size):
     instance = generator(graph, clique_size)
     order = build_order(instance)
     pairs = clique_size * (clique_size - 1) // 2
-    assert order.key_of(instance.reference) == pairs
+    assert key(order, instance.reference) == pairs
     budget = OracleBudget(
         max_candidates=max(14, instance.profile.num_candidates),
         max_committee_enumeration=10**6,
@@ -410,7 +407,7 @@ def test_reductions_mirror_graph_problems():
     assert lifted_empty == 20
     assert not has_clique(empty_padded, 20)
     instance = gen_clique_bloc(Graph(6, ((0, 1),)), 2)
-    assert build_order(instance).key_of(instance.reference) == 190
+    assert key(build_order(instance), instance.reference) == 190
 
 
 @criterion(7, "preprocessing soundness")

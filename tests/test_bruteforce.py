@@ -9,11 +9,10 @@ from comsel import (
     InputError,
     Interval,
     OracleBudget,
-    ScoreOrder,
     enumerate_feasible,
     solve_bruteforce,
 )
-from conftest import reference_witness
+from conftest import key, reference_witness
 
 PAIRED = ConstraintSet.build(
     {"l1": "ab", "l2": "cd"}, dominances=(Dominance("l1", "l2"),)
@@ -73,7 +72,7 @@ class TestEnumerateFeasible:
 class TestSolveBruteforce:
     def test_picks_the_best_feasible_committee(self):
         scores = {"a": 5, "b": 1, "c": 4, "d": 3}
-        result = solve_bruteforce("abcd", 2, PAIRED, ScoreOrder(scores))
+        result = solve_bruteforce("abcd", 2, PAIRED, scores)
         assert result.status == "optimal"
         assert result.committee == ("a", "c")
         assert result.score == 9
@@ -81,29 +80,29 @@ class TestSolveBruteforce:
         assert result.stats == {"examined": 6, "feasible": 5}
 
     def test_ties_go_to_the_lexicographically_smallest(self):
-        order = ScoreOrder({"a": 1, "b": 1, "c": 1})
+        order = {"a": 1, "b": 1, "c": 1}
         result = solve_bruteforce("abc", 2, ConstraintSet.empty(), order)
         assert result.committee == ("a", "b")
 
     def test_infeasible_instance(self):
         tight = ConstraintSet.build({"l": "ab"}, intervals=(Interval("l", 3, 3),))
-        result = solve_bruteforce("abcd", 2, tight, ScoreOrder(dict.fromkeys("abcd", 0)))
+        result = solve_bruteforce("abcd", 2, tight, dict.fromkeys("abcd", 0))
         assert result.status == "infeasible"
         assert result.committee == ()
         assert result.score is None
         assert "no size-k committee" in result.reason
 
     def test_score_filled_only_for_score_orders(self):
-        from comsel import LeximaxOrder, SingletonRanking
+        from comsel import SingletonRanking, leximax_weights
 
-        order = LeximaxOrder(SingletonRanking.from_order("abc"))
+        order = leximax_weights(SingletonRanking.from_order("abc"))
         result = solve_bruteforce("abc", 2, ConstraintSet.empty(), order)
         assert result.committee == ("a", "b")
-        assert result.score == order.key_of(result.committee)
+        assert result.score == key(order, result.committee)
 
 
 class TestExistenceQuery:
-    ORDER = ScoreOrder({"a": 5, "b": 1, "c": 4, "d": 3})
+    ORDER = {"a": 5, "b": 1, "c": 4, "d": 3}
 
     def test_feasible_reference_is_its_own_witness(self):
         assert reference_witness("abcd", 2, PAIRED, self.ORDER, ("a", "c"))
@@ -120,7 +119,7 @@ class TestExistenceQuery:
     def test_infeasible_reference_may_still_be_matched(self):
         # the reference violates the constraints, yet feasible committees
         # outscore it
-        tied = ScoreOrder({"a": 4, "b": 1, "c": 5, "d": 0})
+        tied = {"a": 4, "b": 1, "c": 5, "d": 0}
         constraints = ConstraintSet.build(
             {"l": "cd"}, intervals=(Interval("l", 0, 1),)
         )

@@ -465,6 +465,23 @@ class TestMain:
         text = json.dumps(doc).replace("[0, 0, 0, 0]", "[3e2, 2E1, 1e-1, 0]")
         assert parse_instance(text).rule.gamma == (300, 20, Fraction(1, 10), 0)
 
+    def test_unwritable_scores_are_invalid_gamma(self, tmp_path, capsys):
+        # a fractional score past the float range has no JSON number, and
+        # json.dumps cannot write an int past Python's int-string limit
+        cases = (
+            ("[1e400, 0.5]", [["a", "b"], ["b", "a"]]),
+            ("[1e4299, 0]", [["a", "b"]] * 10),
+        )
+        for gamma, voters in cases:
+            doc = document(candidates=["a", "b"], voters=voters, k=1,
+                           rule={"type": "weakly_separable", "gamma": [0, 0]})
+            path = tmp_path / "big.json"
+            path.write_text(json.dumps(doc).replace("[0, 0]", gamma))
+            assert main(["solve", "--input", str(path)]) == 2, gamma
+            err = capsys.readouterr().err
+            assert err.startswith("error[invalid-gamma]"), err
+            assert "Traceback" not in err
+
     def test_non_utf8_input_is_an_io_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"candidates": ["\xff"]}')

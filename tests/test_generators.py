@@ -75,6 +75,9 @@ class TestGraph:
             "2 1\n0 1 2\n",
             "2 1\n0 3\n",
             "-1 0\n",
+            "--3 0\n",
+            "2 1\n0 \u00b2\n",
+            "2 1\n0 " + "1" * 5000 + "\n",
         )
         for text in cases:
             with pytest.raises(ParseError) as info:

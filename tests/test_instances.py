@@ -13,15 +13,15 @@ from comsel import (
     ElectionProfile,
     InputError,
     Interval,
-    LeximaxOrder,
-    LeximinOrder,
-    ScoreOrder,
     StvRule,
     WeaklySeparableRule,
     build_order,
     candidate_scores,
     choose_solver,
+    leximax_weights,
+    leximin_weights,
     ranking_of,
+    score_all,
     solve_instance,
 )
 from comsel.cli import parse_instance
@@ -134,13 +134,13 @@ class TestDerivedObjects:
         assert [sorted(t) for t in ranking.tiers] == [["a"], ["c"], ["b"], ["d"]]
 
     def test_build_order_kinds(self, profile_a):
-        assert isinstance(build_order(make(profile_a)), ScoreOrder)
-        assert isinstance(
-            build_order(make(profile_a, order_kind="leximax")), LeximaxOrder
-        )
-        assert isinstance(
-            build_order(make(profile_a, order_kind="leximin")), LeximinOrder
-        )
+        scores = score_all(profile_a, WeaklySeparableRule("borda"))
+        assert build_order(make(profile_a)) == scores
+        for kind, weights in (
+            ("leximax", leximax_weights), ("leximin", leximin_weights)
+        ):
+            instance = make(profile_a, order_kind=kind)
+            assert build_order(instance) == weights(ranking_of(instance))
 
 
 class TestRouting:

@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 from comsel import (
     ConstraintSet,
     ElectionProfile,
-    LeximaxOrder,
-    LeximinOrder,
-    ScoreOrder,
     SingletonRanking,
     StvRule,
     WeaklySeparableRule,
     enumerate_feasible,
     gen_random,
+    leximax_weights,
+    leximin_weights,
     score_all,
     solve_bruteforce,
     solve_instance,
@@ -24,7 +23,7 @@ from comsel import (
     stv_rounds,
     transitive_closure,
 )
-from conftest import ObligatoryFirstOrder, compare, stv_simple_all_rankings
+from conftest import compare, key, obligatory_first, stv_simple_all_rankings
 
 ORDER_KINDS = ("score", "leximax", "leximin", "wrapped")
 
@@ -36,15 +35,14 @@ def order_and_universe(draw):
     scores = {name: draw(st.integers(0, 5)) for name in names}
     kind = draw(st.sampled_from(ORDER_KINDS))
     if kind == "score":
-        order = ScoreOrder(scores)
+        order = scores
     elif kind == "leximax":
-        order = LeximaxOrder(SingletonRanking.from_scores(scores))
+        order = leximax_weights(SingletonRanking.from_scores(scores))
     elif kind == "leximin":
-        order = LeximinOrder(SingletonRanking.from_scores(scores))
+        order = leximin_weights(SingletonRanking.from_scores(scores))
     else:
-        base = ScoreOrder(scores)
         obligatory = draw(st.sets(st.sampled_from(names)))
-        order = ObligatoryFirstOrder(base, obligatory)
+        order = obligatory_first(scores, obligatory)
     return order, names
 
 
@@ -106,7 +104,7 @@ def test_keys_agree_with_comparisons(pair, data):
     size = data.draw(st.integers(0, len(names)))
     first = frozenset(data.draw(st.permutations(names))[:size])
     second = frozenset(data.draw(st.permutations(names))[:size])
-    keys = (order.key_of(first), order.key_of(second))
+    keys = (key(order, first), key(order, second))
     compared = compare(order, first, second)
     assert compared == (keys[0] > keys[1]) - (keys[0] < keys[1])
 
@@ -176,7 +174,7 @@ def test_scores_ignore_voter_order(profile):
 @settings(max_examples=100, deadline=None)
 def test_score_order_tracks_committee_scores(profile):
     scores = score_all(profile, WeaklySeparableRule("sntv"))
-    order = ScoreOrder(scores)
+    order = scores
     committees = list(itertools.combinations(profile.candidates, profile.k))
     for first, second in itertools.product(committees, committees):
         difference = sum(scores[c] for c in first) - sum(scores[c] for c in second)
@@ -244,7 +242,7 @@ def test_unconstrained_enumeration_counts_all_subsets(m, k):
 @given(profiles(max_candidates=5))
 @settings(max_examples=100, deadline=None)
 def test_bruteforce_winner_weakly_beats_every_feasible_committee(profile):
-    order = ScoreOrder(score_all(profile, WeaklySeparableRule("borda")))
+    order = score_all(profile, WeaklySeparableRule("borda"))
     constraints = ConstraintSet.empty()
     result = solve_bruteforce(profile.candidates, profile.k, constraints, order)
     assert result.status == "optimal"

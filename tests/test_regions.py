@@ -12,7 +12,6 @@ from comsel import (
     ConstraintSet,
     Dominance,
     Interval,
-    ScoreOrder,
     check_committee,
     gen_random,
     solve_bruteforce,
@@ -21,6 +20,7 @@ from comsel import (
 from comsel import regions as regions_module
 from comsel.cli import main, parse_instance
 from comsel.instances import StvRule, WeaklySeparableRule
+from comsel.orders import pack
 from comsel.regions import _LagrangianBound, _propagate, build_rows, compute_regions
 from comsel.solve import build_order
 
@@ -203,7 +203,7 @@ class TestSolve:
         )
         result = solve_region_ip("abcde", 2, constraints, SCORES)
         oracle = solve_bruteforce(
-            "abcde", 2, constraints, ScoreOrder(SCORES)
+            "abcde", 2, constraints, SCORES
         )
         assert result.committee == ("a", "d")
         assert result.committee == oracle.committee
@@ -223,7 +223,7 @@ class TestSolve:
         scores = {"p": 2, "q": 2, "m": 2, "n": 2}
         result = solve_region_ip(("p", "q", "m", "n"), 2, constraints, scores)
         oracle = solve_bruteforce(
-            ("p", "q", "m", "n"), 2, constraints, ScoreOrder(scores)
+            ("p", "q", "m", "n"), 2, constraints, scores
         )
         assert result.stats["regions"] == 2
         assert result.committee == oracle.committee == ("m", "n")
@@ -239,7 +239,7 @@ class TestSolve:
         )
         scores = dict.fromkeys(names, 1)
         result = solve_region_ip(names, 3, constraints, scores)
-        oracle = solve_bruteforce(names, 3, constraints, ScoreOrder(scores))
+        oracle = solve_bruteforce(names, 3, constraints, scores)
         assert result.committee == oracle.committee == ("c0", "c10", "c2")
         assert result.stats["leaves"] == 1
 
@@ -293,7 +293,7 @@ class TestSolve:
                 instance.profile.candidates,
                 instance.profile.k,
                 instance.constraints,
-                ScoreOrder(scores),
+                scores,
             )
             assert result.status == oracle.status
             if result.status == "optimal":
@@ -310,7 +310,7 @@ def test_root_lp_proves_infeasibility_in_one_node():
     rows = build_rows(regions, instance.k, constraints)
     assert _propagate(rows, [0] * len(regions), [r.size for r in regions])
     order = build_order(instance)
-    result = solve_region_ip(candidates, instance.k, constraints, order.weights)
+    result = solve_region_ip(candidates, instance.k, constraints, order)
     assert result.status == "infeasible"
     assert result.stats["nodes"] == 1
     assert result.stats["lp_solves"] == 1
@@ -339,13 +339,13 @@ def test_lp_at_every_node_agrees_with_the_oracle(monkeypatch):
         )
         order = build_order(instance)
         args = (instance.profile.candidates, instance.k, instance.constraints)
-        result = solve_region_ip(*args, order.weights)
+        result = solve_region_ip(*args, order)
         oracle = solve_bruteforce(*args, order)
         assert result.status == oracle.status, seed
         assert result.committee == oracle.committee, seed
         solved += result.stats["lp_solves"]
         # keys past a float's 53 bits reach the LP shifted down
-        scaled = {c: w << 80 for c, w in order.weights.items()}
+        scaled = {c: w << 80 for c, w in order.items()}
         assert solve_region_ip(*args, scaled).committee == oracle.committee, seed
     assert solved > 90
 
@@ -366,7 +366,7 @@ class TestLagrangian:
             "arbitrary", seed=seed,
         )
         candidates, k = instance.profile.candidates, instance.k
-        packed = build_order(instance).packed
+        packed = pack(build_order(instance))
         regions = compute_regions(candidates, instance.constraints, packed)
         rows = build_rows(regions, k, instance.constraints)
         region_of = {name: i for i, r in enumerate(regions) for name in r.members}

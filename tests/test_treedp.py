@@ -7,7 +7,6 @@ from comsel import (
     ContractViolation,
     Dominance,
     Interval,
-    ScoreOrder,
     StvRule,
     WeaklySeparableRule,
     gen_random,
@@ -15,10 +14,10 @@ from comsel import (
     solve_instance,
     solve_tree,
 )
+from comsel.orders import pack
 from comsel.treedp import preprocess_intervals
 
 SCORES = {"a": 5, "b": 1, "c": 4, "d": 3}
-ORDER = ScoreOrder(SCORES)
 CHAIN = ConstraintSet.build(
     {"l1": "ab", "l2": "cd"}, dominances=(Dominance("l1", "l2"),)
 )
@@ -35,7 +34,7 @@ class TestPreprocess:
             intervals=(Interval("l1", 0, 1),),
             dominances=(Dominance("l1", "l2"),),
         )
-        pre = preprocess_intervals("abcd", 2, constraints, ORDER)
+        pre = preprocess_intervals("abcd", 2, constraints, pack(SCORES))
         assert pre.reason is None
         assert pre.highs == {"l1": 1, "l2": 1}
         # each pool keeps only its best member
@@ -47,51 +46,51 @@ class TestPreprocess:
             intervals=(Interval("l2", 1, 2),),
             dominances=(Dominance("l1", "l2"),),
         )
-        pre = preprocess_intervals("abcd", 2, constraints, ORDER)
+        pre = preprocess_intervals("abcd", 2, constraints, pack(SCORES))
         assert pre.lows == {"l1": 1, "l2": 1}
 
     def test_conflicting_bounds_reported(self):
         constraints = ConstraintSet.build(
             {"l": "ab"}, intervals=(Interval("l", 3, 3),)
         )
-        pre = preprocess_intervals("abcd", 3, constraints, ORDER)
+        pre = preprocess_intervals("abcd", 3, constraints, pack(SCORES))
         assert pre.reason is not None
         assert "lower bound 3" in pre.reason
 
     def test_without_intervals_pools_cap_at_k(self):
-        pre = preprocess_intervals("abcd", 1, CHAIN, ORDER)
+        pre = preprocess_intervals("abcd", 1, CHAIN, pack(SCORES))
         assert pre.pools == {"l1": ("a",), "l2": ("c",)}
         assert pre.lows == {"l1": 0, "l2": 0}
 
     def test_unlabeled_candidates_form_their_own_pool(self):
         constraints = ConstraintSet.build({"l": "ab"})
-        order = ScoreOrder({"a": 5, "b": 1, "c": 4, "d": 3, "e": 6})
-        pre = preprocess_intervals("abcde", 2, constraints, order)
+        order = {"a": 5, "b": 1, "c": 4, "d": 3, "e": 6}
+        pre = preprocess_intervals("abcde", 2, constraints, pack(order))
         assert pre.unlabeled == ("e", "c")
 
 
 class TestSolveTree:
     def test_chain_dominance(self):
-        result = solve_tree("abcd", 2, CHAIN, ORDER)
+        result = solve_tree("abcd", 2, CHAIN, SCORES)
         assert result.status == "optimal"
         assert result.committee == ("a", "c")
         assert result.score == 9
         assert result.solver == "dp"
 
     def test_mutual_dominance_forces_equal_counts(self):
-        assert solve_tree("abcd", 2, CLIQUE, ORDER).committee == ("a", "c")
-        result = solve_tree("abcd", 3, CLIQUE, ORDER)
+        assert solve_tree("abcd", 2, CLIQUE, SCORES).committee == ("a", "c")
+        result = solve_tree("abcd", 3, CLIQUE, SCORES)
         assert result.status == "infeasible"
         assert "no size-k committee" in result.reason
 
     def test_zero_committee(self):
-        result = solve_tree("abcd", 0, CLIQUE, ORDER)
+        result = solve_tree("abcd", 0, CLIQUE, SCORES)
         assert result.status == "optimal"
         assert result.committee == ()
         assert result.score == 0
 
     def test_no_labels_picks_top_scorers(self):
-        result = solve_tree("abcd", 2, ConstraintSet.empty(), ORDER)
+        result = solve_tree("abcd", 2, ConstraintSet.empty(), SCORES)
         assert result.committee == ("a", "c")
         assert result.score == 9
 
@@ -99,7 +98,7 @@ class TestSolveTree:
         constraints = ConstraintSet.build(
             {"l": "ab"}, intervals=(Interval("l", 3, 3),)
         )
-        result = solve_tree("abcd", 3, constraints, ORDER)
+        result = solve_tree("abcd", 3, constraints, SCORES)
         assert result.status == "infeasible"
         assert "lower bound" in result.reason
 
@@ -108,16 +107,16 @@ class TestSolveTree:
             {"l1": "a", "l2": "b"},
             intervals=(Interval("l1", 1, 1), Interval("l2", 1, 1)),
         )
-        result = solve_tree("abcd", 1, constraints, ORDER)
+        result = solve_tree("abcd", 1, constraints, SCORES)
         assert result.status == "infeasible"
         assert "no size-k committee" in result.reason
-        oracle = solve_bruteforce("abcd", 1, constraints, ORDER)
+        oracle = solve_bruteforce("abcd", 1, constraints, SCORES)
         assert oracle.status == "infeasible"
 
     def test_overlapping_labels_rejected(self):
         bad = ConstraintSet.build({"l1": "ab", "l2": "bc"})
         with pytest.raises(ContractViolation, match="disjoint"):
-            solve_tree("abcd", 2, bad, ORDER)
+            solve_tree("abcd", 2, bad, SCORES)
 
     def test_incomparable_dominators_rejected(self):
         bad = ConstraintSet.build(
@@ -125,7 +124,7 @@ class TestSolveTree:
             dominances=(Dominance("l1", "l3"), Dominance("l2", "l3")),
         )
         with pytest.raises(ContractViolation, match="not tree-like"):
-            solve_tree("abcd", 2, bad, ORDER)
+            solve_tree("abcd", 2, bad, SCORES)
 
     def test_counts_fall_along_a_chain(self):
         scores = {
@@ -137,7 +136,7 @@ class TestSolveTree:
             {"top": ("t1", "t2"), "mid": ("m1", "m2"), "bot": ("b1", "b2")},
             dominances=(Dominance("top", "mid"), Dominance("mid", "bot")),
         )
-        order = ScoreOrder(scores)
+        order = scores
         result = solve_tree(sorted(scores), 4, constraints, order)
         assert result.status == "optimal"
         labeling = constraints.labeling
@@ -152,12 +151,12 @@ class TestSolveTree:
             intervals=(Interval("l1", 0, 1),),
             dominances=(Dominance("l1", "l2"),),
         )
-        result = solve_tree("abcd", 2, constraints, ORDER)
-        oracle = solve_bruteforce("abcd", 2, constraints, ORDER)
+        result = solve_tree("abcd", 2, constraints, SCORES)
+        oracle = solve_bruteforce("abcd", 2, constraints, SCORES)
         assert result.committee == oracle.committee == ("a", "c")
 
     def test_stats_counters_present(self):
-        result = solve_tree("abcd", 2, CHAIN, ORDER)
+        result = solve_tree("abcd", 2, CHAIN, SCORES)
         assert set(result.stats) == {"joins", "tables", "cells"}
         assert all(v >= 0 for v in result.stats.values())
 
@@ -185,7 +184,7 @@ class TestSolveTree:
                 instance.profile.candidates,
                 instance.profile.k,
                 instance.constraints,
-                ScoreOrder(scores),
+                scores,
             )
             k = instance.profile.k
             bound = (2 * len(instance.constraints.labeling) + 3) * (k + 1) ** 2
@@ -201,7 +200,7 @@ class TestSolveTree:
             dominances=tuple(Dominance(f"l{i}", f"l{i + 1}") for i in range(9)),
         )
         names = [name for pair in groups.values() for name in pair]
-        result = solve_tree(names, k, chain, ScoreOrder(dict.fromkeys(names, 1)))
+        result = solve_tree(names, k, chain, dict.fromkeys(names, 1))
         assert result.status == "optimal"
         assert result.stats["tables"] == 10
         assert result.stats["cells"] < result.stats["tables"] * (k + 1) ** 2
