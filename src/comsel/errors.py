@@ -31,7 +31,8 @@ class ContractViolation(ComselError):
 
 
 class BudgetExceededError(ComselError):
-    """Brute-force enumeration would exceed the configured budget."""
+    """Work past a fixed budget: brute-force enumeration past the oracle's,
+    or a graph reduction past ``generators.MAX_REDUCTION_ENTRIES``."""
 
     code = "budget"
 

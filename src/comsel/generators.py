@@ -15,11 +15,16 @@ from typing import Iterable
 
 from .constraints import ConstraintSet, Dominance, Interval
 from .elections import ElectionProfile
-from .errors import InputError, ParseError
+from .errors import BudgetExceededError, InputError, ParseError
 from .instances import ElectionInstance, Rule, StvRule, WeaklySeparableRule
 
 MODES = ("disjoint", "overlapping")
 STRUCTURES = ("tree_like", "arbitrary")
+
+# The most ranking entries plus dominance rows a graph reduction builds;
+# 1 000 vertices with one full ranking each (10**6 entries) take about
+# 0.6 s and 114 MB.
+MAX_REDUCTION_ENTRIES = 10**6
 
 
 @dataclass(frozen=True)
@@ -115,6 +120,17 @@ def _one_voter_per_candidate(candidates: tuple[str, ...]) -> tuple[tuple[str, ..
     return tuple(_complete_lex((first,), ordered) for first in ordered)
 
 
+def _check_size(candidates: int, voters: int, dominances: int) -> None:
+    """Refuse a reduction past ``MAX_REDUCTION_ENTRIES`` before any of its
+    names, edges or rankings is built."""
+    entries = candidates * voters + dominances
+    if entries > MAX_REDUCTION_ENTRIES:
+        raise BudgetExceededError(
+            f"the reduction would build {entries} ranking entries and "
+            f"dominance rows, over the limit of {MAX_REDUCTION_ENTRIES}"
+        )
+
+
 def _check_cover_args(graph: Graph, cover_size: int) -> None:
     if graph.num_vertices < 1:
         raise InputError("the reduction needs a graph with at least one vertex")
@@ -133,6 +149,7 @@ def gen_vertex_cover_intervals(graph: Graph, cover_size: int) -> ElectionInstanc
     also when it has one of size at most k, provided k <= |V|).
     """
     _check_cover_args(graph, cover_size)
+    _check_size(graph.num_vertices, graph.num_vertices, 0)
     vertices = _vertex_names(graph.num_vertices)
     edge_labels = _edge_names(graph)
     groups = {
@@ -159,7 +176,9 @@ def gen_vertex_cover_dominance(graph: Graph, cover_size: int) -> ElectionInstanc
     k >= 1 only.
     """
     _check_cover_args(graph, cover_size)
-    vertices = _vertex_names(graph.num_vertices)
+    n = graph.num_vertices
+    _check_size(n, n, graph.num_edges * n)
+    vertices = _vertex_names(n)
     edge_labels = _edge_names(graph)
     groups: dict[str, tuple[str, ...]] = {
         name: (vertices[u], vertices[v])
@@ -203,7 +222,9 @@ def gen_clique_sntv(graph: Graph, clique_size: int) -> ElectionInstance:
     k = clique_size
     pairs = k * (k - 1) // 2
     total = k + pairs
-    vertices = _vertex_names(graph.num_vertices)
+    n, e = graph.num_vertices, graph.num_edges
+    _check_size(n + e + total, e + pairs, 2 * e)
+    vertices = _vertex_names(n)
     edges = _edge_names(graph)
     width = max(1, len(str(total - 1)))
     refs = tuple(f"r{i:0{width}d}" for i in range(total))
@@ -235,22 +256,31 @@ def gen_clique_sntv(graph: Graph, clique_size: int) -> ElectionInstance:
     )
 
 
-def _pad_for_bloc(graph: Graph, clique_size: int) -> tuple[Graph, int]:
-    """Add 3|V| universal vertices and grow the target accordingly.
-
-    Applied when the graph could hold more than twice C(k, 2) edges; the
-    enlarged instance has a (k + 3|V|)-clique exactly when the original has
-    a k-clique, and its edge count fits under the new pair budget.
-    """
+def _bloc_padding(graph: Graph, clique_size: int) -> int:
+    """How many universal vertices ``_pad_for_bloc`` adds: 3|V| when the
+    graph could hold more than twice C(k, 2) edges, else none."""
     original = graph.num_vertices
     if 2 * math.comb(clique_size, 2) >= math.comb(original, 2):
+        return 0
+    return 3 * original
+
+
+def _pad_for_bloc(graph: Graph, clique_size: int) -> tuple[Graph, int]:
+    """Add universal vertices and grow the target accordingly.
+
+    The enlarged instance has a (k + 3|V|)-clique exactly when the original
+    has a k-clique, and its edge count fits under the new pair budget.
+    """
+    added = _bloc_padding(graph, clique_size)
+    if not added:
         return graph, clique_size
-    grown = original + 3 * original
+    original = graph.num_vertices
+    grown = original + added
     edges = list(graph.edges)
     for new in range(original, grown):
         for other in range(new):
             edges.append((other, new))
-    return Graph(grown, tuple(edges)), clique_size + 3 * original
+    return Graph(grown, tuple(edges)), clique_size + added
 
 
 def gen_clique_bloc(graph: Graph, clique_size: int) -> ElectionInstance:
@@ -264,6 +294,10 @@ def gen_clique_bloc(graph: Graph, clique_size: int) -> ElectionInstance:
     committee exactly when a k-clique exists; it is the instance's reference.
     """
     _clique_base(graph, clique_size)
+    added = _bloc_padding(graph, clique_size)
+    n, k = graph.num_vertices + added, clique_size + added
+    e = graph.num_edges + math.comb(n, 2) - math.comb(graph.num_vertices, 2)
+    _check_size(n + e + 2 * (k + math.comb(k, 2)), 3, 2 * e)
     padded, k = _pad_for_bloc(graph, clique_size)
     pairs = k * (k - 1) // 2
     total = k + pairs

@@ -10,8 +10,9 @@ generous completion cannot exceed the incumbent's.  Labels may overlap and
 dominance may form any digraph; the price is exponential worst-case search,
 kept in check by the bounds.
 
-Each node first takes the cheap tests: its count bounds are tightened to a
-fixpoint, and the greedy bound fills the seats with the best members the
+Each node first takes the cheap tests: every row in turn tightens the count
+bounds from its floor and ceiling, in passes over all rows until no bound
+moves, and the greedy bound fills the seats with the best members the
 bounds allow, enforcing only the committee size; when those counts also
 satisfy every row, they are the node's best committee.  A node these tests
 leave open may then consult the LP relaxation (``lp``), whose row
@@ -29,8 +30,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from operator import itemgetter, sub
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .constraints import ConstraintSet
 from .elections import Score
@@ -69,29 +69,6 @@ class Row:
     def terms(self) -> tuple[tuple[int, int], ...]:
         """``(index, coefficient)`` for every non-zero coefficient."""
         return tuple((i, c) for i, c in enumerate(self.coeffs) if c)
-
-    @cached_property
-    def every(self) -> Callable[[Sequence], tuple]:
-        """Picks the items at the non-zero coefficients out of a sequence."""
-        return _picker(tuple(i for i, _ in self.terms))
-
-    @cached_property
-    def plus(self) -> Callable[[Sequence], tuple]:
-        """Picks the items at the +1 coefficients out of a sequence."""
-        return _picker(tuple(i for i, c in enumerate(self.coeffs) if c > 0))
-
-    @cached_property
-    def minus(self) -> Callable[[Sequence], tuple]:
-        """Picks the items at the -1 coefficients out of a sequence."""
-        return _picker(tuple(i for i, c in enumerate(self.coeffs) if c < 0))
-
-
-def _picker(indices: tuple[int, ...]) -> Callable[[Sequence], tuple]:
-    """``itemgetter`` that returns a tuple for any number of indices."""
-    if len(indices) == 1:
-        (index,) = indices
-        return lambda seq: (seq[index],)
-    return itemgetter(*indices) if indices else lambda seq: ()
 
 
 def compute_regions(
@@ -138,46 +115,28 @@ def build_rows(
     return tuple(rows)
 
 
-def _propagate(
-    rows: tuple[Row, ...],
-    lows: list[int],
-    highs: list[int],
-    first: tuple[Row, ...] | None = None,
-) -> bool:
-    """Tighten count bounds to a fixpoint; False when a row is impossible.
-
-    When the bounds were a fixpoint before a few counts changed, ``first``
-    may name the rows over those counts: no other row can tighten
-    anything until one of them does."""
-    pending = rows if first is None else first
-    while pending:
+def _propagate(rows: tuple[Row, ...], lows: list[int], highs: list[int]) -> bool:
+    """Tighten count bounds to a fixpoint; False when a row is impossible."""
+    changed = True
+    while changed:
         changed = False
-        widths = list(map(sub, highs, lows))
-        for row in pending:
-            spans = row.every(widths)
-            floor = sum(row.plus(lows)) - sum(row.minus(highs))
-            ceiling = floor + sum(spans)
+        for row in rows:
+            floor = ceiling = 0
+            for index, coeff in row.terms:
+                if coeff > 0:
+                    floor += lows[index]
+                    ceiling += highs[index]
+                else:
+                    floor -= highs[index]
+                    ceiling -= lows[index]
             # how far the row's sum may fall from its ceiling, and rise
-            # from its floor; an index whose range is no wider than both
-            # cannot be tightened by this row
+            # from its floor; both non-negative, so no low passes its high
             room_low = ceiling - row.low
-            if row.high is None:
-                room_high = None
-                margin = room_low
-            else:
-                room_high = row.high - floor
-                if room_high < 0:
-                    return False
-                margin = min(room_high, room_low)
-            if room_low < 0:
+            room_high = None if row.high is None else row.high - floor
+            if room_low < 0 or (room_high is not None and room_high < 0):
                 return False
-            if max(spans, default=0) <= margin:
-                continue
-            # both rooms are non-negative, so no low passes its high
             for index, coeff in row.terms:
                 width = highs[index] - lows[index]
-                if width <= margin:
-                    continue
                 if coeff > 0:
                     if room_high is not None and width > room_high:
                         highs[index] = lows[index] + room_high
@@ -188,9 +147,8 @@ def _propagate(
                         lows[index] = highs[index] - room_high
                     if highs[index] - lows[index] > room_low:
                         highs[index] = lows[index] + room_low
-                widths[index] = highs[index] - lows[index]
-            changed = True
-        pending = rows if changed else ()
+                if highs[index] - lows[index] < width:
+                    changed = True
     return True
 
 
@@ -225,7 +183,7 @@ def _greedy(
 def _satisfies(rows: tuple[Row, ...], counts: list[int]) -> bool:
     """Whether the counts meet every row."""
     for row in rows:
-        total = sum(row.plus(counts)) - sum(row.minus(counts))
+        total = sum(c * counts[i] for i, c in row.terms)
         if total < row.low or (row.high is not None and total > row.high):
             return False
     return True
@@ -365,7 +323,6 @@ def solve_region_ip(
     rows = build_rows(regions, k, constraints)
     count = len(regions)
     order = sorted(range(count), key=lambda i: regions[i].gains[0], reverse=True)
-    touching = [tuple(row for row in rows if row.coeffs[i]) for i in range(count)]
     stats = {"regions": count, "nodes": 0, "leaves": 0, "lp_solves": 0}
     best: int | None = None
 
@@ -377,13 +334,11 @@ def solve_region_ip(
     pending = [(0, [0] * count, [region.size for region in regions], None, 0, None)]
     while pending:
         position, lows, highs, fixed, value, mu = pending.pop()
-        first = None
         if fixed is not None:
             lows, highs = lows.copy(), highs.copy()
             lows[fixed] = highs[fixed] = value
-            first = touching[fixed]
         stats["nodes"] += 1
-        if not _propagate(rows, lows, highs, first):
+        if not _propagate(rows, lows, highs):
             continue
         bound, counts = _greedy(regions, bounds.negated, lows, highs, k)
         if best is not None and bound <= best:

@@ -58,7 +58,7 @@ def preprocess_intervals(
     keeps only its best ``high`` members under the ``pack``-ed weights.
     """
     labeling = constraints.labeling
-    universe = sorted(set(candidates))
+    universe = set(candidates)
     lows = {name: 0 for name in labeling.names}
     highs = {
         name: min(k, len(labeling.members(name))) for name in labeling.names
@@ -84,7 +84,7 @@ def preprocess_intervals(
     pools: dict[str, tuple[str, ...]] = {}
     if reason is None:
         for name in labeling.names:
-            members = sorted(labeling.members(name) & set(universe))
+            members = labeling.members(name) & universe
             kept = best_singletons(packed, members, min(eff_high[name], len(members)))
             pools[name] = kept
             if eff_low[name] > len(kept):
@@ -93,7 +93,7 @@ def preprocess_intervals(
                     f"{len(kept)} usable members"
                 )
                 break
-    spare = sorted(set(universe) - labeling.labeled)
+    spare = universe - labeling.labeled
     unlabeled = best_singletons(packed, spare, min(k, len(spare)))
     return Preprocessed(
         pools=pools,

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from comsel import InputError, ParseError, StvRule, WeaklySeparableRule, gen_random
+from comsel import generators
 from comsel.cli import (
     instance_to_document,
     main,
@@ -559,6 +560,28 @@ class TestMain:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error[invalid-graph]")
+
+    def test_gen_refuses_an_oversized_reduction(self, tmp_path, capsys, monkeypatch):
+        # each would build far more than MAX_REDUCTION_ENTRIES ranking
+        # entries; each is refused with exit 2 before a name is built
+        def unbuilt(*args):
+            raise AssertionError("names built past the size cap")
+
+        monkeypatch.setattr(generators, "_vertex_names", unbuilt)
+        graph = tmp_path / "graph.txt"
+        cases = (
+            ("100000 0\n", ["vertex-cover", "--cover-size", "1"]),
+            ("1000 1\n0 1\n", ["vertex-cover", "--cover-size", "1",
+                                "--variant", "dominance"]),
+            ("3 0\n", ["clique-sntv", "--clique-size", "2000"]),
+            ("100000 0\n", ["clique-bloc", "--clique-size", "2"]),
+        )
+        for text, (generator, *args) in cases:
+            graph.write_text(text)
+            assert main(["gen", generator, "--input", str(graph), *args]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error[budget]"), (generator, err)
+            assert "Traceback" not in err
 
     def test_gen_random_is_deterministic(self, capsys):
         argv = [

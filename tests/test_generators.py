@@ -3,6 +3,7 @@
 import pytest
 
 from comsel import (
+    BudgetExceededError,
     Graph,
     InputError,
     Interval,
@@ -19,6 +20,7 @@ from comsel import (
     gen_vertex_cover_intervals,
     parse_graph,
 )
+from comsel import generators
 from comsel.generators import _pad_for_bloc
 from conftest import (
     feasible, format_graph, has_clique, has_cover, reference_witness,
@@ -303,3 +305,29 @@ def test_generated_feasibility_matches_graph_search():
         assert feasible(gen_vertex_cover_dominance(graph, k)) == expected
         instance = gen_clique_sntv(graph, 2)
         assert reference_reachable(instance) == has_clique(graph, 2)
+
+
+def test_size_cap_counts_what_each_reduction_builds(monkeypatch):
+    # the cap is checked from the graph's counts before anything is built;
+    # set to what each reduction then builds, it admits the instance, and
+    # one entry lower it refuses it
+    sparse = Graph(6, ((0, 1),))
+    cases = [
+        (gen_vertex_cover_intervals, TRIANGLE, 2),
+        (gen_vertex_cover_dominance, NEAR_K4, 2),
+        (gen_clique_sntv, NEAR_K4, 3),
+        (gen_clique_bloc, TRIANGLE, 3),
+        (gen_clique_bloc, sparse, 2),
+    ]
+    for generate, graph, size in cases:
+        instance = generate(graph, size)
+        profile = instance.profile
+        built = profile.num_candidates * profile.num_voters + len(
+            instance.constraints.dominances
+        )
+        monkeypatch.setattr(generators, "MAX_REDUCTION_ENTRIES", built)
+        assert generate(graph, size) == instance
+        monkeypatch.setattr(generators, "MAX_REDUCTION_ENTRIES", built - 1)
+        with pytest.raises(BudgetExceededError):
+            generate(graph, size)
+        monkeypatch.undo()

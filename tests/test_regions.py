@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -153,32 +154,51 @@ def test_propagation_detects_an_impossible_row():
     assert not feasible
 
 
-def test_propagation_from_the_changed_rows_reaches_the_same_fixpoint():
-    # after one count is fixed, checking only the rows over it first must
-    # end where checking every row does, infeasibility included
+def test_propagation_keeps_every_solution_and_stops_at_a_fixpoint():
+    # against enumeration of the count vectors in the root box and in every
+    # box with one count fixed: a False return leaves no solution behind,
+    # a True one leaves a non-empty box that holds every solution, and a
+    # second pass moves nothing
     outcomes = set()
-    for seed in range(20):
+    for seed in range(24):
         instance = gen_random(9, 3, 4, 3, "overlapping", "arbitrary", seed=seed)
         scores = dict.fromkeys(instance.profile.candidates, 0)
         regions = compute_regions(
             instance.profile.candidates, instance.constraints, scores
         )
         rows = build_rows(regions, instance.k, instance.constraints)
-        lows, highs = [0] * len(regions), [r.size for r in regions]
-        if not _propagate(rows, lows, highs):
-            continue
-        for index in range(len(regions)):
-            touching = tuple(row for row in rows if row.coeffs[index])
-            for value in range(lows[index], highs[index] + 1):
-                results = []
-                for first in (None, touching):
-                    fixed_lows, fixed_highs = lows.copy(), highs.copy()
-                    fixed_lows[index] = fixed_highs[index] = value
-                    feasible = _propagate(rows, fixed_lows, fixed_highs, first)
-                    # an infeasible node is dropped, whatever its bounds
-                    results.append(feasible and (fixed_lows, fixed_highs))
-                assert results[0] == results[1], (seed, index, value)
-                outcomes.add(bool(results[0]))
+        sizes = [r.size for r in regions]
+        boxes = [([0] * len(regions), sizes)]
+        for index, size in enumerate(sizes):
+            for value in range(size + 1):
+                lows, highs = [0] * len(regions), sizes.copy()
+                lows[index] = highs[index] = value
+                boxes.append((lows, highs))
+        for box_lows, box_highs in boxes:
+            solutions = [
+                counts
+                for counts in itertools.product(
+                    *(range(a, b + 1) for a, b in zip(box_lows, box_highs))
+                )
+                if all(
+                    row.low
+                    <= sum(c * n for c, n in zip(row.coeffs, counts))
+                    <= (math.inf if row.high is None else row.high)
+                    for row in rows
+                )
+            ]
+            lows, highs = box_lows.copy(), box_highs.copy()
+            feasible = _propagate(rows, lows, highs)
+            outcomes.add(feasible)
+            if not feasible:
+                assert solutions == [], (seed, box_lows, box_highs)
+                continue
+            assert all(a <= b for a, b in zip(lows, highs))
+            for counts in solutions:
+                assert all(a <= n <= b for n, a, b in zip(counts, lows, highs))
+            again = lows.copy(), highs.copy()
+            assert _propagate(rows, *again)
+            assert again == (lows, highs), (seed, box_lows, box_highs)
     assert outcomes == {True, False}
 
 
