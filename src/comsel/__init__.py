@@ -27,7 +27,6 @@ from .errors import (
     ComselError,
     ContractViolation,
     InputError,
-    ParseError,
 )
 from .generators import (
     Graph,
@@ -74,7 +73,6 @@ __all__ = [
     "Labeling",
     "ORDER_KINDS",
     "OracleBudget",
-    "ParseError",
     "Rule",
     "SOLVERS",
     "Score",

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .constraints import ConstraintSet
 from .elections import Score
 from .errors import BudgetExceededError, InputError
-from .result import SolveResult
+from .result import SolveResult, outcome
 
 
 @dataclass(frozen=True)
@@ -121,19 +121,4 @@ def solve_bruteforce(
         if best is None or key > best_key:
             best, best_key = committee, key
     stats = {"examined": math.comb(len(pool), k), "feasible": feasible}
-    if best is None:
-        return SolveResult(
-            status="infeasible",
-            committee=(),
-            score=None,
-            solver="oracle",
-            reason="no size-k committee satisfies the constraints",
-            stats=stats,
-        )
-    return SolveResult(
-        status="optimal",
-        committee=best,
-        score=best_key,
-        solver="oracle",
-        stats=stats,
-    )
+    return outcome("oracle", weights, best, stats)

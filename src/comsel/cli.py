@@ -18,7 +18,7 @@ from typing import Any, Sequence
 from .bruteforce import OracleBudget
 from .constraints import ConstraintSet, Dominance, Interval, check_committee
 from .elections import ElectionProfile, Score
-from .errors import ComselError, InputError, ParseError
+from .errors import ComselError, InputError
 from .generators import (
     MODES,
     STRUCTURES,
@@ -56,13 +56,13 @@ _RULE_FIELDS = {
 
 def _require(doc: dict, field: str) -> Any:
     if field not in doc:
-        raise ParseError("missing-field", f"missing field {field!r}")
+        raise InputError(f"missing field {field!r}", code="missing-field")
     return doc[field]
 
 
 def _typed(value: Any, kind: type, field: str, noun: str) -> Any:
     if not isinstance(value, kind):
-        raise ParseError("malformed-field", f"field {field!r} must be {noun}")
+        raise InputError(f"field {field!r} must be {noun}", code="malformed-field")
     return value
 
 
@@ -70,8 +70,8 @@ def _string_list(value: Any, field: str) -> list[str]:
     if not isinstance(value, list) or not all(
         isinstance(item, str) for item in value
     ):
-        raise ParseError(
-            "malformed-field", f"field {field!r} must be a list of strings"
+        raise InputError(
+            f"field {field!r} must be a list of strings", code="malformed-field"
         )
     return value
 
@@ -84,17 +84,17 @@ def _record_kind(
     kind = raw.get("type")
     fields = shapes.get(kind) if isinstance(kind, str) else None
     if fields is None:
-        raise ParseError(code, f"{where} has unsupported type {kind!r}")
+        raise InputError(f"{where} has unsupported type {kind!r}", code=code)
     if set(raw) != set(fields):
-        raise ParseError(
-            code, f"{where} needs exactly the fields {', '.join(fields)}"
+        raise InputError(
+            f"{where} needs exactly the fields {', '.join(fields)}", code=code
         )
     return kind
 
 
 def _parse_constraint(entry: Any, where: str) -> Interval | Dominance:
     if not isinstance(entry, dict):
-        raise ParseError("invalid-constraint", f"{where} must be an object")
+        raise InputError(f"{where} must be an object", code="invalid-constraint")
     kind = _record_kind(entry, _CONSTRAINT_FIELDS, "invalid-constraint", where)
     if kind == "interval":
         return Interval(entry["label"], entry["min"], entry["max"])
@@ -126,59 +126,56 @@ def parse_instance(text: str) -> ElectionInstance:
     Fractions (``0.1`` is 1/10, not the nearest float); a number past
     Python's integer digit limit, or nesting past its recursion limit, is
     malformed JSON.  Every semantic check is made by the model constructors,
-    whose ``InputError`` codes become ``ParseError`` codes.
+    whose ``InputError`` codes pass through unchanged.
     """
     try:
         doc = json.loads(text, parse_float=_exact_decimal)
     except (ValueError, RecursionError) as exc:  # also too long or too deep
-        raise ParseError("malformed-json", f"not valid JSON: {exc}") from None
+        raise InputError(f"not valid JSON: {exc}", code="malformed-json") from None
     if not isinstance(doc, dict):
-        raise ParseError("malformed-json", "the top level must be an object")
+        raise InputError("the top level must be an object", code="malformed-json")
     unknown = sorted(set(doc) - _TOP_FIELDS)
     if unknown:
-        raise ParseError("unknown-field", f"unknown field {unknown[0]!r}")
+        raise InputError(f"unknown field {unknown[0]!r}", code="unknown-field")
+    candidates = _string_list(_require(doc, "candidates"), "candidates")
+    voters = _typed(_require(doc, "voters"), list, "voters", "a list")
+    for index, ranking in enumerate(voters):
+        if not isinstance(ranking, list):
+            raise InputError(
+                f"field 'voters[{index}]' must be a list of strings",
+                code="malformed-field",
+            )
+    k = _require(doc, "k")
+    # the profile's permutation check rejects every entry that is not a
+    # candidate; only an unhashable one makes it raise TypeError
     try:
-        candidates = _string_list(_require(doc, "candidates"), "candidates")
-        voters = _typed(_require(doc, "voters"), list, "voters", "a list")
-        for index, ranking in enumerate(voters):
-            if not isinstance(ranking, list):
-                raise ParseError(
-                    "malformed-field",
-                    f"field 'voters[{index}]' must be a list of strings",
-                )
-        k = _require(doc, "k")
-        # the profile's permutation check rejects every entry that is not a
-        # candidate; only an unhashable one makes it raise TypeError
-        try:
-            profile = ElectionProfile(tuple(candidates), voters, k)
-        except TypeError:
-            raise ParseError(
-                "malformed-field", "field 'voters' must hold lists of strings"
-            ) from None
-        labels = _typed(doc.get("labels", {}), dict, "labels", "an object")
-        groups = {
-            name: _string_list(members, f"labels[{name!r}]")
-            for name, members in labels.items()
-        }
-        entries = _typed(doc.get("constraints", []), list, "constraints", "a list")
-        records = [
-            _parse_constraint(entry, f"constraints[{position}]")
-            for position, entry in enumerate(entries)
-        ]
-        constraints = ConstraintSet.build(
-            groups,
-            [r for r in records if isinstance(r, Interval)],
-            [r for r in records if isinstance(r, Dominance)],
-        )
-        rule = _parse_rule(_require(doc, "rule"))
-        reference = (
-            _string_list(doc["reference"], "reference") if "reference" in doc else ()
-        )
-        return ElectionInstance(
-            profile, constraints, rule, doc.get("order", "score"), tuple(reference)
-        )
-    except InputError as exc:
-        raise ParseError(exc.code, str(exc)) from None
+        profile = ElectionProfile(tuple(candidates), voters, k)
+    except TypeError:
+        raise InputError(
+            "field 'voters' must hold lists of strings", code="malformed-field"
+        ) from None
+    labels = _typed(doc.get("labels", {}), dict, "labels", "an object")
+    groups = {
+        name: _string_list(members, f"labels[{name!r}]")
+        for name, members in labels.items()
+    }
+    entries = _typed(doc.get("constraints", []), list, "constraints", "a list")
+    records = [
+        _parse_constraint(entry, f"constraints[{position}]")
+        for position, entry in enumerate(entries)
+    ]
+    constraints = ConstraintSet.build(
+        groups,
+        [r for r in records if isinstance(r, Interval)],
+        [r for r in records if isinstance(r, Dominance)],
+    )
+    rule = _parse_rule(_require(doc, "rule"))
+    reference = (
+        _string_list(doc["reference"], "reference") if "reference" in doc else ()
+    )
+    return ElectionInstance(
+        profile, constraints, rule, doc.get("order", "score"), tuple(reference)
+    )
 
 
 def _json_number(value: Score) -> int | float:

@@ -200,7 +200,8 @@ class ConstraintSet:
 def check_committee(
     committee: Iterable[str], k: int, constraints: ConstraintSet
 ) -> tuple[Violation, ...]:
-    """Every constraint the committee breaks, in declaration order."""
+    """Every constraint the committee breaks: a wrong size first, then
+    the intervals, then the dominances, each kind in declaration order."""
     members = frozenset(committee)
     found: list[Violation] = []
     if len(members) != k:

@@ -36,10 +36,3 @@ class BudgetExceededError(ComselError):
 
     code = "budget"
 
-
-class ParseError(InputError):
-    """A document failed validation; the message names the first offending
-    field."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message, code)

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .constraints import ConstraintSet, Dominance, Interval
 from .elections import ElectionProfile
-from .errors import BudgetExceededError, InputError, ParseError
+from .errors import BudgetExceededError, InputError
 from .instances import ElectionInstance, Rule, StvRule, WeaklySeparableRule
 
 MODES = ("disjoint", "overlapping")
@@ -75,28 +75,28 @@ def parse_graph(text: str) -> Graph:
     """Read the plain edge-list format: a "V E" line, then E "u v" lines."""
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
-        raise ParseError("invalid-graph", "empty graph document")
+        raise InputError("empty graph document", code="invalid-graph")
     head = _two_integers(lines[0])
     if head is None:
-        raise ParseError(
-            "invalid-graph", f"first line must be 'V E', got {lines[0]!r}"
+        raise InputError(
+            f"first line must be 'V E', got {lines[0]!r}", code="invalid-graph"
         )
     num_vertices, num_edges = head
     if len(lines) - 1 != num_edges:
-        raise ParseError(
-            "invalid-graph",
+        raise InputError(
             f"header promises {num_edges} edges but {len(lines) - 1} lines follow",
+            code="invalid-graph",
         )
     edges = []
     for line in lines[1:]:
         edge = _two_integers(line)
         if edge is None:
-            raise ParseError("invalid-graph", f"bad edge line {line!r}")
+            raise InputError(f"bad edge line {line!r}", code="invalid-graph")
         edges.append(edge)
     try:
         return Graph(num_vertices, tuple(edges))
     except InputError as exc:
-        raise ParseError("invalid-graph", str(exc)) from None
+        raise InputError(str(exc), code="invalid-graph") from None
 
 
 def _vertex_names(num_vertices: int) -> tuple[str, ...]:
@@ -359,6 +359,8 @@ def gen_random(
     arbitrary structure samples directed edges freely.  Interval bounds are
     individually satisfiable (jointly they may well not be).
     """
+    if num_candidates < 0:
+        raise InputError("candidate count cannot be negative")
     if num_labels < 0:
         raise InputError("label count cannot be negative")
     if mode not in MODES:

@@ -35,15 +35,14 @@ def row_multipliers(
     lows: Sequence[int],
     highs: Sequence[int],
     start: Sequence[int],
-    gains: Sequence[Sequence[float]] | None = None,
+    gains: Sequence[Sequence[float]],
 ) -> tuple[bool, list[float]] | None:
     """``(feasible, π)`` for the LP over ``rows``, each ``(coeffs, low,
     high)`` with ``high`` None when the row has no upper bound, and one
     column per count with bounds ``lows``/``highs``, started at the
     integer counts ``start``.  Column r earns ``gains[r][n]`` for its
-    (n+1)-th unit; without ``gains`` only feasibility is sought, and a
-    feasible LP gives ``(True, [])``.  None when the iteration cap is
-    reached first or the arithmetic breaks down.
+    (n+1)-th unit.  None when the iteration cap is reached first or the
+    arithmetic breaks down.
 
     ``π`` is signed so that, for any counts in the bounds and any row sums
     ``s`` within the rows' bounds, ``Σ gains(x) <= Σ_i π_i·s_i +
@@ -59,8 +58,6 @@ def row_multipliers(
         )
     )
     if shortfall <= 1e-7:
-        if gains is None:
-            return True, []
         simplex.start_phase_2()
         if not simplex.optimise():
             return None

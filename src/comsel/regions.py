@@ -20,8 +20,9 @@ multipliers give a Lagrangian bound, or, when the LP is infeasible, a
 Farkas certificate.  Floats only choose the multipliers: they are rounded
 to ints, and every bound and every infeasibility prune is decided in exact
 integer arithmetic, so a float error can weaken a bound but never make it
-wrong.  A child inherits its parent's multipliers and solves the LP again
-only when they fail to prune it.
+wrong.  The LP always prices the keys, so a feasible root's multipliers
+bound from the first incumbent on.  A child inherits its parent's
+multipliers and solves the LP again only when they fail to prune it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .constraints import ConstraintSet
 from .elections import Score
 from .lp import row_multipliers
 from .orders import pack, unpack
-from .result import SolveResult
+from .result import SolveResult, outcome
 
 # LP multipliers are rounded to multiples of 2**-_FRACTION_BITS
 _FRACTION_BITS = 30
@@ -217,13 +218,13 @@ class _LagrangianBound:
         return bits, [[(key >> cut) / scale for key in row] for row in keys]
 
     def multipliers(
-        self, lows: list[int], highs: list[int], start: list[int], bound: bool
+        self, lows: list[int], highs: list[int], start: list[int]
     ) -> tuple[bool, list[int]] | None:
         """Rounded LP multipliers over the box, the LP started at the counts
-        ``start``: ``(True, μ)`` in packed units when ``bound`` asks for a
-        bound and the LP is feasible, ``(False, μ)`` from phase 1 when it is
-        not, and None otherwise or when the LP gives up.  Counts fixed by
-        the box leave the LP; their share of each row moves to its bounds."""
+        ``start``: ``(True, μ)`` in packed units when the LP is feasible,
+        ``(False, μ)`` from phase 1 when it is not, and None when the LP
+        gives up.  Counts fixed by the box leave the LP; their share of
+        each row moves to its bounds."""
         free = [r for r, (low, high) in enumerate(zip(lows, highs)) if low < high]
         lp_rows = []
         for row in self.rows:
@@ -240,9 +241,9 @@ class _LagrangianBound:
             [lows[r] for r in free],
             [highs[r] for r in free],
             [start[r] for r in free],
-            [self.keys[1][r] for r in free] if bound else None,
+            [self.keys[1][r] for r in free],
         )
-        if found is None or (found[0] and not bound):
+        if found is None:
             return None
         feasible, duals = found
         mu = []
@@ -325,9 +326,7 @@ def solve_region_ip(
     order = sorted(range(count), key=lambda i: regions[i].gains[0], reverse=True)
     stats = {"regions": count, "nodes": 0, "leaves": 0, "lp_solves": 0}
     best: int | None = None
-
-    m = len(packed)
-    bounds = _LagrangianBound(regions, rows, m)
+    bounds = _LagrangianBound(regions, rows, len(packed))
 
     # depth-first; a node waits with its parent's bounds, the count it
     # fixes and its parent's multipliers, and copies the bounds when reached
@@ -351,16 +350,11 @@ def solve_region_ip(
             continue
         if mu is not None and bounds.prunes(mu, lows, highs, best):
             continue
-        # the LP runs at the root, for its infeasibility proof, and at the
-        # nodes of a search that has proved hard; it prices keys only, so
-        # it is skipped where the greedy bound's key is the incumbent's and
-        # only the tie-break is left to decide
-        if fixed is None or (
-            stats["nodes"] > _LP_AFTER_NODES
-            and (best is None or bound >> m > best >> m)
-        ):
+        # the LP runs at the root and at the nodes of a search that has
+        # proved hard
+        if fixed is None or stats["nodes"] > _LP_AFTER_NODES:
             stats["lp_solves"] += 1
-            solved = bounds.multipliers(lows, highs, counts, best is not None)
+            solved = bounds.multipliers(lows, highs, counts)
             if solved is not None:
                 mu = solved
                 if bounds.prunes(mu, lows, highs, best):
@@ -376,20 +370,5 @@ def solve_region_ip(
         )
         pending.extend((position + 1, lows, highs, index, v, mu) for v in values)
 
-    if best is None:
-        return SolveResult(
-            status="infeasible",
-            committee=(),
-            score=None,
-            solver="region",
-            reason="no size-k committee satisfies the constraints",
-            stats=dict(stats),
-        )
-    committee = unpack(best, packed)
-    return SolveResult(
-        status="optimal",
-        committee=committee,
-        score=sum(weights[name] for name in committee),
-        solver="region",
-        stats=dict(stats),
-    )
+    committee = None if best is None else unpack(best, packed)
+    return outcome("region", weights, committee, stats)

@@ -29,3 +29,18 @@ class SolveResult:
     @property
     def is_optimal(self) -> bool:
         return self.status == "optimal"
+
+
+def outcome(
+    solver: str,
+    weights: Mapping[str, Score],
+    committee: tuple[str, ...] | None,
+    stats: Mapping[str, int],
+    reason: str = "no size-k committee satisfies the constraints",
+) -> SolveResult:
+    """A solver's result: ``committee`` as the optimum, scored by its
+    ``weights`` sum, or infeasible for ``reason`` when it is None."""
+    if committee is None:
+        return SolveResult("infeasible", (), None, solver, reason, dict(stats))
+    score = sum(weights[name] for name in committee)
+    return SolveResult("optimal", committee, score, solver, stats=dict(stats))

@@ -27,7 +27,7 @@ from .constraints import ConstraintSet, DominanceForest
 from .elections import Score
 from .errors import ContractViolation
 from .orders import best_singletons, pack, unpack
-from .result import SolveResult
+from .result import SolveResult, outcome
 
 # size -> best packed cell of that many members; None where none fits
 Column = list[int | None]
@@ -193,14 +193,7 @@ def solve_tree(
     pre = preprocess_intervals(names, k, constraints, packed)
     counter = {"joins": 0, "tables": 0, "cells": 0}
     if pre.reason is not None:
-        return SolveResult(
-            status="infeasible",
-            committee=(),
-            score=None,
-            solver="dp",
-            reason=pre.reason,
-            stats=dict(counter),
-        )
+        return outcome("dp", weights, None, counter, pre.reason)
     tables: dict[int, list[Column]] = {}
     pending = [(root, False) for root in forest.roots]
     while pending:
@@ -225,20 +218,5 @@ def solve_tree(
     for table in tops:
         final = _convolve(final, table[-1], [], k, counter)
     cell = final[k] if len(final) > k else None
-    if cell is None:
-        return SolveResult(
-            status="infeasible",
-            committee=(),
-            score=None,
-            solver="dp",
-            reason="no size-k committee satisfies the constraints",
-            stats=dict(counter),
-        )
-    committee = unpack(cell, packed)
-    return SolveResult(
-        status="optimal",
-        committee=committee,
-        score=sum(weights[name] for name in committee),
-        solver="dp",
-        stats=dict(counter),
-    )
+    committee = None if cell is None else unpack(cell, packed)
+    return outcome("dp", weights, committee, counter)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from comsel import InputError, ParseError, StvRule, WeaklySeparableRule, gen_random
+from comsel import InputError, StvRule, WeaklySeparableRule, gen_random
 from comsel import generators
 from comsel.cli import (
     instance_to_document,
@@ -43,7 +43,7 @@ def parse(**overrides):
 
 
 def expect_code(code, **overrides):
-    with pytest.raises(ParseError) as info:
+    with pytest.raises(InputError) as info:
         parse(**overrides)
     assert info.value.code == code, str(info.value)
     return str(info.value)
@@ -67,14 +67,14 @@ class TestParseInstance:
         assert len(instance.constraints.labeling) == 0
 
     def test_malformed_json(self):
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(InputError) as info:
             parse_instance("not json {")
         assert info.value.code == "malformed-json"
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(InputError) as info:
             parse_instance("[1, 2]")
         assert info.value.code == "malformed-json"
         # nesting deeper than the parser's recursion limit
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(InputError) as info:
             parse_instance("[" * 100_000 + "]" * 100_000)
         assert info.value.code == "malformed-json"
 
@@ -85,7 +85,7 @@ class TestParseInstance:
         for field in ("candidates", "voters", "k", "rule"):
             doc = document()
             del doc[field]
-            with pytest.raises(ParseError) as info:
+            with pytest.raises(InputError) as info:
                 parse_instance(json.dumps(doc))
             assert info.value.code == "missing-field"
             assert field in str(info.value)
@@ -192,7 +192,7 @@ class TestParseInstance:
         # the default order is score, so an stv rule must name one
         doc = document(rule=stv)
         del doc["order"]
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(InputError) as info:
             parse_instance(json.dumps(doc))
         assert info.value.code == "order-rule-mismatch"
         parse(rule=stv, order="leximax")
@@ -515,6 +515,21 @@ class TestMain:
         assert main(["check", "--input", path, "--committee", "a,z"]) == 2
         assert capsys.readouterr().err.startswith("error[invalid-input]")
 
+    def test_check_prints_intervals_before_dominances(self, tmp_path, capsys):
+        doc = document(
+            labels={"left": ["a", "b"], "right": ["c", "d"]},
+            constraints=[
+                {"type": "dominance", "over": "left", "under": "right"},
+                {"type": "interval", "label": "left", "min": 1, "max": 2},
+            ],
+        )
+        path = self.write(tmp_path, doc)
+        assert main(["check", "--input", path, "--committee", "c,d"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "interval: label 'left': 0 chosen, allowed [1, 2]",
+            "dominance: label 'left' gives 0 members but label 'right' gives 2",
+        ]
+
     def test_gen_vertex_cover(self, tmp_path, capsys):
         graph = tmp_path / "graph.txt"
         graph.write_text("3 3\n0 1\n1 2\n0 2\n")
@@ -611,6 +626,21 @@ class TestMain:
         instance = parse_instance(capsys.readouterr().out)
         assert instance.rule == StvRule("droop_gregory")
         assert instance.order_kind == "leximax"
+
+    def test_gen_random_refuses_a_negative_candidate_count(self, capsys):
+        for mode in ("overlapping", "disjoint"):
+            argv = [
+                "gen", "random",
+                "--candidates", "-2",
+                "--voters", "2",
+                "--committee-size", "1",
+                "--mode", mode,
+            ]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error[invalid-input]"), (mode, err)
+            assert "candidate count cannot be negative" in err
+            assert "Traceback" not in err
 
     def test_gen_random_rejects_unknown_rules(self, capsys):
         argv = [

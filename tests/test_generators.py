@@ -8,7 +8,6 @@ from comsel import (
     InputError,
     Interval,
     OracleBudget,
-    ParseError,
     StvRule,
     WeaklySeparableRule,
     build_order,
@@ -82,7 +81,7 @@ class TestGraph:
             "2 1\n0 " + "1" * 5000 + "\n",
         )
         for text in cases:
-            with pytest.raises(ParseError) as info:
+            with pytest.raises(InputError) as info:
                 parse_graph(text)
             assert info.value.code == "invalid-graph"
 

@@ -429,7 +429,7 @@ class TestLagrangian:
                     mu = self.random_multipliers(rng, bounds.rows, scale)
                     assert bounds.lagrangian(mu, lows, highs, bounds.prefixes) >= best
                     assert not bounds.prunes((True, mu), lows, highs, best - 1)
-                found = bounds.multipliers(lows, highs, lows, True)
+                found = bounds.multipliers(lows, highs, lows)
                 if found is not None and found[0]:
                     bound = bounds.lagrangian(found[1], lows, highs, bounds.prefixes)
                     assert bound >= best
@@ -445,7 +445,7 @@ class TestLagrangian:
                     if bounds.prunes((False, mu), lows, highs, None):
                         assert best is None, seed
                         fired += 1
-                found = bounds.multipliers(lows, highs, lows, False)
+                found = bounds.multipliers(lows, highs, lows)
                 if found is not None and bounds.prunes(found, lows, highs, None):
                     assert best is None, seed
                     lp_fired += 1
