@@ -3,12 +3,15 @@
 Exit codes: 0 for an optimal committee or a passing check, 1 for an
 infeasible instance or a failing check, 2 for any input, contract, budget,
 I/O or internal problem.  Errors carry a short machine-readable code
-printed as ``error[code]: message`` on stderr.
+printed as ``error[code]: message`` on stderr.  Usage errors (a missing
+or ill-typed option) are argparse's: a ``usage:`` line and exit status 2,
+raised as ``SystemExit(2)`` when ``main`` is called in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -353,6 +356,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new ``comsel`` argument parser on every call; ``main`` parses
+    with the one ``_parser`` builds once per process."""
     parser = argparse.ArgumentParser(
         prog="comsel",
         description="Exact committee selection under interval and dominance "
@@ -409,8 +414,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Private, so no caller can change the shared parser; parsing leaves
+    # it unchanged.
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "solve":
             return _cmd_solve(args)

@@ -1,5 +1,6 @@
 """JSON document parsing, serialization, and the command-line verbs."""
 
+import argparse
 import json
 import time
 from dataclasses import replace
@@ -8,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 from comsel import InputError, StvRule, WeaklySeparableRule, gen_random
-from comsel import generators
+from comsel import cli, generators
 from comsel.cli import (
+    build_parser,
     instance_to_document,
     main,
     parse_instance,
@@ -652,3 +654,51 @@ class TestMain:
         ]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error[")
+
+    def test_calls_in_one_process_share_one_parser(self, tmp_path, capsys,
+                                                   monkeypatch):
+        original = argparse.ArgumentParser.__init__
+        built = []
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        build_parser()
+        one_build = len(built)
+        assert one_build > 1  # the root parser and its sub-commands
+
+        cli._parser.cache_clear()
+        built.clear()
+        path = self.write(tmp_path, document())
+        assert main(["solve", "--input", path]) == 0
+        assert main(["check", "--input", path, "--committee", "b,c"]) == 0
+        assert main(["gen", "random", "--candidates", "4", "--voters", "2",
+                     "--committee-size", "2"]) == 0
+        assert len(built) == one_build
+        assert build_parser() is not build_parser()  # the cache is main's
+
+    def test_usage_errors_leave_the_shared_parser_intact(self, tmp_path,
+                                                         capsys):
+        argv = ["solve", "--input", self.write(tmp_path, document()),
+                "--output", str(tmp_path / "result.json")]
+        assert main(argv) == 0
+        first = (tmp_path / "result.json").read_text()
+        for bad in (["solve"], [*argv, "--budget", "abc"]):
+            with pytest.raises(SystemExit) as info:
+                main(bad)
+            assert info.value.code == 2
+            assert capsys.readouterr().err.startswith("usage: comsel solve")
+        (tmp_path / "result.json").unlink()
+        assert main(argv) == 0
+        assert (tmp_path / "result.json").read_text() == first
+
+        helps = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(["solve", "--help"])
+            assert info.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0].startswith("usage: comsel solve")
+        assert helps[0] == helps[1]
