@@ -50,9 +50,7 @@ from .result import SolveResult
 from .solve import (
     SOLVERS,
     build_order,
-    candidate_scores,
     choose_solver,
-    ranking_of,
     solve_instance,
 )
 from .stv import StvRound, stv_ranking, stv_rounds
@@ -85,7 +83,6 @@ __all__ = [
     "best_singletons",
     "build_dominance_graph",
     "build_order",
-    "candidate_scores",
     "check_committee",
     "choose_solver",
     "enumerate_feasible",
@@ -97,7 +94,6 @@ __all__ = [
     "leximax_weights",
     "leximin_weights",
     "parse_graph",
-    "ranking_of",
     "score_all",
     "solve_bruteforce",
     "solve_instance",

@@ -290,14 +290,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = parse_instance(_read_text(args.input))
-    budget = None
-    if args.budget is not None:
-        # a user-specified budget caps enumeration only, not the pool size
-        budget = OracleBudget(
-            max_candidates=max(14, instance.profile.num_candidates),
-            max_committee_enumeration=args.budget,
-        )
-    result = solve_instance(instance, solver=args.solver, budget=budget)
+    result = solve_instance(instance, solver=args.solver, budget=args.budget)
     document = result_to_document(result)
     _write_text(args.output, json.dumps(document, indent=2) + "\n")
     if result.reason:
@@ -370,7 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--solver", choices=SOLVERS, default="auto")
     solve.add_argument("--output", help="result JSON path (default stdout)")
     solve.add_argument(
-        "--budget", type=int, help="max committees the oracle may enumerate"
+        "--budget",
+        type=int,
+        default=OracleBudget.max_committee_enumeration,
+        help="max committees the oracle may enumerate (default %(default)s)",
     )
 
     chk = sub.add_parser("check", help="validate a committee against an instance")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .elections import Score
+from .elections import Score, as_score
 
 
 @dataclass(frozen=True)
@@ -42,5 +42,5 @@ def outcome(
     ``weights`` sum, or infeasible for ``reason`` when it is None."""
     if committee is None:
         return SolveResult("infeasible", (), None, solver, reason, dict(stats))
-    score = sum(weights[name] for name in committee)
+    score = as_score(sum(weights[name] for name in committee))
     return SolveResult("optimal", committee, score, solver, stats=dict(stats))

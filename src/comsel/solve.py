@@ -6,7 +6,7 @@ from dataclasses import replace
 
 from .bruteforce import OracleBudget, solve_bruteforce
 from .constraints import check_committee
-from .elections import Score, SingletonRanking, as_score, score_all
+from .elections import Score, SingletonRanking, score_all
 from .errors import ContractViolation, InputError
 from .instances import ElectionInstance, StvRule
 from .orders import leximax_weights, leximin_weights
@@ -18,27 +18,17 @@ from .treedp import solve_tree
 SOLVERS = ("auto", "dp", "region", "oracle")
 
 
-def candidate_scores(instance: ElectionInstance) -> dict[str, Score] | None:
-    """Positional score of every candidate, or None for ranking-only rules."""
-    if isinstance(instance.rule, StvRule):
-        return None
-    return score_all(instance.profile, instance.rule)
-
-
-def ranking_of(instance: ElectionInstance) -> SingletonRanking:
-    """Singleton ranking the instance's rule induces over the candidates."""
-    if isinstance(instance.rule, StvRule):
-        return stv_ranking(instance.profile, instance.rule.variant)
-    return SingletonRanking.from_scores(candidate_scores(instance))
-
-
 def build_order(instance: ElectionInstance) -> dict[str, Score]:
     """The instance's committee order as its per-candidate weights: of two
     equal-size committees, the one with the larger weight sum is better."""
-    if instance.order_kind == "score":
-        # ElectionInstance pairs the score order with scoring rules only
-        return candidate_scores(instance)
-    ranking = ranking_of(instance)
+    rule = instance.rule
+    if isinstance(rule, StvRule):
+        ranking = stv_ranking(instance.profile, rule.variant)
+    else:
+        scores = score_all(instance.profile, rule)
+        if instance.order_kind == "score":
+            return scores
+        ranking = SingletonRanking.from_scores(scores)
     if instance.order_kind == "leximax":
         return leximax_weights(ranking)
     return leximin_weights(ranking)
@@ -47,8 +37,9 @@ def build_order(instance: ElectionInstance) -> dict[str, Score]:
 def choose_solver(instance: ElectionInstance) -> str:
     """dp for labeled instances with disjoint labels and tree-like
     dominance; region for everything else, as every order keys committees
-    by a weight sum.  Unlabeled instances skip dp, since the cheaper region
-    search answers them exactly.  The oracle runs only when forced."""
+    by a weight sum.  Unlabeled instances go to the region search as well,
+    which answers them exactly; it is cheaper than dp only at large k.
+    The oracle runs only when forced."""
     labeling = instance.constraints.labeling
     if (
         len(labeling) > 0
@@ -62,18 +53,21 @@ def choose_solver(instance: ElectionInstance) -> str:
 def solve_instance(
     instance: ElectionInstance,
     solver: str = "auto",
-    budget: OracleBudget | None = None,
+    budget: int = OracleBudget.max_committee_enumeration,
 ) -> SolveResult:
     """Solve and re-verify: an optimal result always passes check_committee.
 
-    This is the one place where solver output is verified; the solvers
-    themselves do not re-check their committees."""
+    ``budget`` caps the committees the oracle may enumerate, whatever the
+    pool size; the other solvers ignore it.  This is the one place where
+    solver output is verified; the solvers themselves do not re-check
+    their committees."""
     if solver not in SOLVERS:
         raise InputError(
             f"unknown solver {solver!r}; expected one of {', '.join(SOLVERS)}"
         )
-    chosen = choose_solver(instance) if solver == "auto" else solver
     candidates = instance.profile.candidates
+    oracle_budget = OracleBudget(len(candidates), budget)
+    chosen = choose_solver(instance) if solver == "auto" else solver
     k = instance.k
     constraints = instance.constraints
     weights = build_order(instance)
@@ -83,16 +77,10 @@ def solve_instance(
         result = solve_region_ip(candidates, k, constraints, weights)
     else:
         result = solve_bruteforce(
-            candidates,
-            k,
-            constraints,
-            weights,
-            budget if budget is not None else OracleBudget(),
+            candidates, k, constraints, weights, oracle_budget
         )
     if instance.order_kind != "score":  # a lexi key is no score
         result = replace(result, score=None)
-    elif result.score is not None:  # a weight sum such as 3/10 + 7/10
-        result = replace(result, score=as_score(result.score))
     if result.is_optimal:
         violations = check_committee(result.committee, k, constraints)
         if violations:

@@ -26,7 +26,6 @@ from comsel import (
     StvRule,
     WeaklySeparableRule,
     build_order,
-    candidate_scores,
     check_committee,
     choose_solver,
     gen_clique_bloc,
@@ -225,9 +224,7 @@ def tree_suite():
             order_kind=order_kind,
         )
         dp = solve_instance(instance, "dp")
-        oracle = solve_instance(
-            instance, "oracle", OracleBudget(max_candidates=max(14, m))
-        )
+        oracle = solve_instance(instance, "oracle")
         cases.append((instance, dp, oracle))
     return cases, time.perf_counter() - started
 
@@ -265,9 +262,7 @@ def test_region_search_matches_oracle():
             order_kind="score",
         )
         region = solve_instance(instance, "region")
-        oracle = solve_instance(
-            instance, "oracle", OracleBudget(max_candidates=max(14, m))
-        )
+        oracle = solve_instance(instance, "oracle")
         assert region.status == oracle.status
         if region.status == "optimal":
             assert region.score == oracle.score
@@ -447,7 +442,7 @@ def test_chain_instance_separates_dp_from_oracle():
 
     # the chain is aligned with the score order, so the unconstrained top
     # twenty is feasible and must be the optimum
-    scores = candidate_scores(instance)
+    scores = build_order(instance)
     assert result.score == sum(sorted(scores.values(), reverse=True)[:20])
     counts = [
         sum(1 for c in result.committee if c in members)

@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from comsel import InputError, StvRule, WeaklySeparableRule, gen_random
+from comsel import (
+    InputError, StvRule, WeaklySeparableRule, gen_random, solve_instance,
+)
 from comsel import cli, generators
 from comsel.cli import (
     build_parser,
@@ -412,6 +414,27 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error[budget]")
         assert main([*forced, "--budget", "100"]) == 0
         capsys.readouterr()
+
+    def test_oracle_default_budget_caps_committees_not_the_pool(
+        self, tmp_path, capsys
+    ):
+        # 20 candidates, k=2: 190 committees, far below the default of 10^6
+        instance = gen_random(20, 5, 2, 3, "overlapping", "arbitrary", seed=1)
+        path = tmp_path / "twenty.json"
+        path.write_text(serialize_instance(instance))
+        solve = ["solve", "--input", str(path)]
+        answers = []
+        for extra in (
+            ["--solver", "oracle"],
+            ["--solver", "oracle", "--budget", "1000000"],
+            ["--solver", "region"],
+        ):
+            assert main([*solve, *extra]) == 0, extra
+            out = json.loads(capsys.readouterr().out)
+            answers.append((out["committee"], out["score"]))
+        assert answers[0] == answers[1] == answers[2]
+        direct = solve_instance(instance, "oracle")
+        assert (list(direct.committee), direct.score) == answers[0]
 
     def test_budget_must_be_positive(self, tmp_path, capsys):
         path = self.write(tmp_path, document())

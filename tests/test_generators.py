@@ -11,7 +11,6 @@ from comsel import (
     StvRule,
     WeaklySeparableRule,
     build_order,
-    candidate_scores,
     gen_clique_bloc,
     gen_clique_sntv,
     gen_random,
@@ -148,7 +147,7 @@ class TestCliqueSntv:
 
     def test_scores(self):
         instance = gen_clique_sntv(TRIANGLE, 3)
-        scores = candidate_scores(instance)
+        scores = build_order(instance)
         for name in ("v0", "v1", "v2"):
             assert scores[name] == 0
         for name in ("e0_1", "e0_2", "e1_2"):
@@ -197,7 +196,7 @@ class TestCliqueBloc:
 
     def test_scores_every_edge_approved_once(self):
         instance = gen_clique_bloc(TRIANGLE, 3)
-        scores = candidate_scores(instance)
+        scores = build_order(instance)
         for name in ("v0", "v1", "v2"):
             assert scores[name] == 0
         for name in ("e0_1", "e0_2", "e1_2"):
@@ -212,7 +211,7 @@ class TestCliqueBloc:
 
     def test_padded_scores_stay_structured(self):
         instance = gen_clique_bloc(Graph(6, ((0, 1), (2, 3))), 2)
-        scores = candidate_scores(instance)
+        scores = build_order(instance)
         for name in instance.profile.candidates:
             if name.startswith("v"):
                 assert scores[name] == 0

@@ -13,14 +13,13 @@ from comsel import (
     ElectionProfile,
     InputError,
     Interval,
+    SingletonRanking,
     StvRule,
     WeaklySeparableRule,
     build_order,
-    candidate_scores,
     choose_solver,
     leximax_weights,
     leximin_weights,
-    ranking_of,
     score_all,
     solve_instance,
 )
@@ -116,31 +115,29 @@ class TestInstanceValidation:
 
 
 class TestDerivedObjects:
-    def test_candidate_scores_follow_the_rule(self, profile_a):
-        assert candidate_scores(make(profile_a)) == {"a": 7, "b": 8, "c": 9, "d": 6}
-        stv = make(profile_a, rule=StvRule(), order_kind="leximax")
-        assert candidate_scores(stv) is None
+    def test_score_order_weighs_by_the_rules_scores(self, profile_a):
+        assert build_order(make(profile_a)) == {"a": 7, "b": 8, "c": 9, "d": 6}
 
-    def test_ranking_of_scored_instance_groups_ties(self, profile_a):
-        ranking = ranking_of(make(profile_a, rule=WeaklySeparableRule("sntv")))
-        assert ranking.tiers == (
-            frozenset({"a", "d"}),
-            frozenset({"b"}),
-            frozenset({"c"}),
-        )
+    def test_lexi_orders_of_scored_instance_tie_equal_scores(self, profile_a):
+        sntv = WeaklySeparableRule("sntv")  # tiers a=d, then b, then c
+        leximax = build_order(make(profile_a, rule=sntv, order_kind="leximax"))
+        assert leximax == {"a": 4, "d": 4, "b": 2, "c": 1}
+        leximin = build_order(make(profile_a, rule=sntv, order_kind="leximin"))
+        assert leximin == {"a": -1, "d": -1, "b": -3, "c": -6}
 
-    def test_ranking_of_stv_instance(self, profile_b):
-        ranking = ranking_of(make(profile_b, rule=StvRule(), order_kind="leximin"))
-        assert [sorted(t) for t in ranking.tiers] == [["a"], ["c"], ["b"], ["d"]]
+    def test_lexi_order_of_stv_instance(self, profile_b):
+        # the stv ranking a, c, b, d, worst tier most significant
+        instance = make(profile_b, rule=StvRule(), order_kind="leximin")
+        assert build_order(instance) == {"a": -1, "c": -2, "b": -4, "d": -8}
 
     def test_build_order_kinds(self, profile_a):
         scores = score_all(profile_a, WeaklySeparableRule("borda"))
         assert build_order(make(profile_a)) == scores
+        ranking = SingletonRanking.from_scores(scores)
         for kind, weights in (
             ("leximax", leximax_weights), ("leximin", leximin_weights)
         ):
-            instance = make(profile_a, order_kind=kind)
-            assert build_order(instance) == weights(ranking_of(instance))
+            assert build_order(make(profile_a, order_kind=kind)) == weights(ranking)
 
 
 class TestRouting:
@@ -235,6 +232,25 @@ class TestRouting:
         assert result.is_optimal
         assert len(closures) == 1
         assert len(checks) == 1
+
+    def test_order_reads_the_rule_through_module_bindings(
+        self, profile_a, profile_b, monkeypatch
+    ):
+        # perfbench's spans time scoring and ranking by wrapping these names
+        # wherever a comsel module binds them, as count_calls does
+        import comsel.elections
+        import comsel.stv
+
+        scored = count_calls(monkeypatch, comsel.elections, "score_all")
+        ranked = count_calls(monkeypatch, comsel.stv, "stv_ranking")
+        for kind in ("score", "leximax", "leximin"):
+            scored.clear()
+            assert solve_instance(make(profile_a, order_kind=kind)).is_optimal
+            assert len(scored) == 1, kind
+        stv = make(profile_b, rule=StvRule(), order_kind="leximax")
+        assert solve_instance(stv).is_optimal
+        assert len(ranked) == 1
+        assert len(scored) == 1
 
     def test_scoring_function_built_once_per_document(self, monkeypatch):
         original = WeaklySeparableRule.__post_init__

@@ -19,6 +19,8 @@ from comsel import (
     score_all,
     solve_bruteforce,
     solve_instance,
+    solve_region_ip,
+    solve_tree,
     stv_ranking,
     stv_rounds,
     transitive_closure,
@@ -271,6 +273,16 @@ def assert_routes_agree(instance, tag):
             isinstance(r.score, Fraction) and r.score.denominator == 1
             for r in (oracle, result)
         ), (tag, solver)
+
+
+def test_direct_solver_calls_report_an_integral_score_as_int():
+    # 3/10 + 7/10 sums to Fraction(1, 1), which the Score type makes 1
+    weights = {"a": Fraction(3, 10), "b": Fraction(7, 10), "c": 0}
+    constraints = ConstraintSet.build({"l": "ab"})
+    for solve in (solve_tree, solve_region_ip, solve_bruteforce):
+        result = solve("abc", 2, constraints, weights)
+        assert result.committee == ("a", "b"), solve
+        assert type(result.score) is int and result.score == 1, solve
 
 
 def test_every_route_agrees_with_the_oracle():

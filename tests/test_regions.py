@@ -290,7 +290,7 @@ class TestSolve:
         assert result.stats["regions"] == 1
 
     def test_agrees_with_oracle_on_overlapping_instances(self):
-        from comsel import candidate_scores
+        from comsel import build_order
 
         for seed in range(40):
             instance = gen_random(
@@ -302,7 +302,7 @@ class TestSolve:
                 structure="arbitrary",
                 seed=seed,
             )
-            scores = candidate_scores(instance)
+            scores = build_order(instance)
             result = solve_region_ip(
                 instance.profile.candidates,
                 instance.profile.k,
