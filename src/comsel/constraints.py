@@ -76,11 +76,6 @@ class Labeling:
             seen |= group
         return True
 
-    def labels_of(self, candidate: str) -> tuple[str, ...]:
-        return tuple(
-            name for name, group in self._groups.items() if candidate in group
-        )
-
     def count(self, committee: Iterable[str], name: str) -> int:
         return len(self.members(name) & frozenset(committee))
 

@@ -22,7 +22,11 @@ to ints, and every bound and every infeasibility prune is decided in exact
 integer arithmetic, so a float error can weaken a bound but never make it
 wrong.  The LP always prices the keys, so a feasible root's multipliers
 bound from the first incumbent on.  A child inherits its parent's
-multipliers and solves the LP again only when they fail to prune it.
+multipliers and solves the LP again only when they fail to prune it.  The
+search carries the final state of the last feasible LP down to the nodes
+below it, shared by siblings, and a child's LP restarts from that state by
+the dual simplex; only the root and nodes with no feasible LP above them
+start cold.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .constraints import ConstraintSet
 from .elections import Score
-from .lp import row_multipliers
+from .lp import row_multipliers, warm_multipliers
 from .orders import pack, unpack
 from .result import SolveResult, outcome
 
@@ -80,14 +84,17 @@ def compute_regions(
     """Regions sorted by signature; members best first, ties to the
     lexicographically smaller name.  A signature keeps only the labels
     some constraint names: the others cannot tell two candidates apart."""
-    labeling = constraints.labeling
     used = {interval.label for interval in constraints.intervals}
     for dominance in constraints.dominances:
         used.update((dominance.over, dominance.under))
+    signatures: dict[str, list[str]] = {name: [] for name in sorted(set(candidates))}
+    for label in sorted(used):
+        for name in constraints.labeling.members(label):
+            if name in signatures:
+                signatures[name].append(label)
     buckets: dict[tuple[str, ...], list[str]] = {}
-    for name in sorted(set(candidates)):
-        signature = tuple(g for g in labeling.labels_of(name) if g in used)
-        buckets.setdefault(signature, []).append(name)
+    for name, signature in signatures.items():
+        buckets.setdefault(tuple(signature), []).append(name)
     regions = []
     for signature in sorted(buckets):
         # a stable sort keeps equal scores in name order
@@ -218,34 +225,22 @@ class _LagrangianBound:
         return bits, [[(key >> cut) / scale for key in row] for row in keys]
 
     def multipliers(
-        self, lows: list[int], highs: list[int], start: list[int]
-    ) -> tuple[bool, list[int]] | None:
-        """Rounded LP multipliers over the box, the LP started at the counts
-        ``start``: ``(True, μ)`` in packed units when the LP is feasible,
-        ``(False, μ)`` from phase 1 when it is not, and None when the LP
-        gives up.  Counts fixed by the box leave the LP; their share of
-        each row moves to its bounds."""
-        free = [r for r, (low, high) in enumerate(zip(lows, highs)) if low < high]
-        lp_rows = []
-        for row in self.rows:
-            fixed = sum(c * lows[r] for r, c in row.terms if lows[r] == highs[r])
-            lp_rows.append(
-                (
-                    [row.coeffs[r] for r in free],
-                    row.low - fixed,
-                    None if row.high is None else row.high - fixed,
-                )
-            )
-        found = row_multipliers(
-            lp_rows,
-            [lows[r] for r in free],
-            [highs[r] for r in free],
-            [start[r] for r in free],
-            [self.keys[1][r] for r in free],
-        )
+        self, lows: list[int], highs: list[int], start: list[int], parent=None
+    ) -> tuple[bool, list[int], object | None] | None:
+        """Rounded LP multipliers over the box: ``(True, μ, lp)`` in packed
+        units when the LP is feasible, ``lp`` its final state, ``(False, μ,
+        None)`` from a certificate of infeasibility when it is not, and None
+        when the LP gives up.  The LP restarts from ``parent``, the state of
+        an LP over a box that holds this one, or else starts cold at the
+        counts ``start``."""
+        if parent is None:
+            rows = [(row.coeffs, row.low, row.high) for row in self.rows]
+            found = row_multipliers(rows, lows, highs, start, self.keys[1])
+        else:
+            found = warm_multipliers(parent, lows, highs)
         if found is None:
             return None
-        feasible, duals = found
+        feasible, duals, state = found
         mu = []
         for dual, row in zip(duals, self.rows):
             scaled = round(dual * (1 << _FRACTION_BITS))
@@ -255,7 +250,7 @@ class _LagrangianBound:
             if feasible:
                 scaled = (scaled << self.keys[0] + self.m) >> _FRACTION_BITS
             mu.append(scaled)
-        return feasible, mu
+        return feasible, mu, state
 
     def prunes(
         self,
@@ -329,10 +324,11 @@ def solve_region_ip(
     bounds = _LagrangianBound(regions, rows, len(packed))
 
     # depth-first; a node waits with its parent's bounds, the count it
-    # fixes and its parent's multipliers, and copies the bounds when reached
-    pending = [(0, [0] * count, [region.size for region in regions], None, 0, None)]
+    # fixes, and its parent's multipliers and last LP state, and copies the
+    # bounds when reached
+    pending = [(0, [0] * count, [r.size for r in regions], None, 0, None, None)]
     while pending:
-        position, lows, highs, fixed, value, mu = pending.pop()
+        position, lows, highs, fixed, value, mu, lp = pending.pop()
         if fixed is not None:
             lows, highs = lows.copy(), highs.copy()
             lows[fixed] = highs[fixed] = value
@@ -351,12 +347,14 @@ def solve_region_ip(
         if mu is not None and bounds.prunes(mu, lows, highs, best):
             continue
         # the LP runs at the root and at the nodes of a search that has
-        # proved hard
+        # proved hard, warm from the last feasible LP above the node
         if fixed is None or stats["nodes"] > _LP_AFTER_NODES:
             stats["lp_solves"] += 1
-            solved = bounds.multipliers(lows, highs, counts)
+            solved = bounds.multipliers(lows, highs, counts, lp)
             if solved is not None:
-                mu = solved
+                # an infeasible LP leaves no state: the nodes below keep
+                # warm-starting from the last feasible one
+                mu, lp = solved[:2], solved[2] or lp
                 if bounds.prunes(mu, lows, highs, best):
                     continue
         # the greedy count is reached first, then the others outward from
@@ -368,7 +366,7 @@ def solve_region_ip(
             key=lambda v: (abs(v - guess), -v),
             reverse=True,
         )
-        pending.extend((position + 1, lows, highs, index, v, mu) for v in values)
+        pending.extend((position + 1, lows, highs, index, v, mu, lp) for v in values)
 
     committee = None if best is None else unpack(best, packed)
     return outcome("region", weights, committee, stats)

@@ -36,11 +36,6 @@ class TestLabeling:
         with pytest.raises(InputError, match="unknown label"):
             Labeling({"l": "ab"}).members("q")
 
-    def test_labels_of_is_sorted(self):
-        labeling = Labeling({"y": "ab", "x": "bc"})
-        assert labeling.labels_of("b") == ("x", "y")
-        assert labeling.labels_of("z") == ()
-
     def test_labeled_and_disjoint(self):
         disjoint = Labeling({"l1": "ab", "l2": "cd"})
         overlapping = Labeling({"l1": "ab", "l2": "bc"})

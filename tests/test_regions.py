@@ -375,14 +375,14 @@ class TestLagrangian:
     random boxes over small overlapping pools."""
 
     @staticmethod
-    def boxes(seed):
-        """The pool's ``_LagrangianBound``, then ``(lows, highs, best)``
-        for random boxes, ``best`` the oracle's highest packed sum over
-        the feasible committees whose counts lie in the box."""
+    def pool(seed, sizes=(4, 10), labels=(2, 4)):
+        """A random small overlapping pool: its rng, its
+        ``_LagrangianBound``, and ``(counts, key)`` for every feasible
+        committee, by the oracle."""
         rng = random.Random(seed)
-        m = rng.randint(4, 10)
+        m = rng.randint(*sizes)
         instance = gen_random(
-            m, 5, rng.randint(1, m - 1), rng.randint(2, 4), "overlapping",
+            m, 5, rng.randint(1, m - 1), rng.randint(*labels), "overlapping",
             "arbitrary", seed=seed,
         )
         candidates, k = instance.profile.candidates, instance.k
@@ -397,16 +397,31 @@ class TestLagrangian:
                 for name in committee:
                     counts[region_of[name]] += 1
                 feasible.append((counts, sum(packed[name] for name in committee)))
+        return rng, _LagrangianBound(regions, rows, len(packed)), feasible
+
+    @staticmethod
+    def best_in(feasible, lows, highs):
+        """The highest packed sum over the feasible committees whose counts
+        lie in the box, or None when there is none."""
+        inside = [
+            key for counts, key in feasible
+            if all(a <= c <= b for c, a, b in zip(counts, lows, highs))
+        ]
+        return max(inside, default=None)
+
+    @classmethod
+    def boxes(cls, seed):
+        """The pool's ``_LagrangianBound``, then ``(lows, highs, best)``
+        for random boxes, ``best`` the oracle's highest packed sum over
+        the feasible committees whose counts lie in the box."""
+        rng, bounds, feasible = cls.pool(seed)
+        regions = bounds.regions
         boxes = []
         for _ in range(8):
             limits = [sorted(rng.randint(0, r.size) for _ in "ab") for r in regions]
             lows, highs = [a for a, _ in limits], [b for _, b in limits]
-            inside = [
-                key for counts, key in feasible
-                if all(a <= c <= b for c, a, b in zip(counts, lows, highs))
-            ]
-            boxes.append((lows, highs, max(inside, default=None)))
-        return rng, _LagrangianBound(regions, rows, len(packed)), boxes
+            boxes.append((lows, highs, cls.best_in(feasible, lows, highs)))
+        return rng, bounds, boxes
 
     @staticmethod
     def random_multipliers(rng, rows, unit):
@@ -433,7 +448,7 @@ class TestLagrangian:
                 if found is not None and found[0]:
                     bound = bounds.lagrangian(found[1], lows, highs, bounds.prefixes)
                     assert bound >= best
-                    assert not bounds.prunes(found, lows, highs, best - 1)
+                    assert not bounds.prunes(found[:2], lows, highs, best - 1)
 
     def test_farkas_check_fires_only_on_empty_boxes(self):
         fired = lp_fired = 0
@@ -446,10 +461,59 @@ class TestLagrangian:
                         assert best is None, seed
                         fired += 1
                 found = bounds.multipliers(lows, highs, lows)
-                if found is not None and bounds.prunes(found, lows, highs, None):
+                if found is not None and bounds.prunes(found[:2], lows, highs, None):
                     assert best is None, seed
                     lp_fired += 1
         assert fired and lp_fired
+
+    @staticmethod
+    def lp_objective(state, gains):
+        """The LP objective at a final state: each count's gains, the last
+        unit pro rata."""
+        total = 0.0
+        for x, row in zip(state.value, gains):
+            n = math.floor(x + 1e-9)
+            total += sum(row[:n]) + (x - n) * (row[n] if n < len(row) else 0.0)
+        return total
+
+    def test_warm_start_agrees_with_a_cold_solve(self):
+        # every child of a box, one count fixed and then propagated, solved
+        # warm from the box's final LP state and cold; the search then
+        # descends into one random feasible child, three levels deep
+        outcomes = []
+        for seed in range(60):
+            rng, bounds, feasible = self.pool(seed, (8, 12), (3, 5))
+            lows, highs = [0] * len(bounds.regions), [r.size for r in bounds.regions]
+            if not _propagate(bounds.rows, lows, highs):
+                continue
+            found = bounds.multipliers(lows, highs, lows)
+            level = [] if found is None or not found[0] else [(lows, highs, found[2])]
+            for _ in range(3):
+                children = []
+                for lows, highs, state in level:
+                    for index, low in enumerate(lows):
+                        for value in range(low, highs[index] + 1):
+                            box = lows.copy(), highs.copy()
+                            box[0][index] = box[1][index] = value
+                            if not _propagate(bounds.rows, *box):
+                                continue
+                            warm = bounds.multipliers(*box, box[0], state)
+                            cold = bounds.multipliers(*box, box[0])
+                            assert warm is not None and cold is not None, seed
+                            assert warm[0] == cold[0], (seed, box)
+                            outcomes.append(warm[0])
+                            if warm[0]:
+                                objectives = [
+                                    self.lp_objective(lp, bounds.keys[1])
+                                    for lp in (warm[2], cold[2])
+                                ]
+                                assert math.isclose(*objectives, abs_tol=1e-6), seed
+                                children.append((*box, warm[2]))
+                                continue
+                            assert bounds.lagrangian(warm[1], *box, None) < 0, seed
+                            assert self.best_in(feasible, *box) is None, seed
+                level = rng.sample(children, min(1, len(children)))
+        assert outcomes.count(False) >= 20 and outcomes.count(True) >= 500
 
 
 def test_a_region_solve_imports_no_numeric_library():
