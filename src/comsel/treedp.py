@@ -8,9 +8,13 @@ own count c, from 0 to its pool depth; column c maps a number of committee
 slots used in the subtree to the best pick with the node's own count
 between its floor and c.  A parent with own count c reads each child's
 column min(c, child depth); floors flow up the dominance closure, so c is
-never below a child's floor.  Every merge of two columns is a max-plus
-convolution over sizes, and the answer is the convolution of every root's
-last column and the unlabeled pool's, read at size k.
+never below a child's floor.  Count c starts from the node's own pick and
+folds in each child's column by a max-plus convolution over sizes, so every
+merge stops at the seats the own pick leaves.  A leaf (one label, no
+children) keeps no table, as its column is concave: a parent merges all its
+leaves by one sort of their members, and so does the answer for the leaf
+roots and the unlabeled pool before it convolves in every other root's last
+column and reads size k.  ``joins`` and ``cells`` count convolutions only.
 
 A cell is one int, the sum of its members' ``orders.pack``-ed weights, so
 disjoint committees join by adding their cells and comparing cells as ints
@@ -142,10 +146,32 @@ def _convolve(
     return out
 
 
+def _leaf_column(leaves: list[tuple[list[int], int]], cap: int, k: int) -> Column:
+    """Best picks from several leaves at once, each taking from its floor to
+    min(cap, its depth) members, up to size k; [] when the floors pass k.
+    Exact as a leaf's packed values are distinct and fall, so any best set
+    of further members is a prefix of every leaf's."""
+    base = size = 0
+    steps: list[int] = []
+    for own, low in leaves:
+        base += own[low]
+        size += low
+        steps.extend(b - a for a, b in zip(own[low:cap], own[low + 1 : cap + 1]))
+    if size > k:
+        return []
+    steps.sort(reverse=True)
+    column: Column = [None] * size + [base]
+    for step in steps[: k - size]:
+        base += step
+        column.append(base)
+    return column
+
+
 def _node_table(
     own: list[int],
     width: int,
     low: int,
+    leaves: list[tuple[list[int], int]],
     children: list[list[Column]],
     k: int,
     counter: dict[str, int],
@@ -154,18 +180,20 @@ def _node_table(
 
     Column c is column c - 1 raised by the picks whose own count is exactly
     c, a running max over counts from the floor low; columns below it are
-    empty.  Count c reads each child's column min(c, child depth).
+    empty.  Count c starts from its own pick and folds in each child's
+    column min(c, child depth), then one ``_leaf_column`` of all leaves.
     """
-    counter["tables"] += 1
     table: list[Column] = [[]] * low
     column: Column = []
     for count in range(low, len(own)):
         parts = [child[min(count, len(child) - 1)] for child in children]
-        sub = parts[0] if parts else [0]
-        for part in parts[1:]:
+        if leaves:
+            parts.append(_leaf_column(leaves, count, k))
+        sub: Column = [None] * (count * width) + [own[count]]
+        *rest, last = parts or [[0]]
+        for part in rest:
             sub = _convolve(sub, part, [], k, counter)
-        pick: Column = [None] * (count * width) + [own[count]]
-        column = _convolve(pick, sub, list(column), k, counter)
+        column = _convolve(sub, last, list(column), k, counter)
         table.append(column)
     return table
 
@@ -195,6 +223,7 @@ def solve_tree(
     if pre.reason is not None:
         return outcome("dp", weights, None, counter, pre.reason)
     tables: dict[int, list[Column]] = {}
+    leaves: dict[int, tuple[list[int], int]] = {}
     pending = [(root, False) for root in forest.roots]
     while pending:
         node, expanded = pending.pop()
@@ -202,20 +231,26 @@ def solve_tree(
             pending.append((node, True))
             pending.extend((child, False) for child in forest.children[node])
             continue
+        counter["tables"] += 1
         labels = forest.nodes[node]
         width = len(labels)
         own = _own_prefixes(packed, [pre.pools[name] for name in labels], k // width)
-        children = [tables.pop(child) for child in forest.children[node]]
         # a dominance cycle gives all its labels the same floor
         low = pre.lows[labels[0]]
-        tables[node] = _node_table(own, width, low, children, k, counter)
+        kids = forest.children[node]
+        if width == 1 and not kids:
+            leaves[node] = (own, low)
+            continue
+        below = [leaves.pop(child) for child in kids if child in leaves]
+        inner = [tables.pop(child) for child in kids if child in tables]
+        tables[node] = _node_table(own, width, low, below, inner, k, counter)
 
-    tops = [tables[root] for root in forest.roots]
+    tops = list(leaves.values())
     if pre.unlabeled:
-        own = _own_prefixes(packed, [pre.unlabeled], k)
-        tops.append(_node_table(own, 1, 0, [], k, counter))
-    final: Column = [0]
-    for table in tops:
+        counter["tables"] += 1
+        tops.append((_own_prefixes(packed, [pre.unlabeled], k), 0))
+    final = _leaf_column(tops, k, k)
+    for table in tables.values():
         final = _convolve(final, table[-1], [], k, counter)
     cell = final[k] if len(final) > k else None
     committee = None if cell is None else unpack(cell, packed)

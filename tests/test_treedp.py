@@ -7,9 +7,12 @@ from comsel import (
     ContractViolation,
     Dominance,
     Interval,
+    OracleBudget,
+    SingletonRanking,
     StvRule,
     WeaklySeparableRule,
     gen_random,
+    leximin_weights,
     solve_bruteforce,
     solve_instance,
     solve_tree,
@@ -205,6 +208,29 @@ class TestSolveTree:
         assert result.stats["tables"] == 10
         assert result.stats["cells"] < result.stats["tables"] * (k + 1) ** 2
 
+    @pytest.mark.parametrize("leaves", [4, 8, 16])
+    def test_star_joins_do_not_grow_with_its_leaves(self, leaves):
+        # a node merges all its leaf children by one sort of their members,
+        # so each own count of the root costs one convolution whatever the
+        # number of leaves
+        k = 6
+        groups = {"r": ("r1", "r2", "r3")}
+        for i in range(leaves):
+            groups[f"l{i:02d}"] = (f"l{i:02d}a", f"l{i:02d}b")
+        star = ConstraintSet.build(
+            groups,
+            intervals=(Interval("l00", 1, 2),),
+            dominances=tuple(Dominance("r", label) for label in groups if label != "r"),
+        )
+        names = sorted(name for members in groups.values() for name in members)
+        scores = {name: 7 * i % 11 for i, name in enumerate(names)}
+        result = solve_tree(names, k, star, scores)
+        oracle = solve_bruteforce(
+            names, k, star, scores, OracleBudget(len(names), 2 * 10**6)
+        )
+        assert result.committee == oracle.committee
+        assert result.stats["joins"] <= (3 + 1) * (k + 1)
+
 
 def test_ties_fall_to_the_oracles_committee():
     # few voters and coarse rules leave many committees equally good; the
@@ -233,3 +259,65 @@ def test_ties_fall_to_the_oracles_committee():
         oracle = solve_instance(instance, "oracle")
         assert dp.status == oracle.status, seed
         assert dp.committee == oracle.committee, seed
+
+
+# (labels, intervals, dominances over "r", k); u1-u3 are unlabeled
+LEAF_CASES = {
+    "leaf floors": (
+        {"r": "abc", "l1": "de", "l2": "fgh", "l3": "ij"},
+        (("l1", 1), ("l2", 2)),
+        ("l1", "l2", "l3"),
+        5,
+    ),
+    "leaf floors past k": (
+        {"r": "abc", "l1": "de", "l2": "fg", "l3": "hi"},
+        (("l1", 2), ("l2", 2)),
+        ("l1", "l2", "l3"),
+        3,
+    ),
+    "root leaf floors past k": (
+        {"s": "ab", "t": "cd", "r": "ef", "l1": "gh"},
+        (("s", 2), ("t", 2)),
+        ("l1",),
+        3,
+    ),
+    "root leaf beside a star": (
+        {"r": "abc", "l1": "de", "l2": "fg", "s": "hij"},
+        (("s", 1),),
+        ("l1", "l2"),
+        5,
+    ),
+    "two-label cycle as a leaf": (
+        {"r": "abc", "c1": "de", "c2": "fg", "l1": "hi"},
+        (("l1", 1),),
+        ("c1", "c2", "l1"),
+        5,
+    ),
+}
+
+
+@pytest.mark.parametrize("order_kind", ["score", "leximin"])
+@pytest.mark.parametrize("case", sorted(LEAF_CASES))
+def test_leaf_merges_agree_with_the_oracle(case, order_kind):
+    groups, floors, under, k = LEAF_CASES[case]
+    dominances = [Dominance("r", label) for label in under]
+    if "c1" in groups:
+        dominances += [Dominance("c1", "c2"), Dominance("c2", "c1")]
+    constraints = ConstraintSet.build(
+        groups,
+        intervals=tuple(Interval(label, low, k) for label, low in floors),
+        dominances=tuple(dominances),
+    )
+    names = sorted("".join(groups.values())) + ["u1", "u2", "u3"]
+    scores = {name: 5 * i % 7 for i, name in enumerate(names)}
+    if order_kind == "leximin":
+        # negative weights, so the leaves' packed cells are negative too
+        scores = leximin_weights(SingletonRanking.from_scores(scores))
+    dp = solve_tree(names, k, constraints, scores)
+    oracle = solve_bruteforce(names, k, constraints, scores)
+    assert (dp.status, dp.committee, dp.score, dp.reason) == (
+        oracle.status,
+        oracle.committee,
+        oracle.score,
+        oracle.reason,
+    )
