@@ -4,26 +4,27 @@ The LP is the region search's relaxation: one column per region, whose
 count lies in ``[low, high]`` and earns the region's gains, best first, so
 the objective is concave and piecewise linear with a breakpoint at every
 integer.  Each row ``low <= coeffs·x <= high`` gets a slack column
-``s = coeffs·x`` bounded by the row's bounds.  A bounded-variable primal
-simplex keeps every nonbasic column on a breakpoint and every basic column
-inside one linear piece; a step that brings the entering column to its
-next breakpoint before any basic column reaches the end of its piece moves
-it there without a pivot.
+``s = coeffs·x`` bounded by the row's bounds.  One bounded-variable dual
+simplex solves every LP.  It keeps every nonbasic column on a breakpoint
+and the prices dual feasible, so that no nonbasic column gains by moving,
+and pivots out each basic column that lies outside its piece or its
+bounds, or moves it on to its next piece when that comes first.  It ends
+with the optimal duals, or with a row that no pivot can repair, which is
+itself the certificate of infeasibility.
 
-A cold solve starts from the slack basis.  Phase 1 ignores the gains and
-charges each slack the distance by which it lies outside its row's bounds;
-phase 2 keeps the slacks inside them and earns the gains.  The answer is
-the simplex multipliers: the optimal duals when the LP is feasible, and a
-phase-1 certificate of infeasibility when it is not.
+A cold solve starts from the slack basis with every price 0 and each
+count on the breakpoint where its gains turn from positive to not,
+clamped into its bounds: no column gains by moving, so the start is dual
+feasible.  How far it is from primal feasible depends on the gains; the
+caller may shift them so that about as many are positive as the rows ask
+for (see ``regions``).
 
 A feasible solve also returns its final state, from which the LP over any
 smaller box restarts warm.  Every column stays in the tableau, so the
 state fits every sub-box: a fixed column is nonbasic at ``low == high``.
 The new bounds clamp each nonbasic column, which keeps the duals feasible
-because the gains are concave, and a bounded-variable dual simplex then
-pivots out each basic column that lies outside its piece or its bounds,
-or moves it on to its next piece when that comes first.  A row that no
-pivot can repair is itself the certificate of infeasibility.
+because the gains are concave, and the same dual simplex goes on from
+there.
 
 The caller rounds the multipliers to ints and checks every bound and every
 infeasibility claim exactly, so a float error here can only make a bound
@@ -46,36 +47,22 @@ def row_multipliers(
     rows: Sequence[tuple[Sequence[int], int, int | None]],
     lows: Sequence[int],
     highs: Sequence[int],
-    start: Sequence[int],
     gains: Sequence[Sequence[float]],
 ) -> Solved | None:
     """``(feasible, π, state)`` for the LP over ``rows``, each ``(coeffs,
     low, high)`` with ``high`` None when the row has no upper bound, and
-    one column per count with bounds ``lows``/``highs``, started cold at
-    the integer counts ``start``.  Column r earns ``gains[r][n]`` for its
-    (n+1)-th unit.  ``state`` is the final simplex when the LP is feasible,
+    one column per count with bounds ``lows``/``highs``, solved cold.
+    Column r earns ``gains[r][n]`` for its (n+1)-th unit, and the gains
+    never rise.  ``state`` is the final simplex when the LP is feasible,
     for ``warm_multipliers``, and None otherwise.  None when the iteration
     cap is reached first or the arithmetic breaks down.
 
     ``π`` is signed so that, for any counts in the bounds and any row sums
     ``s`` within the rows' bounds, ``Σ gains(x) <= Σ_i π_i·s_i +
     Σ_r (gains_r(x_r) - (π·A)_r·x_r)``: a positive ``π_i`` prices the
-    row's upper bound and a negative one its lower bound."""
-    simplex = _Simplex(rows, lows, highs, start, gains)
-    if not simplex.optimise():
-        return None
-    shortfall = sum(
-        max(low - v, v - high, 0.0)
-        for low, high, v in zip(
-            simplex.row_lows, simplex.row_highs, simplex.value[simplex.width :]
-        )
-    )
-    if shortfall > 1e-7:
-        return _checked(False, simplex.duals(), None)
-    simplex.start_phase(2)
-    if not simplex.optimise():
-        return None
-    return _checked(True, simplex.duals(), simplex)
+    row's upper bound and a negative one its lower bound.  When the LP is
+    infeasible, ``π`` is a Farkas certificate instead."""
+    return _Simplex(rows, lows, highs, gains).solve()
 
 
 def warm_multipliers(
@@ -85,20 +72,11 @@ def warm_multipliers(
     restarted from its final state, which is left as it was."""
     simplex = parent.copy()
     simplex.restrict(lows, highs)
-    broken = simplex.dual()
-    if broken is not None and broken >= 0:
-        return _checked(False, simplex.certificate(broken), None)
-    if broken is None or not simplex.optimise():
-        return None
-    return _checked(True, simplex.duals(), simplex)
-
-
-def _checked(feasible: bool, duals: list[float], state) -> Solved | None:
-    return (feasible, duals, state) if all(map(isfinite, duals)) else None
+    return simplex.solve()
 
 
 class _Simplex:
-    def __init__(self, rows, lows, highs, start, gains):
+    def __init__(self, rows, lows, highs, gains):
         width = len(lows)
         height = len(rows)
         self.width = width
@@ -112,12 +90,20 @@ class _Simplex:
             [-float(c) for c in coeffs] + [float(i == j) for j in range(height)]
             for i, (coeffs, _, _) in enumerate(rows)
         ]
+        # each count where its gains stop being positive: with every price
+        # 0, no column gains by moving up or down
+        start = [
+            min(max(sum(g > 0 for g in row), low), high)
+            for row, low, high in zip(gains, lows, highs)
+        ]
         self.value = [float(v) for v in start] + [
             float(sum(c * v for c, v in zip(coeffs, start))) for coeffs, _, _ in rows
         ]
         self.basic = list(range(width, width + height))
         self.in_basis = [False] * width + [True] * height
-        self.start_phase(1)
+        self.pieces = list(zip(self.row_lows, self.row_highs, [0.0] * height))
+        self.z = [0.0] * (width + height)
+        self.slopes = [self._slopes(j) for j in range(width)] + [None] * height
 
     def copy(self) -> _Simplex:
         twin = object.__new__(_Simplex)
@@ -127,19 +113,16 @@ class _Simplex:
             setattr(twin, name, getattr(self, name).copy())
         return twin
 
-    def start_phase(self, phase: int) -> None:
-        """Set each basic column's piece, the prices ``z = c_B·B⁻¹·[A | -I]``
-        and each nonbasic column's slopes, as a cold phase starts."""
-        self.phase = phase
-        self.pieces = [self._basic_piece(j) for j in self.basic]
-        z = [0.0] * len(self.value)
-        for (_, _, cost), row in zip(self.pieces, self.tab):
-            if cost:
-                z = [a + cost * b for a, b in zip(z, row)]
-        self.z = z
-        self.slopes = [
-            None if basic else self._slopes(j) for j, basic in enumerate(self.in_basis)
-        ]
+    def solve(self) -> Solved | None:
+        """Run the dual simplex; the result of ``row_multipliers``."""
+        broken = self.dual()
+        if broken is None:
+            return None
+        if broken >= 0:
+            feasible, duals, state = False, self.certificate(broken), None
+        else:
+            feasible, duals, state = True, self.duals(), self
+        return (feasible, duals, state) if all(map(isfinite, duals)) else None
 
     def duals(self) -> list[float]:
         # the slack column of row i is -e_i, so its price is -π_i
@@ -156,44 +139,13 @@ class _Simplex:
         """The piece column ``j`` enters moving up or down from the
         breakpoint ``v``, or None when it may not move that way."""
         if j < self.width:
-            low, high = self.lows[j], self.highs[j]
             if up:
-                if v >= high:
-                    return None
-                if self.phase == 1:
-                    return (v, high, 0.0)
-                return (v, v + 1, self.gains[j][int(v)])
-            if v <= low:
-                return None
-            if self.phase == 1:
-                return (low, v, 0.0)
-            return (v - 1, v, self.gains[j][int(v) - 1])
+                return (v, v + 1, self.gains[j][int(v)]) if v < self.highs[j] else None
+            return (v - 1, v, self.gains[j][int(v) - 1]) if v > self.lows[j] else None
         low, high = self.row_lows[j - self.width], self.row_highs[j - self.width]
-        if self.phase == 2:
-            if up:
-                return (v, high, 0.0) if v < high else None
-            return (low, v, 0.0) if v > low else None
         if up:
-            if v < low:
-                return (v, low, 1.0)
-            return (v, high, 0.0) if v < high else (v, inf, -1.0)
-        if v > high:
-            return (high, v, -1.0)
-        return (low, v, 0.0) if v > low else (-inf, v, 1.0)
-
-    def _basic_piece(self, j: int) -> Piece:
-        """The piece that holds a basic column's value as a cold phase
-        starts."""
-        v = self.value[j]
-        if j < self.width:
-            # only slacks start phase 1 in the basis, so this is phase 2
-            low, high = self.lows[j], self.highs[j]
-            first = min(max(int(v), low), high - 1)
-            return (first, first + 1, self.gains[j][first])
-        low, high = self.row_lows[j - self.width], self.row_highs[j - self.width]
-        if self.phase == 2 or low <= v <= high:
-            return (low, high, 0.0)
-        return (-inf, low, 1.0) if v < low else (high, inf, -1.0)
+            return (v, high, 0.0) if v < high else None
+        return (low, v, 0.0) if v > low else None
 
     def _slopes(self, j: int) -> tuple[float | None, float | None]:
         """The slopes of the pieces above and below a nonbasic column."""
@@ -249,73 +201,8 @@ class _Simplex:
         factor = piece[2] - z[enter]
         z[:] = [a + factor * b for a, b in zip(z, pivot_row)]
 
-    def optimise(self) -> bool:
-        """Run the current phase to optimality; False at the iteration cap."""
-        tab, value, basic, pieces = self.tab, self.value, self.basic, self.pieces
-        z, slopes = self.z, self.slopes
-        columns = range(len(value))
-        degenerate = 0
-        for _ in range(50 * len(value)):
-            # pricing: the steepest gain, or the first one when cycling
-            bland = degenerate > _BLAND_AFTER
-            gain, enter, up = _TOL, -1, True
-            for j in columns:
-                pair = slopes[j]
-                if pair is None:
-                    continue
-                above, below = pair
-                if above is not None and above - z[j] > gain:
-                    gain, enter, up = above - z[j], j, True
-                elif below is not None and z[j] - below > gain:
-                    gain, enter, up = z[j] - below, j, False
-                if bland and enter >= 0:
-                    break
-            if enter < 0:
-                return True
-            piece = self._piece(enter, up, value[enter])
-            # ratio test: the entering column moves by t in its direction
-            # and each basic value by -sign·t·α
-            sign = 1.0 if up else -1.0
-            limit = piece[1] - piece[0]
-            leave, hit = -1, 0.0
-            for i, row in enumerate(tab):
-                rate = -sign * row[enter]
-                if rate > _TOL:
-                    end = pieces[i][1]
-                    room = max(end - value[basic[i]], 0.0) / rate
-                elif rate < -_TOL:
-                    end = pieces[i][0]
-                    room = max(value[basic[i]] - end, 0.0) / -rate
-                else:
-                    continue
-                if room < limit - _TOL or (
-                    room < limit + _TOL
-                    and leave >= 0
-                    and (
-                        basic[i] < basic[leave]
-                        if bland
-                        else abs(rate) > abs(tab[leave][enter])
-                    )
-                ):
-                    limit, leave, hit = room, i, end
-            if limit == inf:
-                return False  # unbounded: bounded counts never allow it
-            degenerate = degenerate + 1 if limit <= _TOL else 0
-            for i, row in enumerate(tab):
-                if row[enter]:
-                    value[basic[i]] -= sign * limit * row[enter]
-            if leave < 0:
-                # the entering column reaches its next breakpoint
-                value[enter] = piece[1] if up else piece[0]
-                slopes[enter] = self._slopes(enter)
-                continue
-            value[enter] += sign * limit
-            value[basic[leave]] = hit
-            self._pivot(leave, enter, piece)
-        return False
-
     def dual(self) -> int | None:
-        """Run the phase-2 dual simplex from a dual-feasible basis: -1 once
+        """Run the dual simplex from a dual-feasible basis: -1 once
         every basic column lies in its piece, the index of a row that proves
         the box empty, or None at the iteration cap."""
         tab, value, basic, pieces = self.tab, self.value, self.basic, self.pieces

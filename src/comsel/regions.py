@@ -24,9 +24,15 @@ wrong.  The LP always prices the keys, so a feasible root's multipliers
 bound from the first incumbent on.  A child inherits its parent's
 multipliers and solves the LP again only when they fail to prune it.  The
 search carries the final state of the last feasible LP down to the nodes
-below it, shared by siblings, and a child's LP restarts from that state by
-the dual simplex; only the root and nodes with no feasible LP above them
-start cold.
+below it, shared by siblings, and a child's LP restarts from that state;
+only the root and nodes with no feasible LP above them start cold.
+
+The LP's cold start puts each count where its gains stop being positive.
+So the LP sees every key less one constant, the midpoint of the k-th and
+(k+1)-th largest keys, which leaves about k of them positive and the
+start close to the size row.  That row pins the sum of the counts at k,
+so the shift moves every objective value by the same amount and only the
+size row's multiplier, which gets the constant back before rounding.
 """
 
 from __future__ import annotations
@@ -224,23 +230,34 @@ class _LagrangianBound:
         scale = 2.0 ** (bits - cut)
         return bits, [[(key >> cut) / scale for key in row] for row in keys]
 
+    @cached_property
+    def shifted(self) -> tuple[float, list[list[float]]]:
+        """``(λ, gains)``: the float keys less ``λ``, the midpoint of the
+        k-th and (k+1)-th largest, which the LP sees in their place."""
+        k = self.rows[0].low
+        ordered = sorted((key for row in self.keys[1] for key in row), reverse=True)
+        shift = (ordered[k - 1] + ordered[k]) / 2 if 0 < k < len(ordered) else 0.0
+        return shift, [[key - shift for key in row] for row in self.keys[1]]
+
     def multipliers(
-        self, lows: list[int], highs: list[int], start: list[int], parent=None
+        self, lows: list[int], highs: list[int], parent=None
     ) -> tuple[bool, list[int], object | None] | None:
         """Rounded LP multipliers over the box: ``(True, μ, lp)`` in packed
         units when the LP is feasible, ``lp`` its final state, ``(False, μ,
         None)`` from a certificate of infeasibility when it is not, and None
         when the LP gives up.  The LP restarts from ``parent``, the state of
-        an LP over a box that holds this one, or else starts cold at the
-        counts ``start``."""
+        an LP over a box that holds this one, or else starts cold."""
+        shift, gains = self.shifted
         if parent is None:
             rows = [(row.coeffs, row.low, row.high) for row in self.rows]
-            found = row_multipliers(rows, lows, highs, start, self.keys[1])
+            found = row_multipliers(rows, lows, highs, gains)
         else:
             found = warm_multipliers(parent, lows, highs)
         if found is None:
             return None
         feasible, duals, state = found
+        if feasible:
+            duals[0] += shift  # the size row prices the shift
         mu = []
         for dual, row in zip(duals, self.rows):
             scaled = round(dual * (1 << _FRACTION_BITS))
@@ -350,7 +367,7 @@ def solve_region_ip(
         # proved hard, warm from the last feasible LP above the node
         if fixed is None or stats["nodes"] > _LP_AFTER_NODES:
             stats["lp_solves"] += 1
-            solved = bounds.multipliers(lows, highs, counts, lp)
+            solved = bounds.multipliers(lows, highs, lp)
             if solved is not None:
                 # an infeasible LP leaves no state: the nodes below keep
                 # warm-starting from the last feasible one

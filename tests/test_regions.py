@@ -322,8 +322,8 @@ class TestSolve:
 
 
 def test_root_lp_proves_infeasibility_in_one_node():
-    # propagation and the greedy counts leave the root open; the root's
-    # phase-1 multipliers, checked exactly, close it
+    # propagation and the greedy counts leave the root open; the root
+    # LP's certificate of infeasibility, checked exactly, closes it
     instance = gen_random(12, 5, 6, 5, "overlapping", "arbitrary", seed=176)
     candidates, constraints = instance.profile.candidates, instance.constraints
     regions = compute_regions(candidates, constraints, dict.fromkeys(candidates, 0))
@@ -375,7 +375,7 @@ class TestLagrangian:
     random boxes over small overlapping pools."""
 
     @staticmethod
-    def pool(seed, sizes=(4, 10), labels=(2, 4)):
+    def pool(seed, sizes=(4, 10), labels=(2, 4), order_kind=None):
         """A random small overlapping pool: its rng, its
         ``_LagrangianBound``, and ``(counts, key)`` for every feasible
         committee, by the oracle."""
@@ -383,7 +383,7 @@ class TestLagrangian:
         m = rng.randint(*sizes)
         instance = gen_random(
             m, 5, rng.randint(1, m - 1), rng.randint(*labels), "overlapping",
-            "arbitrary", seed=seed,
+            "arbitrary", seed=seed, order_kind=order_kind,
         )
         candidates, k = instance.profile.candidates, instance.k
         packed = pack(build_order(instance))
@@ -444,7 +444,7 @@ class TestLagrangian:
                     mu = self.random_multipliers(rng, bounds.rows, scale)
                     assert bounds.lagrangian(mu, lows, highs, bounds.prefixes) >= best
                     assert not bounds.prunes((True, mu), lows, highs, best - 1)
-                found = bounds.multipliers(lows, highs, lows)
+                found = bounds.multipliers(lows, highs)
                 if found is not None and found[0]:
                     bound = bounds.lagrangian(found[1], lows, highs, bounds.prefixes)
                     assert bound >= best
@@ -460,7 +460,7 @@ class TestLagrangian:
                     if bounds.prunes((False, mu), lows, highs, None):
                         assert best is None, seed
                         fired += 1
-                found = bounds.multipliers(lows, highs, lows)
+                found = bounds.multipliers(lows, highs)
                 if found is not None and bounds.prunes(found[:2], lows, highs, None):
                     assert best is None, seed
                     lp_fired += 1
@@ -476,44 +476,100 @@ class TestLagrangian:
             total += sum(row[:n]) + (x - n) * (row[n] if n < len(row) else 0.0)
         return total
 
+    @classmethod
+    def walk(cls, seed, order_kind=None):
+        """``(bounds, feasible, box, warm, cold)`` for every child of a box,
+        one count fixed and then propagated, solved warm from the box's
+        final LP state and cold; the walk then descends into one random
+        feasible child, three levels deep."""
+        rng, bounds, feasible = cls.pool(seed, (8, 12), (3, 5), order_kind)
+        lows, highs = [0] * len(bounds.regions), [r.size for r in bounds.regions]
+        if not _propagate(bounds.rows, lows, highs):
+            return
+        found = bounds.multipliers(lows, highs)
+        level = [] if found is None or not found[0] else [(lows, highs, found[2])]
+        for _ in range(3):
+            children = []
+            for lows, highs, state in level:
+                for index, low in enumerate(lows):
+                    for value in range(low, highs[index] + 1):
+                        box = lows.copy(), highs.copy()
+                        box[0][index] = box[1][index] = value
+                        if not _propagate(bounds.rows, *box):
+                            continue
+                        warm = bounds.multipliers(*box, state)
+                        cold = bounds.multipliers(*box)
+                        yield bounds, feasible, box, warm, cold
+                        if warm is not None and warm[0]:
+                            children.append((*box, warm[2]))
+            level = rng.sample(children, min(1, len(children)))
+
     def test_warm_start_agrees_with_a_cold_solve(self):
-        # every child of a box, one count fixed and then propagated, solved
-        # warm from the box's final LP state and cold; the search then
-        # descends into one random feasible child, three levels deep
         outcomes = []
         for seed in range(60):
-            rng, bounds, feasible = self.pool(seed, (8, 12), (3, 5))
-            lows, highs = [0] * len(bounds.regions), [r.size for r in bounds.regions]
-            if not _propagate(bounds.rows, lows, highs):
-                continue
-            found = bounds.multipliers(lows, highs, lows)
-            level = [] if found is None or not found[0] else [(lows, highs, found[2])]
-            for _ in range(3):
-                children = []
-                for lows, highs, state in level:
-                    for index, low in enumerate(lows):
-                        for value in range(low, highs[index] + 1):
-                            box = lows.copy(), highs.copy()
-                            box[0][index] = box[1][index] = value
-                            if not _propagate(bounds.rows, *box):
-                                continue
-                            warm = bounds.multipliers(*box, box[0], state)
-                            cold = bounds.multipliers(*box, box[0])
-                            assert warm is not None and cold is not None, seed
-                            assert warm[0] == cold[0], (seed, box)
-                            outcomes.append(warm[0])
-                            if warm[0]:
-                                objectives = [
-                                    self.lp_objective(lp, bounds.keys[1])
-                                    for lp in (warm[2], cold[2])
-                                ]
-                                assert math.isclose(*objectives, abs_tol=1e-6), seed
-                                children.append((*box, warm[2]))
-                                continue
-                            assert bounds.lagrangian(warm[1], *box, None) < 0, seed
-                            assert self.best_in(feasible, *box) is None, seed
-                level = rng.sample(children, min(1, len(children)))
+            for bounds, feasible, box, warm, cold in self.walk(seed):
+                assert warm is not None and cold is not None, seed
+                assert warm[0] == cold[0], (seed, box)
+                outcomes.append(warm[0])
+                if warm[0]:
+                    objectives = [
+                        self.lp_objective(lp, bounds.keys[1])
+                        for lp in (warm[2], cold[2])
+                    ]
+                    assert math.isclose(*objectives, abs_tol=1e-6), seed
+                    continue
+                assert bounds.lagrangian(warm[1], *box, None) < 0, seed
+                assert self.best_in(feasible, *box) is None, seed
         assert outcomes.count(False) >= 20 and outcomes.count(True) >= 500
+
+    @staticmethod
+    def dual_objective(duals, rows, lows, highs, gains):
+        """The LP's dual objective at the float row multipliers ``duals``:
+        ``Σ π_i·rhs_i + Σ_r max over lows[r] <= n <= highs[r] of (G_r(n) -
+        (π·A)_r·n)``, ``G_r(n)`` the sum of column r's first n gains."""
+        total = 0.0
+        prices = [0.0] * len(lows)
+        for dual, row in zip(duals, rows):
+            if row.high is None:
+                if dual > 1e-9:
+                    return math.inf  # the row has no upper bound to price
+                dual = min(dual, 0.0)
+            total += dual * (row.high if dual > 0 else row.low)
+            for index, coeff in row.terms:
+                prices[index] += coeff * dual
+        for price, low, high, row in zip(prices, lows, highs, gains):
+            prefix = list(itertools.accumulate(row, initial=0.0))
+            total += max(prefix[n] - price * n for n in range(low, high + 1))
+        return total
+
+    def test_feasible_solves_end_with_optimal_duals(self):
+        # weak duality makes the dual objective at least the LP's value at
+        # any feasible point; equality proves both optimal.  The duals are
+        # those of the unshifted keys, and the rounded multipliers are
+        # them in packed units.  Score pools and leximin pools, whose keys
+        # are all negative, put cold-start columns both at their low and
+        # at their high
+        solves = 0
+        for order_kind in ("score", "leximin"):
+            for seed in range(60):
+                for bounds, _, box, warm, cold in self.walk(seed, order_kind):
+                    for found in (warm, cold):
+                        if found is None or not found[0]:
+                            continue
+                        state = found[2]
+                        duals = state.duals()
+                        duals[0] += bounds.shifted[0]
+                        dual = self.dual_objective(
+                            duals, bounds.rows, *box, bounds.keys[1]
+                        )
+                        primal = self.lp_objective(state, bounds.keys[1])
+                        assert math.isclose(dual, primal, abs_tol=1e-6), seed
+                        # rounded to 2**-30, then floored to packed units
+                        unit = 2 ** (bounds.keys[0] + bounds.m)
+                        for mu, pi in zip(found[1], duals):
+                            assert abs(mu - pi * unit) <= 1 + unit / 2**30, seed
+                        solves += 1
+        assert solves >= 1000
 
 
 def test_a_region_solve_imports_no_numeric_library():
