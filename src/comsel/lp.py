@@ -3,28 +3,31 @@
 The LP is the region search's relaxation: one column per region, whose
 count lies in ``[low, high]`` and earns the region's gains, best first, so
 the objective is concave and piecewise linear with a breakpoint at every
-integer.  Each row ``low <= coeffs·x <= high`` gets a slack column
-``s = coeffs·x`` bounded by the row's bounds.  One bounded-variable dual
-simplex solves every LP.  It keeps every nonbasic column on a breakpoint
-and the prices dual feasible, so that no nonbasic column gains by moving,
-and pivots out each basic column that lies outside its piece or its
-bounds, or moves it on to its next piece when that comes first.  It ends
-with the optimal duals, or with a row that no pivot can repair, which is
-itself the certificate of infeasibility.
+integer.  A row ``(terms, low, high)`` reads ``low <= Σ c·x_j <= high``
+over its ``(j, c)`` terms, and gets a slack column equal to that sum,
+bounded by the row's bounds.  One bounded-variable dual simplex solves
+every LP.  It keeps every nonbasic column on a breakpoint and the prices
+dual feasible, so that no nonbasic column gains by moving, and pivots out
+each basic column that lies outside its piece or its bounds, or moves it
+on to its next piece when that comes first.  It ends with the optimal
+duals, or with a row that no pivot can repair, which is itself the
+certificate of infeasibility.
 
-A cold solve starts from the slack basis with every price 0 and each
-count on the breakpoint where its gains turn from positive to not,
-clamped into its bounds: no column gains by moving, so the start is dual
-feasible.  How far it is from primal feasible depends on the gains; the
-caller may shift them so that about as many are positive as the rows ask
-for (see ``regions``).
+A ``Simplex`` is built over the whole box, every count from 0 to its
+region's size, and left unsolved.  It starts from the slack basis with
+every price 0 and each count on the breakpoint where its gains turn from
+positive to not: no column gains by moving, so the start is dual feasible.
+How far it is from primal feasible depends on the gains; the caller may
+shift them so that about as many are positive as the rows ask for (see
+``regions``).
 
-A feasible solve also returns its final state, from which the LP over any
-smaller box restarts warm.  Every column stays in the tableau, so the
-state fits every sub-box: a fixed column is nonbasic at ``low == high``.
-The new bounds clamp each nonbasic column, which keeps the duals feasible
-because the gains are concave, and the same dual simplex goes on from
-there.
+Every LP restarts from a state (``Simplex.solve``): one as built, or the
+final state of a feasible LP over a box that holds the new one.  Every
+column stays in the tableau, so a state fits every sub-box: a fixed column
+is nonbasic at ``low == high``.  The new bounds clamp each nonbasic
+column, which keeps the duals feasible because the gains are concave, and
+the same dual simplex goes on from there, on a copy: the state is left as
+it was.
 
 The caller rounds the multipliers to ints and checks every bound and every
 infeasibility claim exactly, so a float error here can only make a bound
@@ -40,64 +43,38 @@ _TOL = 1e-9
 _BLAND_AFTER = 8  # degenerate steps in a row before the anti-cycling rule
 
 Piece = tuple[float, float, float]  # start, end and slope of a linear stretch
-Solved = tuple[bool, list[float], "_Simplex | None"]
+Solved = tuple[bool, list[float], "Simplex | None"]
 
 
-def row_multipliers(
-    rows: Sequence[tuple[Sequence[int], int, int | None]],
-    lows: Sequence[int],
-    highs: Sequence[int],
-    gains: Sequence[Sequence[float]],
-) -> Solved | None:
-    """``(feasible, π, state)`` for the LP over ``rows``, each ``(coeffs,
-    low, high)`` with ``high`` None when the row has no upper bound, and
-    one column per count with bounds ``lows``/``highs``, solved cold.
-    Column r earns ``gains[r][n]`` for its (n+1)-th unit, and the gains
-    never rise.  ``state`` is the final simplex when the LP is feasible,
-    for ``warm_multipliers``, and None otherwise.  None when the iteration
-    cap is reached first or the arithmetic breaks down.
+class Simplex:
+    """An LP state, from which the LP over any box inside its own restarts."""
 
-    ``π`` is signed so that, for any counts in the bounds and any row sums
-    ``s`` within the rows' bounds, ``Σ gains(x) <= Σ_i π_i·s_i +
-    Σ_r (gains_r(x_r) - (π·A)_r·x_r)``: a positive ``π_i`` prices the
-    row's upper bound and a negative one its lower bound.  When the LP is
-    infeasible, ``π`` is a Farkas certificate instead."""
-    return _Simplex(rows, lows, highs, gains).solve()
-
-
-def warm_multipliers(
-    parent: _Simplex, lows: Sequence[int], highs: Sequence[int]
-) -> Solved | None:
-    """``row_multipliers`` over a box inside the one ``parent`` solved,
-    restarted from its final state, which is left as it was."""
-    simplex = parent.copy()
-    simplex.restrict(lows, highs)
-    return simplex.solve()
-
-
-class _Simplex:
-    def __init__(self, rows, lows, highs, gains):
-        width = len(lows)
+    def __init__(self, rows, gains):
+        """The LP over ``rows``, each ``(terms, low, high)`` with ``high``
+        None when the row has no upper bound, and one column per entry of
+        ``gains``, whose count r lies in ``[0, len(gains[r])]`` and earns
+        ``gains[r][n]`` for its (n+1)-th unit; the gains never rise."""
+        width = len(gains)
         height = len(rows)
         self.width = width
-        self.lows = lows
-        self.highs = highs
+        self.lows = [0] * width
+        self.highs = [len(row) for row in gains]
         self.gains = gains
         self.row_lows = [low for _, low, _ in rows]
         self.row_highs = [inf if high is None else high for _, _, high in rows]
         # B⁻¹·[A | -I], with the slacks as the first basis, B = -I
-        self.tab = [
-            [-float(c) for c in coeffs] + [float(i == j) for j in range(height)]
-            for i, (coeffs, _, _) in enumerate(rows)
-        ]
+        self.tab = []
+        for i, (terms, _, _) in enumerate(rows):
+            line = [0.0] * (width + height)
+            for j, c in terms:
+                line[j] = -float(c)
+            line[width + i] = 1.0
+            self.tab.append(line)
         # each count where its gains stop being positive: with every price
         # 0, no column gains by moving up or down
-        start = [
-            min(max(sum(g > 0 for g in row), low), high)
-            for row, low, high in zip(gains, lows, highs)
-        ]
+        start = [sum(g > 0 for g in row) for row in gains]
         self.value = [float(v) for v in start] + [
-            float(sum(c * v for c, v in zip(coeffs, start))) for coeffs, _, _ in rows
+            float(sum(c * start[j] for j, c in terms)) for terms, _, _ in rows
         ]
         self.basic = list(range(width, width + height))
         self.in_basis = [False] * width + [True] * height
@@ -105,30 +82,38 @@ class _Simplex:
         self.z = [0.0] * (width + height)
         self.slopes = [self._slopes(j) for j in range(width)] + [None] * height
 
-    def copy(self) -> _Simplex:
-        twin = object.__new__(_Simplex)
-        twin.__dict__.update(self.__dict__)
-        twin.tab = [row.copy() for row in self.tab]
-        for name in ("value", "basic", "in_basis", "pieces", "z", "slopes"):
-            setattr(twin, name, getattr(self, name).copy())
-        return twin
+    def solve(self, lows: Sequence[int], highs: Sequence[int]) -> Solved | None:
+        """``(feasible, π, state)`` for the LP over the box ``lows``/
+        ``highs`` inside this state's, restarted from this state, which is
+        left as it was.  ``state`` is the final simplex when the LP is
+        feasible, to restart from in turn, and None otherwise.  None when
+        the iteration cap is reached first or the arithmetic breaks down.
 
-    def solve(self) -> Solved | None:
-        """Run the dual simplex; the result of ``row_multipliers``."""
-        broken = self.dual()
+        ``π`` is signed so that, for any counts in the bounds and any row sums
+        ``s`` within the rows' bounds, ``Σ gains(x) <= Σ_i π_i·s_i +
+        Σ_r (gains_r(x_r) - (π·A)_r·x_r)``: a positive ``π_i`` prices the
+        row's upper bound and a negative one its lower bound.  When the LP is
+        infeasible, ``π`` is a Farkas certificate instead."""
+        lp = object.__new__(Simplex)
+        lp.__dict__.update(self.__dict__)
+        lp.tab = [row.copy() for row in self.tab]
+        for name in ("value", "basic", "in_basis", "pieces", "z", "slopes"):
+            setattr(lp, name, getattr(self, name).copy())
+        lp._restrict(lows, highs)
+        broken = lp._dual()
         if broken is None:
             return None
         if broken >= 0:
-            feasible, duals, state = False, self.certificate(broken), None
+            feasible, duals, state = False, lp._certificate(broken), None
         else:
-            feasible, duals, state = True, self.duals(), self
+            feasible, duals, state = True, lp.duals(), lp
         return (feasible, duals, state) if all(map(isfinite, duals)) else None
 
     def duals(self) -> list[float]:
         # the slack column of row i is -e_i, so its price is -π_i
         return [-z for z in self.z[self.width :]]
 
-    def certificate(self, i: int) -> list[float]:
+    def _certificate(self, i: int) -> list[float]:
         """Row multipliers proving the box empty from tableau row ``i``,
         whose basic column no move of the nonbasic ones brings back into
         its bounds: the row reads ``x_basic = -Σ α_j·x_j``."""
@@ -153,7 +138,7 @@ class _Simplex:
         up, down = self._piece(j, True, v), self._piece(j, False, v)
         return (None if up is None else up[2], None if down is None else down[2])
 
-    def restrict(self, lows: Sequence[int], highs: Sequence[int]) -> None:
+    def _restrict(self, lows: Sequence[int], highs: Sequence[int]) -> None:
         """Narrow the column bounds to a box inside the current one: each
         nonbasic column moves into its new bounds, and a basic column whose
         piece lies outside them gets the empty piece at the nearer bound,
@@ -201,7 +186,7 @@ class _Simplex:
         factor = piece[2] - z[enter]
         z[:] = [a + factor * b for a, b in zip(z, pivot_row)]
 
-    def dual(self) -> int | None:
+    def _dual(self) -> int | None:
         """Run the dual simplex from a dual-feasible basis: -1 once
         every basic column lies in its piece, the index of a row that proves
         the box empty, or None at the iteration cap."""

@@ -3,12 +3,12 @@
 Candidates sharing the same set of labels are interchangeable up to score,
 so the search runs over how many seats each such region gets, not over
 individual candidates.  Interval and dominance constraints become rows
-with coefficients in {-1, 0, 1} over the region counts, plus one row that
-pins the committee size.  Committees are ranked by their ``orders.pack``
-sums, which are distinct, so a node is abandoned when even the most
-generous completion cannot exceed the incumbent's.  Labels may overlap and
-dominance may form any digraph; the price is exponential worst-case search,
-kept in check by the bounds.
+over the region counts, each kept as its non-zero coefficients, all -1
+or 1, plus one row that pins the committee size.  Committees are ranked
+by their ``orders.pack`` sums, which are distinct, so a node is abandoned
+when even the most generous completion cannot exceed the incumbent's.
+Labels may overlap and dominance may form any digraph; the price is
+exponential worst-case search, kept in check by the bounds.
 
 Each node first takes the cheap tests: every row in turn tightens the count
 bounds from its floor and ceiling, in passes over all rows until no bound
@@ -22,17 +22,18 @@ to ints, and every bound and every infeasibility prune is decided in exact
 integer arithmetic, so a float error can weaken a bound but never make it
 wrong.  The LP always prices the keys, so a feasible root's multipliers
 bound from the first incumbent on.  A child inherits its parent's
-multipliers and solves the LP again only when they fail to prune it.  The
-search carries the final state of the last feasible LP down to the nodes
-below it, shared by siblings, and a child's LP restarts from that state;
-only the root and nodes with no feasible LP above them start cold.
+multipliers and solves the LP again only when they fail to prune it.
 
-The LP's cold start puts each count where its gains stop being positive.
-So the LP sees every key less one constant, the midpoint of the k-th and
-(k+1)-th largest keys, which leaves about k of them positive and the
-start close to the size row.  That row pins the sum of the counts at k,
-so the shift moves every objective value by the same amount and only the
-size row's multiplier, which gets the constant back before rounding.
+A search builds its LP once, over the whole box, on its first LP solve
+(``_LagrangianBound.base``), and every LP restarts from a state: the final
+state of the last feasible LP above the node, which the search carries
+down and siblings share, or else the base.  The base puts each count
+where its gains stop being positive.  So the LP sees every key less one
+constant, the midpoint of the k-th and (k+1)-th largest keys, which
+leaves about k of them positive and the start close to the size row.
+That row pins the sum of the counts at k, so the shift moves every
+objective value by the same amount and only the size row's multiplier,
+which gets the constant back before rounding.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .constraints import ConstraintSet
 from .elections import Score
-from .lp import row_multipliers, warm_multipliers
+from .lp import Simplex
 from .orders import pack, unpack
 from .result import SolveResult, outcome
 
@@ -70,16 +71,10 @@ class Region:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class Row:
-    coeffs: tuple[int, ...]
+class Row(NamedTuple):
+    terms: tuple[tuple[int, int], ...]  # (region index, non-zero coefficient)
     low: int
     high: int | None
-
-    @cached_property
-    def terms(self) -> tuple[tuple[int, int], ...]:
-        """``(index, coefficient)`` for every non-zero coefficient."""
-        return tuple((i, c) for i, c in enumerate(self.coeffs) if c)
 
 
 def compute_regions(
@@ -113,19 +108,20 @@ def compute_regions(
 def build_rows(
     regions: tuple[Region, ...], k: int, constraints: ConstraintSet
 ) -> tuple[Row, ...]:
-    rows = [Row((1,) * len(regions), k, k)]
+    rows = [Row(tuple((i, 1) for i in range(len(regions))), k, k)]
     for interval in constraints.intervals:
-        coeffs = tuple(
-            1 if interval.label in region.signature else 0 for region in regions
+        terms = tuple(
+            (i, 1)
+            for i, region in enumerate(regions)
+            if interval.label in region.signature
         )
-        rows.append(Row(coeffs, interval.lower, interval.upper))
+        rows.append(Row(terms, interval.lower, interval.upper))
     for dominance in constraints.dominances:
-        coeffs = tuple(
-            (1 if dominance.over in region.signature else 0)
-            - (1 if dominance.under in region.signature else 0)
+        coeffs = (
+            (dominance.over in region.signature) - (dominance.under in region.signature)
             for region in regions
         )
-        rows.append(Row(coeffs, 0, None))
+        rows.append(Row(tuple((i, c) for i, c in enumerate(coeffs) if c), 0, None))
     return tuple(rows)
 
 
@@ -239,25 +235,26 @@ class _LagrangianBound:
         shift = (ordered[k - 1] + ordered[k]) / 2 if 0 < k < len(ordered) else 0.0
         return shift, [[key - shift for key in row] for row in self.keys[1]]
 
+    @cached_property
+    def base(self) -> Simplex:
+        """The LP over the whole box on the shifted keys, not yet solved:
+        built on a search's first LP solve, then shared by all of them."""
+        return Simplex(self.rows, self.shifted[1])
+
     def multipliers(
-        self, lows: list[int], highs: list[int], parent=None
-    ) -> tuple[bool, list[int], object | None] | None:
+        self, lows: list[int], highs: list[int], start: Simplex
+    ) -> tuple[bool, list[int], Simplex | None] | None:
         """Rounded LP multipliers over the box: ``(True, μ, lp)`` in packed
         units when the LP is feasible, ``lp`` its final state, ``(False, μ,
         None)`` from a certificate of infeasibility when it is not, and None
-        when the LP gives up.  The LP restarts from ``parent``, the state of
-        an LP over a box that holds this one, or else starts cold."""
-        shift, gains = self.shifted
-        if parent is None:
-            rows = [(row.coeffs, row.low, row.high) for row in self.rows]
-            found = row_multipliers(rows, lows, highs, gains)
-        else:
-            found = warm_multipliers(parent, lows, highs)
+        when the LP gives up.  The LP restarts from ``start``: ``base``, or
+        the final state of an LP over a box that holds this one."""
+        found = start.solve(lows, highs)
         if found is None:
             return None
         feasible, duals, state = found
         if feasible:
-            duals[0] += shift  # the size row prices the shift
+            duals[0] += self.shifted[0]  # the size row prices the shift
         mu = []
         for dual, row in zip(duals, self.rows):
             scaled = round(dual * (1 << _FRACTION_BITS))
@@ -364,13 +361,13 @@ def solve_region_ip(
         if mu is not None and bounds.prunes(mu, lows, highs, best):
             continue
         # the LP runs at the root and at the nodes of a search that has
-        # proved hard, warm from the last feasible LP above the node
+        # proved hard, from the last feasible LP above the node or the base
         if fixed is None or stats["nodes"] > _LP_AFTER_NODES:
             stats["lp_solves"] += 1
-            solved = bounds.multipliers(lows, highs, lp)
+            solved = bounds.multipliers(lows, highs, lp or bounds.base)
             if solved is not None:
                 # an infeasible LP leaves no state: the nodes below keep
-                # warm-starting from the last feasible one
+                # restarting from the last feasible one
                 mu, lp = solved[:2], solved[2] or lp
                 if bounds.prunes(mu, lows, highs, best):
                     continue

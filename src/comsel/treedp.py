@@ -39,12 +39,11 @@ Column = list[int | None]
 
 @dataclass(frozen=True)
 class Preprocessed:
-    """Per-label pools and bounds after folding the interval constraints
-    through the dominance closure."""
+    """Per-label pools, cut to their upper bounds, and lower bounds after
+    folding the interval constraints through the dominance closure."""
 
     pools: dict[str, tuple[str, ...]]
     lows: dict[str, int]
-    highs: dict[str, int]
     unlabeled: tuple[str, ...]
     reason: str | None = None
 
@@ -102,7 +101,6 @@ def preprocess_intervals(
     return Preprocessed(
         pools=pools,
         lows=eff_low,
-        highs=eff_high,
         unlabeled=unlabeled,
         reason=reason,
     )

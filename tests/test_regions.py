@@ -1,5 +1,6 @@
 """Region decomposition and the bounded count search."""
 
+import copy
 import itertools
 import json
 import math
@@ -120,11 +121,11 @@ def test_rows_encode_size_intervals_and_dominances():
     rows = build_rows(compute_regions("abcde", constraints, SCORES), 3, constraints)
     size_row, interval_row, dominance_row = rows
     # regions: unlabeled, l1, l2
-    assert size_row.coeffs == (1, 1, 1)
+    assert size_row.terms == ((0, 1), (1, 1), (2, 1))
     assert (size_row.low, size_row.high) == (3, 3)
-    assert interval_row.coeffs == (0, 1, 0)
+    assert interval_row.terms == ((1, 1),)
     assert (interval_row.low, interval_row.high) == (1, 2)
-    assert dominance_row.coeffs == (0, 1, -1)
+    assert dominance_row.terms == ((1, 1), (2, -1))
     assert (dominance_row.low, dominance_row.high) == (0, None)
 
 
@@ -182,7 +183,7 @@ def test_propagation_keeps_every_solution_and_stops_at_a_fixpoint():
                 )
                 if all(
                     row.low
-                    <= sum(c * n for c, n in zip(row.coeffs, counts))
+                    <= sum(c * counts[i] for i, c in row.terms)
                     <= (math.inf if row.high is None else row.high)
                     for row in rows
                 )
@@ -444,7 +445,7 @@ class TestLagrangian:
                     mu = self.random_multipliers(rng, bounds.rows, scale)
                     assert bounds.lagrangian(mu, lows, highs, bounds.prefixes) >= best
                     assert not bounds.prunes((True, mu), lows, highs, best - 1)
-                found = bounds.multipliers(lows, highs)
+                found = bounds.multipliers(lows, highs, bounds.base)
                 if found is not None and found[0]:
                     bound = bounds.lagrangian(found[1], lows, highs, bounds.prefixes)
                     assert bound >= best
@@ -460,7 +461,7 @@ class TestLagrangian:
                     if bounds.prunes((False, mu), lows, highs, None):
                         assert best is None, seed
                         fired += 1
-                found = bounds.multipliers(lows, highs)
+                found = bounds.multipliers(lows, highs, bounds.base)
                 if found is not None and bounds.prunes(found[:2], lows, highs, None):
                     assert best is None, seed
                     lp_fired += 1
@@ -478,15 +479,15 @@ class TestLagrangian:
 
     @classmethod
     def walk(cls, seed, order_kind=None):
-        """``(bounds, feasible, box, warm, cold)`` for every child of a box,
-        one count fixed and then propagated, solved warm from the box's
-        final LP state and cold; the walk then descends into one random
-        feasible child, three levels deep."""
+        """``(bounds, feasible, box, warm, rebased)`` for every child of a
+        box, one count fixed and then propagated, solved warm from the box's
+        final LP state and from the base; the walk then descends into one
+        random feasible child, three levels deep."""
         rng, bounds, feasible = cls.pool(seed, (8, 12), (3, 5), order_kind)
         lows, highs = [0] * len(bounds.regions), [r.size for r in bounds.regions]
         if not _propagate(bounds.rows, lows, highs):
             return
-        found = bounds.multipliers(lows, highs)
+        found = bounds.multipliers(lows, highs, bounds.base)
         level = [] if found is None or not found[0] else [(lows, highs, found[2])]
         for _ in range(3):
             children = []
@@ -498,29 +499,67 @@ class TestLagrangian:
                         if not _propagate(bounds.rows, *box):
                             continue
                         warm = bounds.multipliers(*box, state)
-                        cold = bounds.multipliers(*box)
-                        yield bounds, feasible, box, warm, cold
+                        rebased = bounds.multipliers(*box, bounds.base)
+                        yield bounds, feasible, box, warm, rebased
                         if warm is not None and warm[0]:
                             children.append((*box, warm[2]))
             level = rng.sample(children, min(1, len(children)))
 
-    def test_warm_start_agrees_with_a_cold_solve(self):
+    def test_warm_start_agrees_with_a_solve_from_the_base(self):
         outcomes = []
         for seed in range(60):
-            for bounds, feasible, box, warm, cold in self.walk(seed):
-                assert warm is not None and cold is not None, seed
-                assert warm[0] == cold[0], (seed, box)
+            for bounds, feasible, box, warm, rebased in self.walk(seed):
+                assert warm is not None and rebased is not None, seed
+                assert warm[0] == rebased[0], (seed, box)
                 outcomes.append(warm[0])
                 if warm[0]:
                     objectives = [
                         self.lp_objective(lp, bounds.keys[1])
-                        for lp in (warm[2], cold[2])
+                        for lp in (warm[2], rebased[2])
                     ]
                     assert math.isclose(*objectives, abs_tol=1e-6), seed
                     continue
                 assert bounds.lagrangian(warm[1], *box, None) < 0, seed
                 assert self.best_in(feasible, *box) is None, seed
         assert outcomes.count(False) >= 20 and outcomes.count(True) >= 500
+
+    def test_a_restart_leaves_its_state_unchanged(self):
+        # a propagated root box solved twice from the base, and one child
+        # of it solved twice from the root's final state: the same rounded
+        # multipliers both times, and neither state moved
+        children = 0
+        for seed in range(60):
+            _, bounds, _ = self.pool(seed, (8, 12), (3, 5))
+            lows, highs = [0] * len(bounds.regions), [r.size for r in bounds.regions]
+            if not _propagate(bounds.rows, lows, highs):
+                continue
+            base = bounds.base
+            before = copy.deepcopy(vars(base))
+            first, second = (bounds.multipliers(lows, highs, base) for _ in "ab")
+            assert first is not None and first[:2] == second[:2], seed
+            # the tableau, the values and the basis among the rest
+            assert vars(base) == before, seed
+            if not first[0]:
+                continue
+            state = first[2]
+            boxes = (
+                (index, value)
+                for index, low in enumerate(lows)
+                for value in range(low, highs[index] + 1)
+            )
+            for index, value in boxes:
+                box = lows.copy(), highs.copy()
+                box[0][index] = box[1][index] = value
+                if _propagate(bounds.rows, *box) and box != (lows, highs):
+                    break
+            else:
+                continue
+            before = copy.deepcopy(vars(state))
+            first, second = (bounds.multipliers(*box, state) for _ in "ab")
+            assert first is not None and first[:2] == second[:2], seed
+            assert vars(state) == before, seed
+            children += 1
+        assert children >= 20
 
     @staticmethod
     def dual_objective(duals, rows, lows, highs, gains):
@@ -547,13 +586,13 @@ class TestLagrangian:
         # any feasible point; equality proves both optimal.  The duals are
         # those of the unshifted keys, and the rounded multipliers are
         # them in packed units.  Score pools and leximin pools, whose keys
-        # are all negative, put cold-start columns both at their low and
-        # at their high
+        # are all negative, put the base's start columns both below and
+        # above the boxes it restarts into
         solves = 0
         for order_kind in ("score", "leximin"):
             for seed in range(60):
-                for bounds, _, box, warm, cold in self.walk(seed, order_kind):
-                    for found in (warm, cold):
+                for bounds, _, box, warm, rebased in self.walk(seed, order_kind):
+                    for found in (warm, rebased):
                         if found is None or not found[0]:
                             continue
                         state = found[2]

@@ -39,8 +39,7 @@ class TestPreprocess:
         )
         pre = preprocess_intervals("abcd", 2, constraints, pack(SCORES))
         assert pre.reason is None
-        assert pre.highs == {"l1": 1, "l2": 1}
-        # each pool keeps only its best member
+        # l1's bound of 1 flows down to l2: each pool keeps only its best member
         assert pre.pools == {"l1": ("a",), "l2": ("c",)}
 
     def test_lower_bounds_flow_up(self):
