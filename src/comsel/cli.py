@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import sys
-import traceback
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -22,18 +21,10 @@ from .bruteforce import OracleBudget
 from .constraints import ConstraintSet, Dominance, Interval, check_committee
 from .elections import ElectionProfile, Score
 from .errors import ComselError, InputError
-from .generators import (
-    MODES,
-    STRUCTURES,
-    gen_clique_bloc,
-    gen_clique_sntv,
-    gen_random,
-    gen_vertex_cover_dominance,
-    gen_vertex_cover_intervals,
-    parse_graph,
-)
 from .instances import (
+    MODES,
     ORDER_KINDS,
+    STRUCTURES,
     ElectionInstance,
     Rule,
     StvRule,
@@ -316,13 +307,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from . import generators  # only ``gen`` loads the generator code
+
     if args.generator == "random":
         rule: WeaklySeparableRule | StvRule
         if args.rule.startswith("stv:"):
             rule = StvRule(args.rule.split(":", 1)[1])
         else:
             rule = WeaklySeparableRule(args.rule)
-        instance = gen_random(
+        instance = generators.gen_random(
             args.candidates,
             args.voters,
             args.committee_size,
@@ -334,16 +327,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             order_kind=args.order,
         )
     else:
-        graph = parse_graph(_read_text(args.input))
+        graph = generators.parse_graph(_read_text(args.input))
         if args.generator == "vertex-cover":
             if args.variant == "intervals":
-                instance = gen_vertex_cover_intervals(graph, args.cover_size)
+                instance = generators.gen_vertex_cover_intervals(graph, args.cover_size)
             else:
-                instance = gen_vertex_cover_dominance(graph, args.cover_size)
+                instance = generators.gen_vertex_cover_dominance(graph, args.cover_size)
         elif args.generator == "clique-sntv":
-            instance = gen_clique_sntv(graph, args.clique_size)
+            instance = generators.gen_clique_sntv(graph, args.clique_size)
         else:
-            instance = gen_clique_bloc(graph, args.clique_size)
+            instance = generators.gen_clique_bloc(graph, args.clique_size)
     _write_text(args.output, serialize_instance(instance))
     return 0
 
@@ -433,6 +426,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except Exception as exc:
         # a crash must not exit 1, which would read as "infeasible"
+        import traceback
+
         print(f"error[internal]: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 2

@@ -16,10 +16,14 @@ from typing import Iterable
 from .constraints import ConstraintSet, Dominance, Interval
 from .elections import ElectionProfile
 from .errors import BudgetExceededError, InputError
-from .instances import ElectionInstance, Rule, StvRule, WeaklySeparableRule
-
-MODES = ("disjoint", "overlapping")
-STRUCTURES = ("tree_like", "arbitrary")
+from .instances import (
+    MODES,
+    STRUCTURES,
+    ElectionInstance,
+    Rule,
+    StvRule,
+    WeaklySeparableRule,
+)
 
 # The most ranking entries plus dominance rows a graph reduction builds;
 # 1 000 vertices with one full ranking each (10**6 entries) take about

@@ -15,6 +15,9 @@ from .errors import InputError
 from .stv import VARIANTS
 
 ORDER_KINDS = ("score", "leximax", "leximin")
+# the label modes and dominance structures ``gen_random`` draws from
+MODES = ("disjoint", "overlapping")
+STRUCTURES = ("tree_like", "arbitrary")
 
 # each preset's vector for m candidates and committee size k, 0 <= k <= m
 _PRESETS = {

@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -725,3 +728,31 @@ class TestMain:
             helps.append(capsys.readouterr().out)
         assert helps[0].startswith("usage: comsel solve")
         assert helps[0] == helps[1]
+
+
+def test_a_solve_loads_only_the_modules_it_runs(tmp_path):
+    # a fresh interpreter: the generators and traceback stay unloaded,
+    # while every module perfbench's tracer wraps is loaded by the solve
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(document()))
+    script = (
+        "import json, sys\n"
+        "from comsel.cli import main\n"
+        "code = main(['solve', '--input', sys.argv[1], '--output', sys.argv[2]])\n"
+        "loaded = set(sys.modules)\n"
+        "sys.path.insert(0, sys.argv[3])\n"
+        "from spans import TARGETS\n"
+        "print(json.dumps({\n"
+        "    'exit': code,\n"
+        "    'unused': sorted({'comsel.generators', 'traceback'} & loaded),\n"
+        "    'missing': sorted({t[1] for t in TARGETS} - loaded),\n"
+        "}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path), str(tmp_path / "result.json"),
+         os.path.join(root, "perfbench")],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert json.loads(done.stdout) == {"exit": 0, "unused": [], "missing": []}
