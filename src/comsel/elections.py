@@ -2,6 +2,9 @@
 
 ``score_all`` scores every candidate under a ``WeaklySeparableRule``, whose
 ``vector(profile)`` (in ``comsel.instances``) sizes and checks the vector.
+A profile with fewer voters than scored positions is counted one ballot at
+a time; otherwise one ``Counter`` per position counts the column, whose
+set-up cost pays off only when many voters repeat names in it.
 """
 
 from __future__ import annotations
@@ -124,22 +127,29 @@ class ElectionProfile:
 
 
 def score_all(profile: ElectionProfile, rule: WeaklySeparableRule) -> dict[str, Score]:
-    """Positional score of every candidate under the rule's vector, from how
-    often each one holds each position: integer counts times the vector
-    scaled by the least common multiple of its denominators, divided by
-    that scale once at the end.  Positions worth nothing are not counted."""
+    """Positional score of every candidate under the rule's vector, scaled
+    to ints by the least common multiple of its denominators and divided by
+    that scale once at the end.  Positions past the last nonzero entry are
+    not read.  With at least as many voters as scored positions, each
+    position's column is counted by one ``Counter`` and the counts are
+    weighted; with fewer, each ballot is walked once, adding its positions'
+    weights.  A ``Counter`` has a fixed set-up cost per column, which pays
+    off only when the column repeats names, that is with many voters."""
     gamma = rule.vector(profile)
     scale = math.lcm(*(v.denominator for v in gamma))
     weights = [int(v * scale) for v in gamma]
     while weights and not weights[-1]:
         weights.pop()
     totals = dict.fromkeys(profile.candidates, 0)
-    # one column of the rankings per position; zip stops after the last
-    # nonzero weight, so trailing positions are never read
-    for weight, column in zip(weights, zip(*profile.voters)):
-        if weight:
-            for candidate, count in Counter(column).items():
-                totals[candidate] += weight * count
+    if len(profile.voters) < len(weights):
+        for ranking in profile.voters:
+            for candidate, weight in zip(ranking, weights):
+                totals[candidate] += weight
+    else:
+        for weight, column in zip(weights, zip(*profile.voters)):
+            if weight:
+                for candidate, count in Counter(column).items():
+                    totals[candidate] += weight * count
     if scale == 1:
         return totals
     return {c: as_score(Fraction(total, scale)) for c, total in totals.items()}

@@ -136,6 +136,38 @@ class TestScoring:
         with pytest.raises(InputError, match="entries"):
             score_all(profile_a, WeaklySeparableRule((2, 1, 0)))
 
+    @pytest.mark.parametrize(
+        "gamma",
+        ["borda", "sntv", "bloc", (Fraction(1, 2), Fraction(1, 3), 0, 0, 0),
+         (3, 0, -2, 1, 0)],
+        ids=["borda", "sntv", "bloc", "fractional", "negative"],
+    )
+    def test_scores_match_a_per_voter_sum_on_either_side_of_the_switch(self, gamma):
+        # fewer voters than scored positions walks each ballot, otherwise
+        # each position's column is counted; both must give the same sums
+        rankings = ("abcde", "ecbda", "badce", "deacb", "cdeab", "bcaed")
+        rule = WeaklySeparableRule(gamma)
+        for n in range(1, 13):
+            voters = [tuple(rankings[i % len(rankings)]) for i in range(n)]
+            profile = ElectionProfile.build("abcde", voters, 2)
+            vector = rule.vector(profile)
+            expected = dict.fromkeys("abcde", Fraction(0))
+            for ranking in voters:
+                for candidate, value in zip(ranking, vector):
+                    expected[candidate] += Fraction(value)
+            scores = score_all(profile, rule)
+            assert scores == expected, n
+            # an integral score is an int, so an integral vector gives only ints
+            for candidate, score in scores.items():
+                integral = expected[candidate].denominator == 1
+                assert type(score) is (int if integral else Fraction), (n, candidate)
+            # repeated past the scored positions, a ballot-walked profile is
+            # counted by columns
+            scored = max((i + 1 for i, v in enumerate(vector) if v), default=0)
+            r = scored // n + 1
+            repeated = ElectionProfile.build("abcde", voters * r, 2)
+            assert score_all(repeated, rule) == {c: r * s for c, s in scores.items()}
+
 
 class TestSingletonRanking:
     def test_from_order_single_tiers(self):
