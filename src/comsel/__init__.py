@@ -19,7 +19,7 @@ _EXPORTS = {
         "Labeling", "Violation", "build_dominance_graph", "check_committee",
         "transitive_closure",
     ),
-    "elections": ("ElectionProfile", "Score", "SingletonRanking", "score_all"),
+    "elections": ("ElectionProfile", "Score", "score_all"),
     "errors": (
         "BudgetExceededError", "ComselError", "ContractViolation", "InputError",
     ),

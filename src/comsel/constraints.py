@@ -9,7 +9,7 @@ need its transitive closure, its cycle structure, or a forest layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -264,24 +264,13 @@ class DominanceForest:
     Each node is a sorted tuple of labels forced to equal counts by a
     dominance cycle.  An edge runs from a dominating node to the closest
     node it dominates, after collapsing cycles and dropping edges implied
-    by transitivity.
+    by transitivity.  ``children`` holds each node's edges by node index,
+    and ``roots`` the nodes no other node dominates.
     """
 
     nodes: tuple[tuple[str, ...], ...]
-    parent: tuple[int | None, ...]
-    children: tuple[tuple[int, ...], ...] = field(init=False)
-    roots: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        kids: list[list[int]] = [[] for _ in self.nodes]
-        tops: list[int] = []
-        for index, up in enumerate(self.parent):
-            if up is None:
-                tops.append(index)
-            else:
-                kids[up].append(index)
-        object.__setattr__(self, "children", tuple(tuple(c) for c in kids))
-        object.__setattr__(self, "roots", tuple(tops))
+    children: tuple[tuple[int, ...], ...]
+    roots: tuple[int, ...]
 
     @classmethod
     def build(cls, constraints: ConstraintSet) -> "DominanceForest":
@@ -307,7 +296,8 @@ class DominanceForest:
             for position, node in enumerate(nodes)
             for name in node
         }
-        parent: list[int | None] = []
+        children: list[list[int]] = [[] for _ in nodes]
+        roots: list[int] = []
         for position, node in enumerate(nodes):
             representative = node[0]
             above = {
@@ -317,11 +307,10 @@ class DominanceForest:
             } - {position}
             # the nodes above form a chain; the closest reaches the fewest
             # labels outside its own cycle
-            parent.append(
-                min(
-                    above,
-                    key=lambda i: len(reach[nodes[i][0]] - set(nodes[i])),
-                    default=None,
-                )
+            up = min(
+                above,
+                key=lambda i: len(reach[nodes[i][0]] - set(nodes[i])),
+                default=None,
             )
-        return cls(nodes, tuple(parent))
+            (roots if up is None else children[up]).append(position)
+        return cls(nodes, tuple(map(tuple, children)), tuple(roots))

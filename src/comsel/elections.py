@@ -4,7 +4,8 @@
 ``vector(profile)`` (in ``comsel.instances``) sizes and checks the vector.
 A profile with fewer voters than scored positions is counted one ballot at
 a time; otherwise one ``Counter`` per position counts the column, whose
-set-up cost pays off only when many voters repeat names in it.
+set-up cost pays off only when many voters repeat names in it.  A lexi
+order's tiers are the groups of equal scores (``comsel.orders``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InputError
 
@@ -153,31 +154,3 @@ def score_all(profile: ElectionProfile, rule: WeaklySeparableRule) -> dict[str, 
     if scale == 1:
         return totals
     return {c: as_score(Fraction(total, scale)) for c, total in totals.items()}
-
-
-@dataclass(frozen=True)
-class SingletonRanking:
-    """Weak order over candidates as indifference tiers, best tier first."""
-
-    tiers: tuple[frozenset[str], ...]
-
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for tier in self.tiers:
-            if not tier:
-                raise InputError("ranking tiers must be nonempty")
-            if tier & seen:
-                raise InputError("ranking tiers must be disjoint")
-            seen |= tier
-
-    @classmethod
-    def from_order(cls, ordering: Iterable[str]) -> "SingletonRanking":
-        return cls(tuple(frozenset((c,)) for c in ordering))
-
-    @classmethod
-    def from_scores(cls, scores: Mapping[str, Score]) -> "SingletonRanking":
-        by_score: dict[Score, list[str]] = {}
-        for candidate in sorted(scores):
-            by_score.setdefault(scores[candidate], []).append(candidate)
-        levels = sorted(by_score, reverse=True)
-        return cls(tuple(frozenset(by_score[level]) for level in levels))

@@ -3,9 +3,9 @@
 A committee's key is the sum of its members' weights (larger is better),
 so solvers add the keys of disjoint parts instead of rescanning members.
 Keys rank equal-size committees only, and extending both sides with the
-same candidates never reverses a comparison.  Score orders weigh a
-candidate by its score, and the lexi orders by a mixed-radix digit of its
-tier.
+same candidates never reverses a comparison.  Every order is built from
+one score per candidate: score orders weigh a candidate by its score, and
+the lexi orders by a mixed-radix digit of its tier of equal scores.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping
 
-from .elections import Score, SingletonRanking
+from .elections import Score
 from .errors import InputError
 
 
@@ -42,38 +42,42 @@ def unpack(cell: int, packed: Mapping[str, int]) -> tuple[str, ...]:
     return tuple(sorted(name for name, value in packed.items() if value & mask))
 
 
-def _mixed_radix(tiers: Iterable[frozenset[str]]) -> dict[str, int]:
-    """One weight per candidate, each tier a digit of a mixed-radix number,
-    the first tier least significant.  A committee holds 0 to s members
-    of a tier of size s, so the next tier weighs s + 1 times as much, and
-    weight sums compare as the per-tier counts do."""
+def _mixed_radix(scores: Mapping[str, Score], reverse: bool) -> dict[str, int]:
+    """One weight per candidate, each tier of equal scores a digit of a
+    mixed-radix number, from the least significant in ascending score order
+    (descending if ``reverse``).  A committee holds 0 to s members of a tier
+    of size s, so the next tier weighs s + 1 times as much, and weight sums
+    compare as the per-tier counts do."""
+    tiers: dict[Score, list[str]] = {}
+    for candidate, score in scores.items():
+        tiers.setdefault(score, []).append(candidate)
     weights: dict[str, int] = {}
     weight = 1
-    for tier in tiers:
-        weights.update(dict.fromkeys(tier, weight))
-        weight *= len(tier) + 1
+    for score in sorted(tiers, reverse=reverse):
+        weights.update(dict.fromkeys(tiers[score], weight))
+        weight *= len(tiers[score]) + 1
     return weights
 
 
-def leximax_weights(ranking: SingletonRanking) -> dict[str, int]:
+def leximax_weights(scores: Mapping[str, Score]) -> dict[str, int]:
     """Weights that rank committees by their best members, then the next
-    best, and so on.
+    best, and so on; a larger score is better.
 
     Among equal-size committees that is more members in the best tier,
     then in the next: the best tier is the most significant digit.
     """
-    return _mixed_radix(reversed(ranking.tiers))
+    return _mixed_radix(scores, reverse=False)
 
 
-def leximin_weights(ranking: SingletonRanking) -> dict[str, int]:
+def leximin_weights(scores: Mapping[str, Score]) -> dict[str, int]:
     """Weights that rank committees by their worst members, then the next
-    worst.
+    worst; a larger score is better.
 
     Among equal-size committees that is fewer members in the worst tier,
     then in the next worst: the worst tier is the most significant digit,
     and the weights are negated.
     """
-    return {c: -w for c, w in _mixed_radix(ranking.tiers).items()}
+    return {c: -w for c, w in _mixed_radix(scores, reverse=True).items()}
 
 
 def best_singletons(

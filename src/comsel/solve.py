@@ -6,7 +6,7 @@ from dataclasses import replace
 
 from .bruteforce import OracleBudget, solve_bruteforce
 from .constraints import check_committee
-from .elections import Score, SingletonRanking, score_all
+from .elections import Score, score_all
 from .errors import ContractViolation, InputError
 from .instances import ElectionInstance, StvRule
 from .orders import leximax_weights, leximin_weights
@@ -20,18 +20,19 @@ SOLVERS = ("auto", "dp", "region", "oracle")
 
 def build_order(instance: ElectionInstance) -> dict[str, Score]:
     """The instance's committee order as its per-candidate weights: of two
-    equal-size committees, the one with the larger weight sum is better."""
+    equal-size committees, the one with the larger weight sum is better.
+    STV scores each candidate by its place in the count's ranking."""
     rule = instance.rule
     if isinstance(rule, StvRule):
         ranking = stv_ranking(instance.profile, rule.variant)
+        scores = {c: -place for place, c in enumerate(ranking)}
     else:
         scores = score_all(instance.profile, rule)
         if instance.order_kind == "score":
             return scores
-        ranking = SingletonRanking.from_scores(scores)
     if instance.order_kind == "leximax":
-        return leximax_weights(ranking)
-    return leximin_weights(ranking)
+        return leximax_weights(scores)
+    return leximin_weights(scores)
 
 
 def choose_solver(instance: ElectionInstance) -> str:

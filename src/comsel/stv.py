@@ -4,7 +4,7 @@ Both counting variants rank every candidate: quota winners come first in
 order of election, the last candidate left standing follows, and the
 eliminated candidates trail in reverse order of elimination.  The bare
 "simple" variant never elects, so its output is purely reverse elimination
-order.  All tallies are exact rationals.
+order.  Rankings are plain tuples; all tallies are exact rationals.
 
 The count keeps one invariant: each hopeful candidate holds a pile
 ``{weight: [(ranking, position), ...]}`` of the ballots whose first hopeful
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .elections import ElectionProfile, SingletonRanking
+from .elections import ElectionProfile
 from .errors import InputError
 
 VARIANTS = ("simple", "droop_gregory")
@@ -92,10 +92,10 @@ def stv_rounds(profile: ElectionProfile, variant: str = "simple") -> list[StvRou
 
 def stv_ranking(
     profile: ElectionProfile, variant: str = "simple"
-) -> SingletonRanking:
-    """Strict ranking of all candidates produced by the chosen count.
+) -> tuple[str, ...]:
+    """Every candidate, best first, in the chosen count's strict ranking.
 
     Ties on tallies are always broken toward the lexicographically smallest
     candidate identifier, so the result is deterministic.
     """
-    return SingletonRanking.from_order(_count(profile, variant)[1])
+    return _count(profile, variant)[1]

@@ -93,9 +93,9 @@ class TestSolveBruteforce:
         assert "no size-k committee" in result.reason
 
     def test_score_filled_only_for_score_orders(self):
-        from comsel import SingletonRanking, leximax_weights
+        from comsel import leximax_weights
 
-        order = leximax_weights(SingletonRanking.from_order("abc"))
+        order = leximax_weights({"a": 3, "b": 2, "c": 1})
         result = solve_bruteforce("abc", 2, ConstraintSet.empty(), order)
         assert result.committee == ("a", "b")
         assert result.score == key(order, result.committee)

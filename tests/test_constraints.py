@@ -202,7 +202,6 @@ class TestDominanceStructure:
             )
         )
         assert forest.nodes == (("l1",), ("l2",), ("l3",))
-        assert forest.parent == (None, 0, 1)
         assert forest.roots == (0,)
         assert forest.children == ((1,), (2,), ())
 
@@ -217,7 +216,8 @@ class TestDominanceStructure:
             )
         )
         assert forest.nodes == (("p", "q"), ("r",))
-        assert forest.parent == (None, 0)
+        assert forest.roots == (0,)
+        assert forest.children == ((1,), ())
 
     def test_forest_skips_transitive_edges(self):
         labeling = labels("top", "mid", "bot")
@@ -232,8 +232,10 @@ class TestDominanceStructure:
             )
         )
         # bot hangs off mid, not off top
-        by_node = dict(zip(forest.nodes, forest.parent))
-        assert forest.nodes[by_node[("bot",)]] == ("mid",)
+        index = forest.nodes.index
+        assert forest.children[index(("top",))] == (index(("mid",)),)
+        assert forest.children[index(("mid",))] == (index(("bot",)),)
+        assert forest.roots == (index(("top",)),)
 
     def test_forest_parent_is_the_closest_cycle(self):
         # A and the cycle {B, C} both reach D; the cycle is closer
@@ -250,7 +252,9 @@ class TestDominanceStructure:
             )
         )
         assert forest.nodes == (("A",), ("B", "C"), ("D",))
-        assert forest.parent == (None, 0, 1)
+        # D hangs off the cycle {B, C}, not off A
+        assert forest.children == ((1,), (2,), ())
+        assert forest.roots == (0,)
 
     def test_forest_rejects_incomparable_dominators(self):
         labeling = labels("l1", "l2", "l3")
@@ -264,5 +268,5 @@ class TestDominanceStructure:
     def test_isolated_labels_are_roots(self):
         forest = DominanceForest.build(ConstraintSet(labels("a", "b")))
         assert forest.nodes == (("a",), ("b",))
-        assert forest.parent == (None, None)
         assert forest.roots == (0, 1)
+        assert forest.children == ((), ())

@@ -1,4 +1,4 @@
-"""Profiles, positional rule vectors and scores, and singleton rankings."""
+"""Profiles, positional rule vectors and scores."""
 
 from fractions import Fraction
 
@@ -7,7 +7,6 @@ import pytest
 from comsel import (
     ElectionProfile,
     InputError,
-    SingletonRanking,
     WeaklySeparableRule,
     score_all,
 )
@@ -87,7 +86,7 @@ def sized(gamma, m, k=1):
     return WeaklySeparableRule(gamma).vector(profile)
 
 
-class TestScoringFunction:
+class TestRuleVector:
     """A positional rule's vector, sized to a profile."""
 
     def test_sntv_vector(self):
@@ -168,28 +167,3 @@ class TestScoring:
             repeated = ElectionProfile.build("abcde", voters * r, 2)
             assert score_all(repeated, rule) == {c: r * s for c, s in scores.items()}
 
-
-class TestSingletonRanking:
-    def test_from_order_single_tiers(self):
-        ranking = SingletonRanking.from_order("bca")
-        assert ranking.tiers == (
-            frozenset("b"),
-            frozenset("c"),
-            frozenset("a"),
-        )
-
-    def test_from_scores_groups_ties_descending(self):
-        ranking = SingletonRanking.from_scores({"a": 2, "b": 5, "c": 2, "d": 0})
-        assert ranking.tiers == (
-            frozenset("b"),
-            frozenset({"a", "c"}),
-            frozenset("d"),
-        )
-
-    def test_overlapping_tiers_rejected(self):
-        with pytest.raises(InputError, match="disjoint"):
-            SingletonRanking((frozenset("ab"), frozenset("bc")))
-
-    def test_empty_tier_rejected(self):
-        with pytest.raises(InputError, match="nonempty"):
-            SingletonRanking((frozenset("a"), frozenset()))

@@ -8,7 +8,6 @@ import pytest
 
 from comsel import (
     InputError,
-    SingletonRanking,
     best_singletons,
     leximax_weights,
     leximin_weights,
@@ -16,7 +15,7 @@ from comsel import (
 from comsel.orders import pack, unpack
 from conftest import compare, key, obligatory_first
 
-FIVE = SingletonRanking.from_order("abcde")
+FIVE = dict(zip("abcde", range(5, 0, -1)))  # a > b > c > d > e
 
 
 def test_score_order_compares_sums():
@@ -56,8 +55,8 @@ def test_leximin_prefers_the_better_worst_member():
 
 
 def test_lexi_orders_respect_ties():
-    ranking = SingletonRanking((frozenset("ab"), frozenset("cd")))
-    for order in (leximax_weights(ranking), leximin_weights(ranking)):
+    scores = {"a": 1, "b": 1, "c": 0, "d": 0}
+    for order in (leximax_weights(scores), leximin_weights(scores)):
         assert compare(order, ("a", "c"), ("b", "d")) == 0
         assert compare(order, ("a", "b"), ("b", "c")) > 0
 
@@ -70,10 +69,11 @@ def test_lexi_key_join_matches_union():
     assert key(order, ()) == 0
 
 
-def tuple_key(ranking, kind, committee):
+def tuple_key(scores, kind, committee):
     """The lexicographic definition: members' negated tier indices, sorted
     best first for leximax and worst first for leximin."""
-    tier_of = {c: i for i, tier in enumerate(ranking.tiers) for c in tier}
+    levels = sorted(set(scores.values()), reverse=True)
+    tier_of = {c: levels.index(score) for c, score in scores.items()}
     levels = [-tier_of[c] for c in committee]
     return tuple(sorted(levels, reverse=kind == "leximax"))
 
@@ -86,16 +86,18 @@ def test_integer_keys_compare_as_the_tuple_definition():
         # cut the shuffled names into tiers, many of them tied
         cuts = sorted(rng.sample(range(1, len(names)), rng.randint(0, len(names) - 1)))
         tiers = [names[a:b] for a, b in zip([0, *cuts], [*cuts, len(names)])]
-        ranking = SingletonRanking(tuple(frozenset(t) for t in tiers))
+        # each tier one score, best first, at random distinct levels
+        levels = sorted(rng.sample(range(-20, 20), len(tiers)), reverse=True)
+        scores = {c: level for level, tier in zip(levels, tiers) for c in tier}
         size = rng.randint(0, len(names))
         for kind, order in (
-            ("leximax", leximax_weights(ranking)),
-            ("leximin", leximin_weights(ranking)),
+            ("leximax", leximax_weights(scores)),
+            ("leximin", leximin_weights(scores)),
         ):
             for _ in range(10):
                 first = rng.sample(names, size)
                 second = rng.sample(names, size)
-                old = tuple_key(ranking, kind, first), tuple_key(ranking, kind, second)
+                old = tuple_key(scores, kind, first), tuple_key(scores, kind, second)
                 new = key(order, first), key(order, second)
                 assert isinstance(new[0], int)
                 assert (old[0] > old[1]) - (old[0] < old[1]) == (
@@ -164,14 +166,13 @@ def test_obligatory_weights_compare_as_the_tuple_definition():
     for _ in range(300):
         names = [f"c{i}" for i in range(rng.randint(1, 9))]
         base_items = [(c, rng.randint(-4, 4)) for c in names]
-        ranking = SingletonRanking.from_scores(dict(base_items))
         obligatory = frozenset(rng.sample(names, rng.randint(0, len(names))))
         size = rng.randint(0, len(names))
         for base in (
             dict(base_items),
             {c: Fraction(v, rng.randint(1, 7)) for c, v in base_items},
-            leximax_weights(ranking),
-            leximin_weights(ranking),
+            leximax_weights(dict(base_items)),
+            leximin_weights(dict(base_items)),
         ):
             wrapped = obligatory_first(base, obligatory)
             for _ in range(10):
@@ -210,7 +211,7 @@ class TestBestSingletons:
             best_singletons(pack({"a": 1}), "az", 1)
 
     def test_no_excluded_candidate_beats_an_included_one(self):
-        order = leximin_weights(SingletonRanking((frozenset("ac"), frozenset("bd"))))
+        order = leximin_weights({"a": 1, "b": 0, "c": 1, "d": 0})
         chosen = best_singletons(pack(order), "abcd", 2)
         left_out = set("abcd") - set(chosen)
         for kept in chosen:

@@ -8,7 +8,6 @@ from comsel import (
     Dominance,
     Interval,
     OracleBudget,
-    SingletonRanking,
     StvRule,
     WeaklySeparableRule,
     gen_random,
@@ -311,7 +310,7 @@ def test_leaf_merges_agree_with_the_oracle(case, order_kind):
     scores = {name: 5 * i % 7 for i, name in enumerate(names)}
     if order_kind == "leximin":
         # negative weights, so the leaves' packed cells are negative too
-        scores = leximin_weights(SingletonRanking.from_scores(scores))
+        scores = leximin_weights(scores)
     dp = solve_tree(names, k, constraints, scores)
     oracle = solve_bruteforce(names, k, constraints, scores)
     assert (dp.status, dp.committee, dp.score, dp.reason) == (
