@@ -6,6 +6,10 @@ I/O or internal problem.  Errors carry a short machine-readable code
 printed as ``error[code]: message`` on stderr.  Usage errors (a missing
 or ill-typed option) are argparse's: a ``usage:`` line and exit status 2,
 raised as ``SystemExit(2)`` when ``main`` is called in-process.
+
+Instance documents are read by ``parse_instance``, which decodes the top
+level one member at a time with json's own scanner, so that each ranking
+is checked and interned as it is read (see its docstring).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Any, Sequence
 
 from .bruteforce import OracleBudget
 from .constraints import ConstraintSet, Dominance, Interval, check_committee
-from .elections import ElectionProfile, Score
+from .elections import ElectionProfile, Score, _Interned, intern_ranking
 from .errors import ComselError, InputError
 from .instances import (
     MODES,
@@ -112,6 +116,99 @@ def _exact_decimal(text: str) -> Fraction:
     return Fraction(text)
 
 
+_DECODER = json.JSONDecoder(parse_float=_exact_decimal)
+_SPACE = " \t\n\r"  # JSON's whitespace
+_skip_space = json.decoder.WHITESPACE.match
+
+
+def _skip(text: str, end: int) -> int:
+    """``end`` moved past any whitespace; the regex runs only when some
+    follows, since documents written compactly have none."""
+    return _skip_space(text, end).end() if text[end:end + 1] in _SPACE else end
+
+
+def _decode_rankings(
+    text: str, start: int, candidates: list[str]
+) -> tuple[list, int, bool]:
+    """The ``voters`` array whose ``[`` is at ``start``, each ranking
+    interned as it is read, so only the interned tuples stay; and whether
+    every ranking was.  At the first ranking ``intern_ranking`` refuses,
+    the array is decoded again whole, as json would, for
+    ``parse_instance``'s checks to name the fault."""
+    scan = _DECODER.scan_once
+    canon = {c: c for c in candidates}
+    rankings = []
+    end = start + 1
+    while True:
+        if text[end] in _SPACE:  # _skip inline, once per ranking
+            end = _skip_space(text, end).end()
+        ranking, end = scan(text, end)
+        try:
+            interned = intern_ranking(canon, ranking) if type(ranking) is list else None
+        except TypeError:  # an unhashable entry
+            interned = None
+        if interned is None:
+            value, end = scan(text, start)
+            return value, end, False
+        rankings.append(interned)
+        if text[end] in _SPACE:
+            end = _skip_space(text, end).end()
+        if text[end] == "]":
+            return rankings, end + 1, True
+        if text[end] != ",":
+            raise ValueError("not an array")
+        end += 1
+
+
+def _decode(text: str) -> tuple[Any, bool]:
+    """``json.loads(text, parse_float=_exact_decimal)``, and whether every
+    ranking of its ``voters`` was interned against its ``candidates``.
+
+    A top-level object with distinct keys is read one member at a time by
+    json's own scanner.  A ``voters`` array read after a ``candidates``
+    list goes through ``_decode_rankings``; any other value is decoded
+    whole.  Any other text, faulty or not, goes to ``json.loads``,
+    whose errors name the fault."""
+    scan = _DECODER.scan_once
+    doc: dict[str, Any] = {}
+    interned = False
+    try:
+        end = _skip(text, 0)
+        if text[end] != "{":
+            raise ValueError("not an object")
+        end = _skip(text, end + 1)
+        while text[end] != "}":
+            if text[end] != '"':
+                raise ValueError("not a key")
+            key, end = json.decoder.scanstring(text, end + 1)
+            if key in doc:
+                raise ValueError("a repeated key")  # json.loads keeps the last
+            end = _skip(text, end)
+            if text[end] != ":":
+                raise ValueError("not a member")
+            end = _skip(text, end + 1)
+            candidates = doc.get("candidates")
+            if key == "voters" and text[end] == "[" and isinstance(candidates, list):
+                doc[key], end, interned = _decode_rankings(text, end, candidates)
+            else:
+                doc[key], end = scan(text, end)
+            end = _skip(text, end)
+            if text[end] == ",":
+                end = _skip(text, end + 1)
+                if text[end] == "}":
+                    raise ValueError("a trailing comma")
+            elif text[end] != "}":
+                raise ValueError("not an object")
+        if _skip(text, end + 1) != len(text):
+            raise ValueError("extra data")
+    # a fault in the text (StopIteration: no value where one must be;
+    # IndexError: the text ends early), an unhashable candidate or bytes
+    # (TypeError), which json.loads decodes
+    except (ValueError, StopIteration, IndexError, RecursionError, TypeError):
+        return json.loads(text, parse_float=_exact_decimal), False
+    return doc, interned
+
+
 def parse_instance(text: str) -> ElectionInstance:
     """Read a JSON instance document, naming the first violation.
 
@@ -121,9 +218,16 @@ def parse_instance(text: str) -> ElectionInstance:
     Python's integer digit limit, or nesting past its recursion limit, is
     malformed JSON.  Every semantic check is made by the model constructors,
     whose ``InputError`` codes pass through unchanged.
+
+    Each ranking of ``voters`` is decoded and checked as it is read when
+    ``candidates`` comes first, as every writer in this package puts it,
+    and only its interned tuple is kept; the profile then takes the
+    rankings without a second check.  Otherwise ``voters`` is decoded
+    whole and the profile checks it.  Either way a fault is named by the
+    same checks, in the same order, on the same decoded values.
     """
     try:
-        doc = json.loads(text, parse_float=_exact_decimal)
+        doc, interned = _decode(text)
     except (ValueError, RecursionError) as exc:  # also too long or too deep
         raise InputError(f"not valid JSON: {exc}", code="malformed-json") from None
     if not isinstance(doc, dict):
@@ -133,12 +237,15 @@ def parse_instance(text: str) -> ElectionInstance:
         raise InputError(f"unknown field {unknown[0]!r}", code="unknown-field")
     candidates = _string_list(_require(doc, "candidates"), "candidates")
     voters = _typed(_require(doc, "voters"), list, "voters", "a list")
-    for index, ranking in enumerate(voters):
-        if not isinstance(ranking, list):
-            raise InputError(
-                f"field 'voters[{index}]' must be a list of strings",
-                code="malformed-field",
-            )
+    if interned:  # tuples of list rankings that intern_ranking accepted
+        voters = _Interned(voters)
+    else:
+        for index, ranking in enumerate(voters):
+            if not isinstance(ranking, list):
+                raise InputError(
+                    f"field 'voters[{index}]' must be a list of strings",
+                    code="malformed-field",
+                )
     k = _require(doc, "k")
     # the profile's permutation check rejects every entry that is not a
     # candidate; only an unhashable one makes it raise TypeError

@@ -1,5 +1,10 @@
 """Election data model and positional scoring.
 
+``intern_ranking`` is the one ranking check.  ``ElectionProfile`` runs it
+on every ranking it is given; the document decoder in ``comsel.cli`` runs
+it on each ranking as it reads it, and hands the profile the accepted
+tuples as ``_Interned`` rankings, which it keeps without a second check.
+
 ``score_all`` scores every candidate under a ``WeaklySeparableRule``, whose
 ``vector(profile)`` (in ``comsel.instances``) sizes and checks the vector.
 A profile with fewer voters than scored positions is counted one ballot at
@@ -46,15 +51,40 @@ def as_score(value: object) -> Score:
     raise InputError(f"unsupported score value {value!r}", code="invalid-gamma")
 
 
+def intern_ranking(canon: dict[str, str], ranking: Sequence) -> tuple[str, ...] | None:
+    """``ranking`` as a tuple of ``canon``'s own name objects, or None when
+    it is not a permutation of ``canon``'s keys.  ``canon`` maps each
+    candidate to itself.  An unhashable entry raises TypeError whatever
+    the ranking's length, since the lookup comes first."""
+    try:
+        if len(ranking) > 1:
+            interned = itemgetter(*ranking)(canon)
+        else:  # itemgetter needs a key, and returns a single one bare
+            interned = tuple(canon[c] for c in ranking)
+    except KeyError:
+        set(ranking)  # raises TypeError on an unhashable entry
+        return None
+    m = len(canon)
+    if len(interned) != m or len(set(interned)) != m:
+        return None
+    return interned
+
+
+class _Interned(tuple):
+    """Rankings ``intern_ranking`` has already accepted against the
+    candidates of the profile they are given to, which keeps them as they
+    are.  Private: the public constructor checks every ranking."""
+
+
 @dataclass(frozen=True)
 class ElectionProfile:
     """Candidates, strict voter rankings (best first), and the committee size.
 
     Every ranking must be a permutation of the full candidate set.  The
-    rankings are validated once, here, and stored as tuples of the
-    candidates' own name objects, so scoring and counting compare names by
-    identity with cached hashes.  The committee size may be zero; an empty
-    committee is a legal outcome.
+    rankings are validated once, by ``intern_ranking``, and stored as
+    tuples of the candidates' own name objects, so scoring and counting
+    compare names by identity with cached hashes.  The committee size may
+    be zero; an empty committee is a legal outcome.
     """
 
     candidates: tuple[str, ...]
@@ -67,8 +97,7 @@ class ElectionProfile:
                 "a profile needs at least one candidate", code="empty-profile"
             )
         canon = {c: c for c in self.candidates}
-        m = len(canon)
-        if m != len(self.candidates):
+        if len(canon) != len(self.candidates):
             dupe = next(c for c in self.candidates if self.candidates.count(c) > 1)
             raise InputError(
                 f"candidate identifiers must be distinct; {dupe!r} repeats",
@@ -76,25 +105,19 @@ class ElectionProfile:
             )
         if not self.voters:
             raise InputError("a profile needs at least one voter", code="empty-profile")
-        rankings = []
-        for index, ranking in enumerate(self.voters):
-            # the lookup comes first, so an unhashable entry raises TypeError
-            # whatever the ranking's length
-            try:
-                if len(ranking) > 1:
-                    interned = itemgetter(*ranking)(canon)
-                else:  # itemgetter needs a key, and returns a single one bare
-                    interned = tuple(canon[c] for c in ranking)
-            except KeyError:
-                set(ranking)  # raises TypeError on an unhashable entry
-                interned = ()
-            if len(interned) != m or len(set(interned)) != m:
-                raise InputError(
-                    f"voter {index}: ranking is not a permutation of the candidate "
-                    f"set (voter index {index}, counting from 0)",
-                    code="non-permutation-ranking",
-                )
-            rankings.append(interned)
+        if isinstance(self.voters, _Interned):
+            rankings = list(self.voters)
+        else:
+            rankings = []
+            for index, ranking in enumerate(self.voters):
+                interned = intern_ranking(canon, ranking)
+                if interned is None:
+                    raise InputError(
+                        f"voter {index}: ranking is not a permutation of the "
+                        f"candidate set (voter index {index}, counting from 0)",
+                        code="non-permutation-ranking",
+                    )
+                rankings.append(interned)
         object.__setattr__(self, "voters", tuple(rankings))
         if not isinstance(self.k, int) or isinstance(self.k, bool):
             shown = repr(self.k)

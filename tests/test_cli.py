@@ -3,9 +3,11 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -214,6 +216,172 @@ class TestParseInstance:
     def test_explicit_gamma_accepted(self):
         instance = parse(rule={"type": "weakly_separable", "gamma": [5, 4, 3, 1]})
         assert instance.rule.gamma == (5, 4, 3, 1)
+
+
+def _write(members, indent):
+    """An object of the given (key, value) members, repeated keys kept, as
+    ``json.dumps`` lays it out."""
+    if indent is None:
+        return "{" + ", ".join(
+            f"{json.dumps(key)}: {json.dumps(value)}" for key, value in members
+        ) + "}"
+    return "{\n" + ",\n".join(
+        f"  {json.dumps(key)}: " + json.dumps(value, indent=2).replace("\n", "\n  ")
+        for key, value in members
+    ) + "\n}"
+
+
+def _broken_members(rng):
+    """The base document's members with up to three of its fields broken:
+    unknown or non-string names, repeated names, unhashable entries,
+    non-list rankings, bad candidates or k, and repeated candidates or
+    voters keys."""
+    doc = document()
+    voters = doc["voters"]
+    for _ in range(rng.randint(0, 3)):
+        # a ranking still in the document, or a throwaway one
+        lists = [r for r in voters if isinstance(r, list) and r]
+        ranking = rng.choice(lists or [["a"]])
+        kind = rng.randrange(8)
+        if kind == 0:
+            ranking[rng.randrange(len(ranking))] = rng.choice(
+                ("z", "A", "a ", 1, None, 2.5)
+            )
+        elif kind == 1:
+            ranking[0] = ranking[-1]
+        elif kind == 2:
+            ranking[rng.randrange(len(ranking))] = rng.choice(([], {}, ["a"]))
+        elif kind == 3:
+            voters[rng.randrange(len(voters))] = rng.choice(("abcd", None, {}, 4))
+        elif kind == 4 and rng.random() < 0.5:
+            ranking.append("a")
+        elif kind == 4:
+            ranking.pop()
+        elif kind == 5:
+            doc["candidates"] = rng.choice(
+                ([], ["a", "b", "b", "d"], ["a", "b", "c"], ["d", "c", "b", "a"],
+                 "abcd", [1, 2, 3, 4], ["a", "b", "c", "d", ["e"]])
+            )
+        elif kind == 6:
+            doc["k"] = rng.choice((-1, 5, 1.5, "2", None, True, 2.0))
+        else:
+            doc["voters"] = rng.choice(([], "x", [[]], {"a": 1}))
+    members = list(doc.items())
+    repeats = {
+        "voters": ([["d", "c", "b", "a"]], [["a", "b"]], [], [list("abcd")] * 2),
+        "candidates": (list("abcd"), list("dcba"), ["a", "b"], 4),
+    }
+    for key, values in repeats.items():
+        if rng.random() < 0.15:
+            members.insert(rng.randrange(len(members) + 1), (key, rng.choice(values)))
+    return members
+
+
+def _outcome(text):
+    """The parsed instance, its rankings checked to hold the candidates' own
+    name objects, or the error's code and message."""
+    try:
+        instance = parse_instance(text)
+    except InputError as exc:
+        return exc.code, str(exc)
+    own = {id(name) for name in instance.profile.candidates}
+    assert all(
+        type(ranking) is tuple and all(id(name) in own for name in ranking)
+        for ranking in instance.profile.voters
+    )
+    return instance
+
+
+class TestDecoding:
+    def test_both_member_orders_read_alike(self):
+        # rankings read after the candidates are checked as they are read;
+        # read first, they are checked when the profile is built
+        rng = random.Random(29)
+        parsed = 0
+        for _ in range(2000):
+            members = _broken_members(rng)
+            outcomes = [
+                _outcome(_write(sorted(members, key=lambda m: m[0] != first), indent))
+                for first in ("candidates", "voters")
+                for indent in (None, 2)
+            ]
+            assert all(outcome == outcomes[0] for outcome in outcomes), outcomes
+            parsed += not isinstance(outcomes[0], tuple)
+        assert 200 < parsed < 1800
+
+    def test_text_faults_are_json_faults(self):
+        rng = random.Random(30)
+        members = list(document().items())
+        for _ in range(1000):
+            first = rng.choice(("candidates", "voters"))
+            text = _write(
+                sorted(members, key=lambda m: m[0] != first), rng.choice((None, 2))
+            )
+            fault = rng.randrange(5)
+            at = rng.randrange(len(text))
+            if fault == 0:
+                text = text[:at]
+            elif fault == 1:
+                text = text[:at] + rng.choice(',]}[{":x \n') + text[at:]
+            elif fault == 2:
+                text = text[:at] + text[at + 1:]
+            elif fault == 3:
+                text += rng.choice((" x", "{}", ",", "]", " 1"))
+            else:
+                text = "\ufeff" + text
+            try:
+                doc = json.loads(text)
+            except ValueError as exc:
+                with pytest.raises(InputError) as info:
+                    parse_instance(text)
+                assert info.value.code == "malformed-json"
+                assert str(info.value) == f"not valid JSON: {exc}"
+            else:
+                assert isinstance(doc, dict)
+                assert _outcome(text) == _outcome(json.dumps(doc))
+
+    def test_a_well_formed_document_checks_each_ranking_once(self, monkeypatch):
+        from comsel import elections
+
+        checked = []
+        check = elections.intern_ranking
+
+        def counted(canon, ranking):
+            checked.append(ranking)
+            return check(canon, ranking)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the whole text went through json.loads")
+
+        monkeypatch.setattr(cli, "intern_ranking", counted)
+        monkeypatch.setattr(cli.json, "loads", refused)
+        monkeypatch.setattr(elections, "intern_ranking", counted)
+        for indent in (None, 2):
+            checked.clear()
+            instance = parse_instance(json.dumps(document(), indent=indent))
+            assert len(checked) == instance.profile.num_voters == 5
+        checked.clear()
+        elections.ElectionProfile(("a", "b"), (("a", "b"), ("b", "a")), 1)
+        assert len(checked) == 2
+
+    def test_parse_peak_memory_stays_near_the_text(self):
+        # the decoded rankings' name strings are dropped as each ranking is
+        # interned; decoded whole, they would take about 9x the text
+        rng = random.Random(31)
+        names = [f"c{i:02d}" for i in range(100)]
+        text = json.dumps({
+            "candidates": names,
+            "voters": [rng.sample(names, len(names)) for _ in range(2000)],
+            "k": 3,
+            "rule": {"type": "weakly_separable", "gamma": "borda"},
+        })
+        tracemalloc.start()
+        try:
+            parse_instance(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(text)
 
 
 class TestSerialization:
