@@ -15,14 +15,21 @@ bounds from its floor and ceiling, in passes over all rows until no bound
 moves, and the greedy bound fills the seats with the best members the
 bounds allow, enforcing only the committee size; when those counts also
 satisfy every row, they are the node's best committee.  A node these tests
-leave open may then consult the LP relaxation (``lp``), whose row
-multipliers give a Lagrangian bound, or, when the LP is infeasible, a
-Farkas certificate.  Floats only choose the multipliers: they are rounded
-to ints, and every bound and every infeasibility prune is decided in exact
-integer arithmetic, so a float error can weaken a bound but never make it
-wrong.  The LP always prices the keys, so a feasible root's multipliers
-bound from the first incumbent on.  A child inherits its parent's
-multipliers and solves the LP again only when they fail to prune it.
+leave open then consults the LP relaxation (``lp``), whose row multipliers
+give a Lagrangian bound, or, when the LP is infeasible, a Farkas
+certificate.  Floats only choose the multipliers: they are rounded to ints,
+and every bound and every infeasibility prune is decided in exact integer
+arithmetic, so a float error can weaken a bound but never make it wrong.
+The LP always prices the keys, so a feasible root's multipliers bound from
+the first incumbent on.  A child inherits its parent's multipliers and
+solves the LP again whenever they fail to prune it.
+
+A node that stays open branches on the next region in best-gain order,
+one child per count, the count nearest the LP's point first and the
+others outward from it.  Floats choose only the order, never a prune.  The
+greedy count takes the LP's place when no LP above the node was feasible,
+and when the keys are wider than a float's 53 bits: the LP then sees them
+cut, without the low tiers and the ties, and its point misleads.
 
 A search builds its LP once, over the whole box, on its first LP solve
 (``_LagrangianBound.base``), and every LP restarts from a state: the final
@@ -52,10 +59,6 @@ from .result import SolveResult, outcome
 
 # LP multipliers are rounded to multiples of 2**-_FRACTION_BITS
 _FRACTION_BITS = 30
-# Past the root, the LP joins only once a search has visited this many
-# nodes: on the overlap benchmark most searches end sooner, and there the
-# cheap tests finish faster than LP solves would.
-_LP_AFTER_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -360,21 +363,24 @@ def solve_region_ip(
             continue
         if mu is not None and bounds.prunes(mu, lows, highs, best):
             continue
-        # the LP runs at the root and at the nodes of a search that has
-        # proved hard, from the last feasible LP above the node or the base
-        if fixed is None or stats["nodes"] > _LP_AFTER_NODES:
-            stats["lp_solves"] += 1
-            solved = bounds.multipliers(lows, highs, lp or bounds.base)
-            if solved is not None:
-                # an infeasible LP leaves no state: the nodes below keep
-                # restarting from the last feasible one
-                mu, lp = solved[:2], solved[2] or lp
-                if bounds.prunes(mu, lows, highs, best):
-                    continue
-        # the greedy count is reached first, then the others outward from
-        # it, the higher of two equally far first
+        # every node left open runs the LP, from the last feasible LP above
+        # the node or the base
+        stats["lp_solves"] += 1
+        solved = bounds.multipliers(lows, highs, lp or bounds.base)
+        if solved is not None:
+            # an infeasible LP leaves no state: the nodes below keep
+            # restarting from the last feasible one
+            mu, lp = solved[:2], solved[2] or lp
+            if bounds.prunes(mu, lows, highs, best):
+                continue
+        # the child nearest the LP's count comes first, then the others
+        # outward from it, the higher of two equally far first; the greedy
+        # count stands in with no feasible LP above the node, or with keys
+        # cut to a float's 53 bits, whose LP misses the low tiers and ties
         index = order[position]
         guess = counts[index]
+        if lp is not None and bounds.keys[0] <= 53:
+            guess = min(max(round(lp.value[index]), lows[index]), highs[index])
         values = sorted(
             range(lows[index], highs[index] + 1),
             key=lambda v: (abs(v - guess), -v),

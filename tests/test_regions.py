@@ -19,9 +19,9 @@ from comsel import (
     solve_bruteforce,
     solve_region_ip,
 )
-from comsel import regions as regions_module
 from comsel.cli import main, parse_instance
 from comsel.instances import StvRule, WeaklySeparableRule
+from comsel.lp import Simplex
 from comsel.orders import pack
 from comsel.regions import _LagrangianBound, _propagate, build_rows, compute_regions
 from comsel.solve import build_order
@@ -340,9 +340,7 @@ def test_root_lp_proves_infeasibility_in_one_node():
     )
 
 
-def test_lp_at_every_node_agrees_with_the_oracle(monkeypatch):
-    # small searches end before the LP joins; here it joins at once
-    monkeypatch.setattr(regions_module, "_LP_AFTER_NODES", 0)
+def test_lp_at_every_node_agrees_with_the_oracle():
     rules = (
         WeaklySeparableRule("borda"),
         WeaklySeparableRule("sntv"),
@@ -369,6 +367,45 @@ def test_lp_at_every_node_agrees_with_the_oracle(monkeypatch):
         scaled = {c: w << 80 for c, w in order.items()}
         assert solve_region_ip(*args, scaled).committee == oracle.committee, seed
     assert solved > 90
+
+
+def test_cut_keys_leave_the_child_order_to_the_greedy_count(monkeypatch):
+    # keys past a float's 53 bits reach the LP cut, without their low
+    # tiers and ties, so the LP's point must not order the children: no
+    # search over such keys reads it, while searches over the same
+    # documents' own keys do
+    reads = []
+
+    class Watched(list):
+        def __getitem__(self, index):
+            reads.append(index)
+            return super().__getitem__(index)
+
+    solve = Simplex.solve
+
+    def watched(self, lows, highs):
+        found = solve(self, lows, highs)
+        if found is not None and found[2] is not None:
+            found[2].value = Watched(found[2].value)
+        return found
+
+    monkeypatch.setattr(Simplex, "solve", watched)
+    plain = cut = 0
+    for seed in range(30):
+        kind = ("leximax", "leximin", "score")[seed % 3]
+        instance = gen_random(
+            12, 5, 6, 4, "overlapping", "arbitrary", seed=seed, order_kind=kind
+        )
+        order = build_order(instance)
+        args = (instance.profile.candidates, instance.k, instance.constraints)
+        reads.clear()
+        solve_region_ip(*args, order)
+        plain += len(reads)
+        reads.clear()
+        solve_region_ip(*args, {c: w << 80 for c, w in order.items()})
+        cut += len(reads)
+    assert plain > 0
+    assert cut == 0
 
 
 class TestLagrangian:
