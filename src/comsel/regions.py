@@ -10,19 +10,19 @@ when even the most generous completion cannot exceed the incumbent's.
 Labels may overlap and dominance may form any digraph; the price is
 exponential worst-case search, kept in check by the bounds.
 
-Each node first takes the cheap tests: every row in turn tightens the count
-bounds from its floor and ceiling, in passes over all rows until no bound
-moves, and the greedy bound fills the seats with the best members the
-bounds allow, enforcing only the committee size; when those counts also
-satisfy every row, they are the node's best committee.  A node these tests
-leave open then consults the LP relaxation (``lp``), whose row multipliers
-give a Lagrangian bound, or, when the LP is infeasible, a Farkas
-certificate.  Floats only choose the multipliers: they are rounded to ints,
-and every bound and every infeasibility prune is decided in exact integer
-arithmetic, so a float error can weaken a bound but never make it wrong.
-The LP always prices the keys, so a feasible root's multipliers bound from
-the first incumbent on.  A child inherits its parent's multipliers and
-solves the LP again whenever they fail to prune it.
+Every row in turn tightens a node's count bounds from its floor and
+ceiling, in passes over all rows until no bound moves.  Then the node
+meets up to three Lagrangian bounds, each from one int multiplier per row:
+the greedy bound, which prices only the size row and so fills the seats
+with the best members the box allows; the multipliers the node inherits
+from its parent; and those of a fresh LP relaxation (``lp``).  Each bound
+is computed exactly with its maximising counts.  It prunes the node when
+it cannot beat the incumbent, and when the LP is infeasible its Farkas
+certificate, the same sum with every gain 0, prunes the node when
+negative.  Counts that meet every row and beat the incumbent become the
+incumbent, and close the node when they score the bound.  Floats only
+choose the LP's multipliers: they are rounded to ints, so a float error
+can weaken a bound but never make it wrong.
 
 A node that stays open branches on the next region in best-gain order,
 one child per count, the count nearest the LP's point first and the
@@ -45,7 +45,7 @@ which gets the constant back before rounding.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -165,34 +165,6 @@ def _propagate(rows: tuple[Row, ...], lows: list[int], highs: list[int]) -> bool
     return True
 
 
-def _greedy(
-    regions: tuple[Region, ...],
-    negated: Sequence[Sequence[int]],
-    lows: list[int],
-    highs: list[int],
-    k: int,
-) -> tuple[int, list[int]]:
-    """The best sum over the box with only the committee size enforced,
-    and its counts: each region's best ``lows`` members, plus the best of
-    what else fits."""
-    bound = 0
-    extras: list[int] = []
-    for region, low, high in zip(regions, lows, highs):
-        bound += sum(region.gains[:low])
-        extras.extend(region.gains[low:high])
-    seats = k - sum(lows)
-    if not seats:
-        return bound, lows
-    extras.sort(reverse=True)
-    bound += sum(extras[:seats])
-    # packed gains are distinct: a region's count is its gains >= the last taken
-    last = -extras[seats - 1]
-    return bound, [
-        min(max(bisect_right(neg, last), low), high)
-        for neg, low, high in zip(negated, lows, highs)
-    ]
-
-
 def _satisfies(rows: tuple[Row, ...], counts: list[int]) -> bool:
     """Whether the counts meet every row."""
     for row in rows:
@@ -203,17 +175,20 @@ def _satisfies(rows: tuple[Row, ...], counts: list[int]) -> bool:
 
 
 class _LagrangianBound:
-    """Bounds and infeasibility proofs over a node's box from LP multipliers.
+    """Exact Lagrangian bounds and infeasibility proofs over a node's box.
 
-    Floats only choose the multipliers: they are rounded to ints, and the
-    bound they give is then computed exactly, so a float error can make a
-    bound weaker but never wrong."""
+    Every bound comes from one int multiplier per row: the greedy fill's,
+    which price only the size row, or the LP's, whose floats are rounded
+    to ints.  The bound they give is then computed exactly, so a float
+    error can make a bound weaker but never wrong."""
 
     def __init__(self, regions: tuple[Region, ...], rows: tuple[Row, ...], m: int):
         self.regions = regions
         self.rows = rows
         self.m = m
         self.negated = [tuple(-g for g in region.gains) for region in regions]
+        # with every gain 0, for the Farkas check, one table serves as both
+        self.zeros = [(0,) * (region.size + 1) for region in regions]
 
     @cached_property
     def prefixes(self) -> list[tuple[int, ...]]:
@@ -244,6 +219,19 @@ class _LagrangianBound:
         built on a search's first LP solve, then shared by all of them."""
         return Simplex(self.rows, self.shifted[1])
 
+    def greedy(self, lows: list[int], highs: list[int]) -> tuple[bool, list[int]]:
+        """The size row's multiplier alone, one below the last gain a greedy
+        fill of the free seats takes.  Packed gains are distinct, so over a
+        propagated box its Lagrangian is the best sum with only the size
+        enforced, and its counts are that fill."""
+        seats = self.rows[0].low - sum(lows)
+        extras: list[int] = []
+        for region, low, high in zip(self.regions, lows, highs):
+            extras.extend(region.gains[low:high])
+        extras.sort(reverse=True)
+        # no seat free: the propagated box is one point, and any price will do
+        return True, [extras[seats - 1] - 1 if seats else 0]
+
     def multipliers(
         self, lows: list[int], highs: list[int], start: Simplex
     ) -> tuple[bool, list[int], Simplex | None] | None:
@@ -269,54 +257,38 @@ class _LagrangianBound:
             mu.append(scaled)
         return feasible, mu, state
 
-    def prunes(
-        self,
-        mu: tuple[bool, list[int]],
-        lows: list[int],
-        highs: list[int],
-        best: int | None,
-    ) -> bool:
-        """True when no count vector in the box satisfies the rows, or none
-        can beat ``best``, by the exact Lagrangian of ``mu``."""
-        feasible, values = mu
-        if not feasible:
-            return self.lagrangian(values, lows, highs, None) < 0
-        if best is None:
-            return False
-        return self.lagrangian(values, lows, highs, self.prefixes) <= best
-
     def lagrangian(
-        self,
-        multipliers: Sequence[int],
-        lows: list[int],
-        highs: list[int],
-        prefixes: Sequence[Sequence[int]] | None,
-    ) -> int:
-        """``Σ μ_i·rhs_i + Σ_r max over lows[r] <= n <= highs[r] of
-        (prefixes[r][n] + n·c_r)``, with ``c_r = -Σ_i μ_i·coeff_ir`` and
-        ``rhs_i`` the row's upper bound where ``μ_i > 0``, its lower bound
-        where ``μ_i < 0``.  Every count vector in the box that satisfies the
-        rows scores at most this, so it is an upper bound; with ``prefixes``
-        None (every gain 0) a negative value proves that no such vector
-        exists."""
+        self, mu: tuple[bool, Sequence[int]], lows: list[int], highs: list[int]
+    ) -> tuple[int, list[int]]:
+        """``(bound, counts)`` for ``mu = (priced, multipliers)``, rows past
+        the last multiplier unpriced: ``bound = Σ μ_i·rhs_i + Σ_r max over
+        lows[r] <= n <= highs[r] of (prefix_r(n) + n·c_r)``, where ``c_r =
+        -Σ_i μ_i·coeff_ir``, ``rhs_i`` is the row's upper bound where ``μ_i
+        > 0`` and its lower bound where ``μ_i < 0``, and ``counts`` holds
+        each region's maximising n.  No count vector in the box that meets
+        the rows scores more.  ``prefix_r(n)`` sums region r's best n gains
+        when ``priced``; unpriced, every gain is 0, and a negative bound
+        proves that no such vector exists."""
+        priced, multipliers = mu
+        prefixes, negated = (
+            (self.prefixes, self.negated) if priced else (self.zeros, self.zeros)
+        )
         prices = [0] * len(lows)
         total = 0
-        for mu, row in zip(multipliers, self.rows):
-            if mu:
-                total += mu * (row.high if mu > 0 else row.low)
+        for value, row in zip(multipliers, self.rows):
+            if value:
+                total += value * (row.high if value > 0 else row.low)
                 for index, coeff in row.terms:
-                    prices[index] -= coeff * mu
-        if prefixes is None:
-            for price, low, high in zip(prices, lows, highs):
-                total += price * (high if price > 0 else low)
-            return total
+                    prices[index] -= coeff * value
+        counts = []
         for price, low, high, prefix, neg in zip(
-            prices, lows, highs, prefixes, self.negated
+            prices, lows, highs, prefixes, negated
         ):
             # every gain above -price pays for its seat
-            n = min(max(bisect_left(neg, price), low), high)
+            n = bisect_left(neg, price, low, high)
+            counts.append(n)
             total += prefix[n] + n * price
-        return total
+        return total, counts
 
 
 def solve_region_ip(
@@ -340,6 +312,26 @@ def solve_region_ip(
     best: int | None = None
     bounds = _LagrangianBound(regions, rows, len(packed))
 
+    def settle(mu: tuple[bool, Sequence[int]]) -> list[int] | None:
+        """The counts of ``mu``'s bound over the node's box, or None when
+        the bound closes the node: the box is empty, the bound cannot beat
+        the incumbent, or its counts meet every row and score it.  Counts
+        that meet every row and beat the incumbent become the incumbent."""
+        nonlocal best
+        bound, counts = bounds.lagrangian(mu, lows, highs)
+        if not mu[0]:
+            return None if bound < 0 else counts
+        if best is not None and bound <= best:
+            return None
+        if _satisfies(rows, counts):
+            score = sum(prefix[n] for prefix, n in zip(bounds.prefixes, counts))
+            if best is None or score > best:
+                stats["leaves"] += 1
+                best = score
+            if score == bound:  # as the greedy bound is once all counts are fixed
+                return None
+        return counts
+
     # depth-first; a node waits with its parent's bounds, the count it
     # fixes, and its parent's multipliers and last LP state, and copies the
     # bounds when reached
@@ -352,26 +344,18 @@ def solve_region_ip(
         stats["nodes"] += 1
         if not _propagate(rows, lows, highs):
             continue
-        bound, counts = _greedy(regions, bounds.negated, lows, highs, k)
-        if best is not None and bound <= best:
+        # the greedy bound, then the parent's multipliers, then a fresh LP
+        # solve, from the last feasible LP above the node or the base
+        counts = settle(bounds.greedy(lows, highs))
+        if counts is None or mu is not None and settle(mu) is None:
             continue
-        if _satisfies(rows, counts):
-            # the bound is met by a committee, as it always is once every
-            # count is fixed: nothing below can beat it
-            stats["leaves"] += 1
-            best = bound
-            continue
-        if mu is not None and bounds.prunes(mu, lows, highs, best):
-            continue
-        # every node left open runs the LP, from the last feasible LP above
-        # the node or the base
         stats["lp_solves"] += 1
         solved = bounds.multipliers(lows, highs, lp or bounds.base)
         if solved is not None:
             # an infeasible LP leaves no state: the nodes below keep
             # restarting from the last feasible one
             mu, lp = solved[:2], solved[2] or lp
-            if bounds.prunes(mu, lows, highs, best):
+            if settle(mu) is None:
                 continue
         # the child nearest the LP's count comes first, then the others
         # outward from it, the higher of two equally far first; the greedy

@@ -59,15 +59,16 @@ def solve_instance(
     """Solve and re-verify: an optimal result always passes check_committee.
 
     ``budget`` caps the committees the oracle may enumerate, whatever the
-    pool size; the other solvers ignore it.  This is the one place where
-    solver output is verified; the solvers themselves do not re-check
-    their committees."""
+    pool size; the other solvers ignore it, but every route refuses one
+    below 1.  This is the one place where solver output is verified; the
+    solvers themselves do not re-check their committees."""
     if solver not in SOLVERS:
         raise InputError(
             f"unknown solver {solver!r}; expected one of {', '.join(SOLVERS)}"
         )
+    if budget < 1:
+        raise InputError("budget limits must be positive")
     candidates = instance.profile.candidates
-    oracle_budget = OracleBudget(len(candidates), budget)
     chosen = choose_solver(instance) if solver == "auto" else solver
     k = instance.k
     constraints = instance.constraints
@@ -77,9 +78,8 @@ def solve_instance(
     elif chosen == "region":
         result = solve_region_ip(candidates, k, constraints, weights)
     else:
-        result = solve_bruteforce(
-            candidates, k, constraints, weights, oracle_budget
-        )
+        oracle_budget = OracleBudget(len(candidates), budget)
+        result = solve_bruteforce(candidates, k, constraints, weights, oracle_budget)
     if instance.order_kind != "score":  # a lexi key is no score
         result = replace(result, score=None)
     if result.is_optimal:

@@ -1,5 +1,6 @@
 """Region decomposition and the bounded count search."""
 
+import bisect
 import copy
 import itertools
 import json
@@ -340,6 +341,19 @@ def test_root_lp_proves_infeasibility_in_one_node():
     )
 
 
+def test_lp_counts_that_meet_every_row_become_the_incumbent():
+    # the greedy counts break a row, so the root runs its LP (no LP solve
+    # would run otherwise); the counts of the LP's Lagrangian meet every row
+    # and score its bound, so they become the one incumbent, counted as a
+    # leaf, and close the search at the root
+    instance = gen_random(12, 5, 5, 5, "overlapping", "arbitrary", seed=384)
+    order = build_order(instance)
+    args = (instance.profile.candidates, instance.k, instance.constraints)
+    result = solve_region_ip(*args, order)
+    assert result.stats == {"regions": 12, "nodes": 1, "leaves": 1, "lp_solves": 1}
+    assert result.committee == solve_bruteforce(*args, order).committee
+
+
 def test_lp_at_every_node_agrees_with_the_oracle():
     rules = (
         WeaklySeparableRule("borda"),
@@ -480,13 +494,10 @@ class TestLagrangian:
                     continue
                 for scale in (0, unit, 40 * unit):
                     mu = self.random_multipliers(rng, bounds.rows, scale)
-                    assert bounds.lagrangian(mu, lows, highs, bounds.prefixes) >= best
-                    assert not bounds.prunes((True, mu), lows, highs, best - 1)
+                    assert bounds.lagrangian((True, mu), lows, highs)[0] >= best
                 found = bounds.multipliers(lows, highs, bounds.base)
                 if found is not None and found[0]:
-                    bound = bounds.lagrangian(found[1], lows, highs, bounds.prefixes)
-                    assert bound >= best
-                    assert not bounds.prunes(found[:2], lows, highs, best - 1)
+                    assert bounds.lagrangian(found[:2], lows, highs)[0] >= best
 
     def test_farkas_check_fires_only_on_empty_boxes(self):
         fired = lp_fired = 0
@@ -495,14 +506,81 @@ class TestLagrangian:
             for lows, highs, best in boxes:
                 for scale in (0, 3, 3, 3, 3, 3):
                     mu = self.random_multipliers(rng, bounds.rows, scale)
-                    if bounds.prunes((False, mu), lows, highs, None):
+                    if bounds.lagrangian((False, mu), lows, highs)[0] < 0:
                         assert best is None, seed
                         fired += 1
                 found = bounds.multipliers(lows, highs, bounds.base)
-                if found is not None and bounds.prunes(found[:2], lows, highs, None):
-                    assert best is None, seed
-                    lp_fired += 1
+                if found is not None and not found[0]:
+                    if bounds.lagrangian(found[:2], lows, highs)[0] < 0:
+                        assert best is None, seed
+                        lp_fired += 1
         assert fired and lp_fired
+
+    @staticmethod
+    def lagrangian_at(bounds, mu, counts):
+        """The Lagrangian of ``mu = (priced, multipliers)`` at one count
+        vector, term by term."""
+        priced, values = mu
+        total = 0
+        if priced:
+            total = sum(sum(r.gains[:n]) for r, n in zip(bounds.regions, counts))
+        for value, row in zip(values, bounds.rows):
+            rhs = row.high if value > 0 else row.low
+            total += value * (rhs - sum(c * counts[i] for i, c in row.terms))
+        return total
+
+    @staticmethod
+    def greedy(regions, lows, highs, k):
+        """The reference greedy bound: the best sum over a propagated box
+        with only the committee size enforced, and its counts: each
+        region's best ``lows`` members, plus the best of what else fits."""
+        negated = [tuple(-g for g in region.gains) for region in regions]
+        bound = 0
+        extras = []
+        for region, low, high in zip(regions, lows, highs):
+            bound += sum(region.gains[:low])
+            extras.extend(region.gains[low:high])
+        seats = k - sum(lows)
+        if not seats:
+            return bound, lows
+        extras.sort(reverse=True)
+        bound += sum(extras[:seats])
+        # packed gains are distinct: a region's count is its gains >= the last taken
+        last = -extras[seats - 1]
+        return bound, [
+            min(max(bisect.bisect_right(neg, last), low), high)
+            for neg, low, high in zip(negated, lows, highs)
+        ]
+
+    def test_counts_maximise_the_lagrangian_and_the_size_row_is_the_greedy(self):
+        # every bound's counts reach its value, and no count vector in the
+        # box goes past it; the multipliers of ``greedy`` give the
+        # reference greedy bound and counts on every propagated box, the
+        # root's among them
+        free = 0
+        for seed in range(40):
+            rng, bounds, boxes = self.boxes(seed)
+            unit = 1 << bounds.m
+            for lows, highs, _ in boxes:
+                box = [range(a, b + 1) for a, b in zip(lows, highs)]
+                for priced, scale in ((True, 0), (True, unit), (True, 40 * unit),
+                                      (False, 3)):
+                    mu = priced, self.random_multipliers(rng, bounds.rows, scale)
+                    bound, counts = bounds.lagrangian(mu, lows, highs)
+                    assert self.lagrangian_at(bounds, mu, counts) == bound, seed
+                    assert all(
+                        self.lagrangian_at(bounds, mu, vector) <= bound
+                        for vector in itertools.product(*box)
+                    ), seed
+            root = [0] * len(bounds.regions), [r.size for r in bounds.regions]
+            for lows, highs, _ in [(*root, None), *boxes]:
+                if not _propagate(bounds.rows, lows, highs):
+                    continue
+                k = bounds.rows[0].low
+                greedy = bounds.lagrangian(bounds.greedy(lows, highs), lows, highs)
+                assert greedy == self.greedy(bounds.regions, lows, highs, k), seed
+                free += k > sum(lows)
+        assert free >= 30
 
     @staticmethod
     def lp_objective(state, gains):
@@ -556,7 +634,7 @@ class TestLagrangian:
                     ]
                     assert math.isclose(*objectives, abs_tol=1e-6), seed
                     continue
-                assert bounds.lagrangian(warm[1], *box, None) < 0, seed
+                assert bounds.lagrangian(warm[:2], *box)[0] < 0, seed
                 assert self.best_in(feasible, *box) is None, seed
         assert outcomes.count(False) >= 20 and outcomes.count(True) >= 500
 
