@@ -3,8 +3,10 @@
 A labeling names groups of candidates.  An interval constraint bounds how
 many committee members a group may contribute.  A dominance constraint
 requires one group to contribute at least as many members as another.
-Dominance relations form a directed graph over labels; several solvers
-need its transitive closure, its cycle structure, or a forest layout.
+Dominance relations form a directed graph over labels, analysed once per
+instance: the closure gives each label's dominators.  Dominance is tree-like
+when every label's dominators form a chain.  Then each cycle of labels
+hangs below its closest dominator outside it, which has the most dominators.
 """
 
 from __future__ import annotations
@@ -134,8 +136,8 @@ class Violation:
 class ConstraintSet:
     """A labeling together with the constraints stated over it.
 
-    The dominance analysis (closure and tree-likeness witness) is computed
-    on first use and cached, so every solver stage shares one copy.
+    The dominance analysis (closure, dominators, tree-likeness witness) is
+    computed on first use and cached, so every solver stage shares it.
     """
 
     labeling: Labeling
@@ -178,13 +180,20 @@ class ConstraintSet:
         )
 
     @cached_property
+    def dominators(self) -> dict[str, tuple[str, ...]]:
+        """Each label's dominators, the other labels that reach it, in name order."""
+        above: dict[str, list[str]] = {name: [] for name in self.reach}
+        for name, below in self.reach.items():
+            for target in below - {name}:
+                above[target].append(name)
+        return {name: tuple(names) for name, names in above.items()}
+
+    @cached_property
     def chain_violation(self) -> tuple[str, str, str] | None:
         """Two incomparable labels that both dominate a third, or None when
         the dominance relation is tree-like."""
         reach = self.reach
-        names = sorted(reach)
-        for target in names:
-            above = [a for a in names if a != target and target in reach[a]]
+        for target, above in self.dominators.items():
             for i, first in enumerate(above):
                 for second in above[i + 1 :]:
                     if second not in reach[first] and first not in reach[second]:
@@ -281,16 +290,14 @@ class DominanceForest:
                 f"dominance is not tree-like: labels {first!r} and {second!r} "
                 f"both dominate {target!r} but neither dominates the other"
             )
-        labeling = constraints.labeling
         reach = constraints.reach
-        groups: dict[frozenset[str], None] = {}
-        for name in labeling.names:
-            cycle = frozenset(
-                {name}
-                | {other for other in reach[name] if name in reach[other]}
-            )
-            groups.setdefault(cycle, None)
-        nodes = tuple(sorted(tuple(sorted(group)) for group in groups))
+        dominators = constraints.dominators
+        # a label's node is it with the dominators it reaches back
+        cycles = {
+            tuple(sorted((name, *(a for a in above if a in reach[name]))))
+            for name, above in dominators.items()
+        }
+        nodes = tuple(sorted(cycles))
         index_of = {
             name: position
             for position, node in enumerate(nodes)
@@ -299,18 +306,11 @@ class DominanceForest:
         children: list[list[int]] = [[] for _ in nodes]
         roots: list[int] = []
         for position, node in enumerate(nodes):
-            representative = node[0]
-            above = {
-                index_of[name]
-                for name in labeling.names
-                if representative in reach[name]
-            } - {position}
-            # the nodes above form a chain; the closest reaches the fewest
-            # labels outside its own cycle
-            up = min(
-                above,
-                key=lambda i: len(reach[nodes[i][0]] - set(nodes[i])),
+            # along the chain outside the cycle, the closest has the most dominators
+            up = max(
+                (name for name in dominators[node[0]] if index_of[name] != position),
+                key=lambda name: len(dominators[name]),
                 default=None,
             )
-            (roots if up is None else children[up]).append(position)
+            (roots if up is None else children[index_of[up]]).append(position)
         return cls(nodes, tuple(map(tuple, children)), tuple(roots))

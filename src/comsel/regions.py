@@ -24,8 +24,8 @@ incumbent, and close the node when they score the bound.  Floats only
 choose the LP's multipliers: they are rounded to ints, so a float error
 can weaken a bound but never make it wrong.
 
-A node that stays open branches on the next region in best-gain order,
-one child per count, the count nearest the LP's point first and the
+A node that stays open branches on the first open region in best-gain
+order, one child per count, the count nearest the LP's point first and the
 others outward from it.  Floats choose only the order, never a prune.  The
 greedy count takes the LP's place when no LP above the node was feasible,
 and when the keys are wider than a float's 53 bits: the LP then sees them
@@ -335,9 +335,9 @@ def solve_region_ip(
     # depth-first; a node waits with its parent's bounds, the count it
     # fixes, and its parent's multipliers and last LP state, and copies the
     # bounds when reached
-    pending = [(0, [0] * count, [r.size for r in regions], None, 0, None, None)]
+    pending = [([0] * count, [r.size for r in regions], None, 0, None, None)]
     while pending:
-        position, lows, highs, fixed, value, mu, lp = pending.pop()
+        lows, highs, fixed, value, mu, lp = pending.pop()
         if fixed is not None:
             lows, highs = lows.copy(), highs.copy()
             lows[fixed] = highs[fixed] = value
@@ -357,11 +357,13 @@ def solve_region_ip(
             mu, lp = solved[:2], solved[2] or lp
             if settle(mu) is None:
                 continue
+        # branch on the first open region in best-gain order; a point box
+        # always closes in settle, so there is one
+        index = next(i for i in order if lows[i] < highs[i])
         # the child nearest the LP's count comes first, then the others
         # outward from it, the higher of two equally far first; the greedy
         # count stands in with no feasible LP above the node, or with keys
         # cut to a float's 53 bits, whose LP misses the low tiers and ties
-        index = order[position]
         guess = counts[index]
         if lp is not None and bounds.keys[0] <= 53:
             guess = min(max(round(lp.value[index]), lows[index]), highs[index])
@@ -370,7 +372,7 @@ def solve_region_ip(
             key=lambda v: (abs(v - guess), -v),
             reverse=True,
         )
-        pending.extend((position + 1, lows, highs, index, v, mu, lp) for v in values)
+        pending.extend((lows, highs, index, v, mu, lp) for v in values)
 
     committee = None if best is None else unpack(best, packed)
     return outcome("region", weights, committee, stats)

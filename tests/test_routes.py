@@ -1,8 +1,14 @@
-"""Two routes agree on one document: each case writes the document through
-``comsel gen random`` (or takes it as written), solves it by two routes
-through ``cli.main``, each exiting 0, and compares the fields it names."""
+"""Whole ``comsel`` runs through ``cli.main``, in process.
 
+Two routes agree on one document: each case writes the document through
+``comsel gen random`` (or takes it as written), solves it by two routes,
+each exiting 0, and compares the fields it names.  One run through stdin:
+each case pipes a document or a graph into one verb, as a shell would, and
+checks its exit code, its result and its error line."""
+
+import io
 import json
+import time
 
 import pytest
 
@@ -116,3 +122,99 @@ def test_two_routes_agree(tmp_path, capsys, source, routes, shared, first, lp_so
     if lp_solves:
         result = solve_instance(parse_instance(text), solver="region")
         assert result.stats["lp_solves"] >= lp_solves, result.stats
+
+
+SOLVE = ("solve", "--input", "-")
+COVER = ("gen", "vertex-cover", "--input", "-", "--cover-size", "1")
+
+# (stdin: ``gen random`` arguments or the text itself, the verb, its exit
+# code, the fields its result must hold, and how its error line starts)
+PIPES = [
+    pytest.param(
+        (*sizes(12, 40, 4, 3), "--rule", "stv:droop_gregory", "--seed", "1"),
+        SOLVE, 0, {"status": "optimal"}, "",
+        id="droop-gregory-weight-piles",
+    ),
+    pytest.param(
+        (*sizes(40, 3000, 6, 3), "--seed", "1"),
+        SOLVE, 0, {"status": "optimal"}, "",
+        id="3000-voters-on-stdin",
+    ),
+    pytest.param(
+        (*sizes(12, 5, 6, 5), *OVERLAPPING, "--seed", "176"),
+        SOLVE, 1, {"status": "infeasible", "solver": "region"}, "note:",
+        id="root-lp-proves-infeasible",
+    ),
+    pytest.param(
+        '{"candidates": ["a", "b", "c"], "voters": [["a", "b", "c"], '
+        '["b", "c", "a"], ["c", "a", "b"], ["a", "c", "b"]], "k": 1, '
+        '"rule": {"type": "weakly_separable", "gamma": [0.5, 0.25, 0]}}\n',
+        SOLVE, 0, {"status": "optimal", "committee": ["a"], "score": 1.25}, "",
+        id="fractional-gamma-scaled-to-ints",
+    ),
+    pytest.param(
+        '{"candidates": ["a", "b"], "voters": [["a", "b"]], "k": 1, '
+        '"rule": {"type": "weakly_separable", "gamma": [1e30000000, 0]}}\n',
+        SOLVE, 2, None, "error[malformed-json]",
+        id="exponent-past-the-digit-limit",
+    ),
+    pytest.param(
+        "--3 0\n", COVER, 2, None, "error[invalid-graph]",
+        id="non-numeric-graph-token",
+    ),
+    pytest.param(
+        (*sizes(10, 3, 4, 3), "--order", "leximax", "--seed", "1"),
+        SOLVE, 0, {"status": "optimal", "solver": "dp"}, "",
+        id="leximax-on-the-dp-route",
+    ),
+    pytest.param(
+        "100000 0\n", COVER, 2, None, "error[budget]",
+        id="reduction-past-its-size-cap",
+    ),
+]
+
+
+@pytest.mark.parametrize("source, argv, status, fields, error", PIPES)
+def test_one_run_through_stdin(
+    monkeypatch, capsys, source, argv, status, fields, error
+):
+    if isinstance(source, str):
+        text = source
+    else:
+        assert main(["gen", "random", *source]) == 0
+        text = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    started = time.perf_counter()
+    code = main(list(argv))
+    seconds = time.perf_counter() - started
+    out, err = capsys.readouterr()
+    assert code == status, err
+    assert seconds < 10
+    assert err.startswith(error), err
+    assert "Traceback" not in err
+    if fields is None:
+        assert out == ""
+    else:
+        result = json.loads(out)
+        assert {field: result[field] for field in fields} == fields, result
+
+
+def test_member_order_and_a_truncated_copy(tmp_path, capsys):
+    # the voters written after the candidates and before them give
+    # byte-identical results; the first 300 bytes are malformed JSON
+    assert main(["gen", "random", *sizes(12, 40, 4, 3), "--seed", "2"]) == 0
+    first = capsys.readouterr().out
+    doc = json.loads(first)
+    assert list(doc).index("candidates") < list(doc).index("voters")
+    voters = doc.pop("voters")
+    last = json.dumps({"voters": voters, **doc}, indent=2) + "\n"
+    runs = {}
+    for name, text in (("first", first), ("last", last), ("cut", first[:300])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        runs[name] = (main(["solve", "--input", str(path)]), *capsys.readouterr())
+    assert runs["first"][0] == runs["last"][0] == 0
+    assert runs["first"][1] == runs["last"][1]
+    code, out, err = runs["cut"]
+    assert code == 2 and out == ""
+    assert err.startswith("error[malformed-json]"), err
