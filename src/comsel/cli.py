@@ -379,8 +379,6 @@ def _read_text(path: str) -> str:
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)

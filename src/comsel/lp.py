@@ -77,9 +77,9 @@ class Simplex:
             float(sum(c * start[j] for j, c in terms)) for terms, _, _ in rows
         ]
         self.basic = list(range(width, width + height))
-        self.in_basis = [False] * width + [True] * height
         self.pieces = list(zip(self.row_lows, self.row_highs, [0.0] * height))
         self.z = [0.0] * (width + height)
+        # each nonbasic column's slopes; None marks a basic column
         self.slopes = [self._slopes(j) for j in range(width)] + [None] * height
 
     def solve(self, lows: Sequence[int], highs: Sequence[int]) -> Solved | None:
@@ -97,7 +97,7 @@ class Simplex:
         lp = object.__new__(Simplex)
         lp.__dict__.update(self.__dict__)
         lp.tab = [row.copy() for row in self.tab]
-        for name in ("value", "basic", "in_basis", "pieces", "z", "slopes"):
+        for name in ("value", "basic", "pieces", "z", "slopes"):
             setattr(lp, name, getattr(self, name).copy())
         lp._restrict(lows, highs)
         broken = lp._dual()
@@ -144,10 +144,10 @@ class Simplex:
         piece lies outside them gets the empty piece at the nearer bound,
         so that the dual simplex moves it on or out."""
         tab, value, basic, pieces = self.tab, self.value, self.basic, self.pieces
-        old_lows, old_highs = self.lows, self.highs
+        slopes, old_lows, old_highs = self.slopes, self.lows, self.highs
         self.lows, self.highs = lows, highs
         for j in range(self.width):
-            if self.in_basis[j] or (lows[j], highs[j]) == (old_lows[j], old_highs[j]):
+            if slopes[j] is None or (lows[j], highs[j]) == (old_lows[j], old_highs[j]):
                 continue
             moved = min(max(value[j], lows[j]), highs[j]) - value[j]
             if moved:
@@ -155,7 +155,7 @@ class Simplex:
                 for i, row in enumerate(tab):
                     if row[j]:
                         value[basic[i]] -= moved * row[j]
-            self.slopes[j] = self._slopes(j)
+            slopes[j] = self._slopes(j)
         for i, j in enumerate(basic):
             if j < self.width:
                 start, end, cost = pieces[i]
@@ -167,8 +167,7 @@ class Simplex:
     def _pivot(self, leave: int, enter: int, piece: Piece) -> None:
         """Make ``enter`` basic in ``piece`` in place of row ``leave``'s
         column, which the caller has put on a breakpoint."""
-        tab, basic, in_basis, z = self.tab, self.basic, self.in_basis, self.z
-        slopes = self.slopes
+        tab, basic, z, slopes = self.tab, self.basic, self.z, self.slopes
         out = basic[leave]
         pivot_row = tab[leave]
         pivot = pivot_row[enter]
@@ -178,8 +177,6 @@ class Simplex:
             if i != leave and factor:
                 row[:] = [a - factor * b for a, b in zip(row, pivot_row)]
         basic[leave] = enter
-        in_basis[enter] = True
-        in_basis[out] = False
         slopes[enter] = None
         slopes[out] = self._slopes(out)
         self.pieces[leave] = piece

@@ -155,11 +155,9 @@ def _propagate(rows: tuple[Row, ...], lows: list[int], highs: list[int]) -> bool
                         highs[index] = lows[index] + room_high
                     if highs[index] - lows[index] > room_low:
                         lows[index] = highs[index] - room_low
-                else:
-                    if room_high is not None and width > room_high:
-                        lows[index] = highs[index] - room_high
-                    if highs[index] - lows[index] > room_low:
-                        highs[index] = lows[index] + room_low
+                # a negative term: only dominance rows, with no upper bound, hold one
+                elif width > room_low:
+                    highs[index] = lows[index] + room_low
                 if highs[index] - lows[index] < width:
                     changed = True
     return True

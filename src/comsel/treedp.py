@@ -56,16 +56,18 @@ def preprocess_intervals(
 ) -> Preprocessed:
     """Fold interval bounds through the dominance closure and prune pools.
 
-    A dominated label can never out-count a dominating one, so upper
-    bounds flow down the closure and lower bounds flow up.  Each label
-    keeps only its best ``high`` members under the ``pack``-ed weights.
+    A label's ``high`` is the least of k, its usable members and its
+    interval's upper bound.  A dominated label can never out-count a
+    dominating one, so upper bounds flow down the closure and lower bounds
+    flow up.  A floor above its ``high`` is the one infeasibility found
+    here; else each label keeps only its best ``high`` members under the
+    ``pack``-ed weights.
     """
     labeling = constraints.labeling
     universe = set(candidates)
+    usable = {name: labeling.members(name) & universe for name in labeling.names}
     lows = {name: 0 for name in labeling.names}
-    highs = {
-        name: min(k, len(labeling.members(name))) for name in labeling.names
-    }
+    highs = {name: min(k, len(usable[name])) for name in labeling.names}
     for interval in constraints.intervals:
         lows[interval.label] = max(lows[interval.label], interval.lower)
         highs[interval.label] = min(highs[interval.label], interval.upper)
@@ -87,15 +89,7 @@ def preprocess_intervals(
     pools: dict[str, tuple[str, ...]] = {}
     if reason is None:
         for name in labeling.names:
-            members = labeling.members(name) & universe
-            kept = best_singletons(packed, members, min(eff_high[name], len(members)))
-            pools[name] = kept
-            if eff_low[name] > len(kept):
-                reason = (
-                    f"label {name!r}: lower bound {eff_low[name]} exceeds its "
-                    f"{len(kept)} usable members"
-                )
-                break
+            pools[name] = best_singletons(packed, usable[name], eff_high[name])
     spare = universe - labeling.labeled
     unlabeled = best_singletons(packed, spare, min(k, len(spare)))
     return Preprocessed(

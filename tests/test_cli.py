@@ -14,7 +14,8 @@ from fractions import Fraction
 import pytest
 
 from comsel import (
-    InputError, StvRule, WeaklySeparableRule, gen_random, solve_instance,
+    ContractViolation, InputError, StvRule, WeaklySeparableRule, gen_random,
+    solve_instance,
 )
 from comsel import cli, generators
 from comsel.cli import (
@@ -526,6 +527,33 @@ class TestMain:
         assert code == 2
         assert capsys.readouterr().err.startswith("error[contract]")
 
+    def test_an_invalid_committee_is_a_contract_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the one verification point: a solver's optimum that breaks an
+        # interval is refused, and the CLI says so with exit 2, never 1
+        import comsel.solve
+
+        solve_region_ip = comsel.solve.solve_region_ip
+
+        def broken(*args):
+            return replace(solve_region_ip(*args), committee=("a", "b"))
+
+        monkeypatch.setattr(comsel.solve, "solve_region_ip", broken)
+        doc = document(
+            labels={"l": ["a", "b"]},
+            constraints=[{"type": "interval", "label": "l", "min": 0, "max": 1}],
+        )
+        with pytest.raises(ContractViolation, match="invalid committee"):
+            solve_instance(parse_instance(json.dumps(doc)), solver="region")
+        code = main(
+            ["solve", "--input", self.write(tmp_path, doc), "--solver", "region"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error[contract]: solver returned")
+        assert captured.out == ""
+
     def test_infeasible_exit_code_and_note(self, tmp_path, capsys):
         doc = document(
             labels={"l": ["a"]},
@@ -896,6 +924,19 @@ class TestMain:
             helps.append(capsys.readouterr().out)
         assert helps[0].startswith("usage: comsel solve")
         assert helps[0] == helps[1]
+
+
+def test_the_module_runs_as_a_script(monkeypatch, capsys):
+    # ``python -m comsel.cli``: runpy executes a fresh copy of the module,
+    # so the loaded one leaves sys.modules for the run
+    import runpy
+
+    monkeypatch.delitem(sys.modules, "comsel.cli")
+    monkeypatch.setattr(sys, "argv", ["comsel", "--help"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("comsel.cli", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: comsel")
 
 
 def test_a_solve_loads_only_the_modules_it_runs(tmp_path):

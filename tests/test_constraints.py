@@ -26,6 +26,15 @@ class TestLabeling:
         assert len(labeling) == 2
         assert "left" in labeling and "middle" not in labeling
 
+    def test_equality_hash_and_repr(self):
+        labeling = Labeling({"l": "ab"})
+        assert labeling == Labeling({"l": "ba"})
+        assert hash(labeling) == hash(Labeling({"l": "ba"}))
+        assert labeling != Labeling({"l": "a"})
+        assert labeling != {"l": frozenset("ab")}
+        # the repr reads back as an equal labeling
+        assert eval(repr(labeling)) == labeling
+
     def test_empty_name_rejected(self):
         with pytest.raises(InputError, match="nonempty strings"):
             Labeling({"": "ab"})

@@ -169,6 +169,12 @@ class TestCliqueSntv:
             gen_clique_sntv(TRIANGLE, 1)
 
 
+@pytest.mark.parametrize("generate", [gen_clique_sntv, gen_clique_bloc])
+def test_clique_reductions_need_a_vertex(generate):
+    with pytest.raises(InputError, match="at least one vertex"):
+        generate(Graph(0, ()), 2)
+
+
 class TestCliqueBloc:
     def test_small_graphs_skip_padding(self):
         assert _pad_for_bloc(TRIANGLE, 3) == (TRIANGLE, 3)
@@ -278,6 +284,8 @@ class TestRandomInstances:
             gen_random(3, 1, 1, 1, structure="dag")
         with pytest.raises(InputError, match="disjoint nonempty"):
             gen_random(3, 1, 1, 4, mode="disjoint")
+        with pytest.raises(InputError, match="label count cannot be negative"):
+            gen_random(3, 1, 1, -1)
 
     def test_zero_labels(self):
         instance = gen_random(5, 2, 2, 0, seed=1)

@@ -87,6 +87,11 @@ class TestInstanceValidation:
         # lexi orders work fine over the stv ranking
         make(profile_b, rule=StvRule("simple"), order_kind="leximax")
 
+    def test_unknown_rule_object(self, profile_a):
+        with pytest.raises(InputError, match="unsupported rule object") as info:
+            make(profile_a, rule=object())
+        assert info.value.code == "invalid-rule"
+
     def test_unknown_order_kind(self, profile_a):
         with pytest.raises(InputError, match="unknown order"):
             make(profile_a, order_kind="pareto")

@@ -422,6 +422,58 @@ def test_cut_keys_leave_the_child_order_to_the_greedy_count(monkeypatch):
     assert cut == 0
 
 
+def _agree_with_the_oracle(seeds):
+    """Solve seeded overlapping instances under score and leximin orders and
+    check each against the oracle; the number of LP solves the searches ran."""
+    solved = 0
+    for seed in seeds:
+        kind = ("score", "leximin")[seed % 2]
+        instance = gen_random(
+            10, 5, 4, 3 + seed % 2, "overlapping", "arbitrary",
+            seed=seed, order_kind=kind,
+        )
+        order = build_order(instance)
+        args = (instance.profile.candidates, instance.k, instance.constraints)
+        result = solve_region_ip(*args, order)
+        oracle = solve_bruteforce(*args, order)
+        assert result.status == oracle.status, seed
+        assert result.committee == oracle.committee, seed
+        assert result.score == oracle.score, seed
+        solved += result.stats["lp_solves"]
+    return solved
+
+
+def test_the_search_stays_exact_when_the_lp_gives_up(monkeypatch):
+    # every LP solve hits the iteration cap: the nodes keep the greedy
+    # bound and branch on the greedy count
+    monkeypatch.setattr(Simplex, "_dual", lambda self: None)
+    assert _agree_with_the_oracle(range(40)) > 40
+
+
+def test_any_finite_multipliers_keep_the_search_exact(monkeypatch):
+    # the LP only proposes multipliers; rounded to ints, with a positive one
+    # on a row that has no upper bound (a dominance row) clamped to 0, any
+    # finite ones give a bound that is weak at worst, never wrong
+    rng = random.Random(11)
+    solve = Simplex.solve
+    unbounded = []
+
+    def noisy(self, lows, highs):
+        found = solve(self, lows, highs)
+        if found is None:
+            return None
+        feasible, duals, state = found
+        duals = [rng.choice((0.0, rng.uniform(-2, 2))) for _ in duals]
+        unbounded.extend(
+            d for d, high in zip(duals, self.row_highs) if d > 0 and high == math.inf
+        )
+        return feasible, duals, state
+
+    monkeypatch.setattr(Simplex, "solve", noisy)
+    assert _agree_with_the_oracle(range(40)) > 40
+    assert len(unbounded) > 20
+
+
 class TestLagrangian:
     """The exact Lagrangian bound and Farkas check against the oracle, on
     random boxes over small overlapping pools."""
