@@ -9,7 +9,10 @@ raised as ``SystemExit(2)`` when ``main`` is called in-process.
 
 Instance documents are read by ``parse_instance``, which decodes the top
 level one member at a time with json's own scanner, so that each ranking
-is checked and interned as it is read (see its docstring).
+is checked and interned as it is read (see its docstring).  ``solve`` and
+``check`` read an ``--input`` file in fixed-size chunks, so its whole text
+is never held; stdin and inputs that cannot seek are read whole.  A faulty
+document is read again whole, so that its error is json's.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Sequence, TextIO
 
 from .bruteforce import OracleBudget
 from .constraints import ConstraintSet, Dominance, Interval, check_committee
@@ -127,89 +131,131 @@ def _skip(text: str, end: int) -> int:
     return _skip_space(text, end).end() if text[end:end + 1] in _SPACE else end
 
 
-def _decode_rankings(
-    text: str, start: int, candidates: list[str]
-) -> tuple[list, int, bool]:
-    """The ``voters`` array whose ``[`` is at ``start``, each ranking
-    interned as it is read, so only the interned tuples stay; and whether
-    every ranking was.  At the first ranking ``intern_ranking`` refuses,
-    the array is decoded again whole, as json would, for
-    ``parse_instance``'s checks to name the fault."""
-    scan = _DECODER.scan_once
-    canon = {c: c for c in candidates}
-    rankings = []
-    end = start + 1
-    while True:
-        if text[end] in _SPACE:  # _skip inline, once per ranking
-            end = _skip_space(text, end).end()
-        ranking, end = scan(text, end)
+_CHUNK = 1 << 16  # characters per read of an input file
+
+
+class _Input:
+    """An open input: ``len()`` is its size in bytes, and ``read(n)`` gives
+    its next ``n`` characters."""
+
+    def __init__(self, path: str, handle: TextIO) -> None:
+        self.path, self.handle = path, handle
+
+    def __len__(self) -> int:
+        return os.fstat(self.handle.fileno()).st_size
+
+    def read(self, size: int = -1) -> str:
         try:
-            interned = intern_ranking(canon, ranking) if type(ranking) is list else None
-        except TypeError:  # an unhashable entry
-            interned = None
-        if interned is None:
-            value, end = scan(text, start)
-            return value, end, False
-        rankings.append(interned)
-        if text[end] in _SPACE:
-            end = _skip_space(text, end).end()
-        if text[end] == "]":
-            return rankings, end + 1, True
-        if text[end] != ",":
-            raise ValueError("not an array")
-        end += 1
+            return self.handle.read(size)
+        except UnicodeDecodeError as exc:  # cannot be read as text: an io error
+            raise OSError(f"{self.path}: not UTF-8 text: {exc}") from None
 
 
-def _decode(text: str) -> tuple[Any, bool]:
+def _decode(source: str | _Input) -> tuple[Any, bool]:
     """``json.loads(text, parse_float=_exact_decimal)``, and whether every
     ranking of its ``voters`` was interned against its ``candidates``.
 
-    A top-level object with distinct keys is read one member at a time by
-    json's own scanner.  A ``voters`` array read after a ``candidates``
-    list goes through ``_decode_rankings``; any other value is decoded
-    whole.  Any other text, faulty or not, goes to ``json.loads``,
-    whose errors name the fault."""
+    The text is scanned in a window, all of a ``str`` or an ``_Input``'s
+    chunks.  A top-level object with distinct keys is read one member at a
+    time by json's own scanner, a ``voters`` array after a ``candidates``
+    list one ranking at a time, each interned as it is read.  What runs off
+    the window's edge, a number ending on it included, is read again after
+    a refill.  A fault once all the text is in, or a refused ranking, sends
+    the whole text to ``json.loads``, whose errors name the fault."""
     scan = _DECODER.scan_once
+    if isinstance(source, _Input):
+        text = source.read(_CHUNK)
+        read = source.read if len(text) == _CHUNK else None
+    else:
+        text, read = source, None
     doc: dict[str, Any] = {}
+    rankings = None  # the voters array while its rankings are read
     interned = False
-    try:
-        end = _skip(text, 0)
-        if text[end] != "{":
-            raise ValueError("not an object")
-        end = _skip(text, end + 1)
-        while text[end] != "}":
-            if text[end] != '"':
-                raise ValueError("not a key")
-            key, end = json.decoder.scanstring(text, end + 1)
-            if key in doc:
-                raise ValueError("a repeated key")  # json.loads keeps the last
-            end = _skip(text, end)
-            if text[end] != ":":
-                raise ValueError("not a member")
-            end = _skip(text, end + 1)
-            candidates = doc.get("candidates")
-            if key == "voters" and text[end] == "[" and isinstance(candidates, list):
-                doc[key], end, interned = _decode_rankings(text, end, candidates)
-            else:
-                doc[key], end = scan(text, end)
-            end = _skip(text, end)
-            if text[end] == ",":
-                end = _skip(text, end + 1)
+    mark = -1  # where the member or ranking being read starts; -1: the "{"
+    while True:
+        end = mark
+        try:
+            if end < 0:
+                end = _skip(text, 0)
+                if text[end] != "{":
+                    raise ValueError("not an object")
+                mark = end = end + 1
+            while True:
+                if rankings is not None:
+                    while True:
+                        if text[end] in _SPACE:  # _skip inline, once per ranking
+                            end = _skip_space(text, end).end()
+                        if rankings:  # a separator before all but the first
+                            if text[end] == "]":
+                                break
+                            if text[end] != ",":
+                                raise ValueError("not an array")
+                            end += 1
+                            if text[end] in _SPACE:
+                                end = _skip_space(text, end).end()
+                        ranking, end = scan(text, end)
+                        try:
+                            checked = (intern_ranking(canon, ranking)
+                                      if type(ranking) is list else None)
+                        except TypeError:  # an unhashable entry
+                            checked = None
+                        if checked is None:  # json.loads decodes the whole text
+                            read = None
+                            raise ValueError("a refused ranking")
+                        rankings.append(checked)
+                        mark = end
+                    doc["voters"], rankings = rankings, None
+                    interned = True
+                    mark = end = end + 1
+                end = _skip(text, end)
                 if text[end] == "}":
-                    raise ValueError("a trailing comma")
-            elif text[end] != "}":
-                raise ValueError("not an object")
-        if _skip(text, end + 1) != len(text):
-            raise ValueError("extra data")
-    # a fault in the text (StopIteration: no value where one must be;
-    # IndexError: the text ends early), an unhashable candidate or bytes
-    # (TypeError), which json.loads decodes
-    except (ValueError, StopIteration, IndexError, RecursionError, TypeError):
-        return json.loads(text, parse_float=_exact_decimal), False
-    return doc, interned
+                    if _skip(text, end + 1) == len(text) and read is None:
+                        return doc, interned
+                    raise ValueError("extra data, or text still to read")
+                if doc:
+                    if text[end] != ",":
+                        raise ValueError("not an object")
+                    end = _skip(text, end + 1)
+                if text[end] != '"':
+                    raise ValueError("not a key")
+                key, end = json.decoder.scanstring(text, end + 1)
+                if key in doc:
+                    raise ValueError("a repeated key")  # json.loads keeps the last
+                end = _skip(text, end)
+                if text[end] != ":":
+                    raise ValueError("not a member")
+                end = _skip(text, end + 1)
+                candidates = doc.get("candidates")
+                if key == "voters" and text[end] == "[" and isinstance(candidates, list):
+                    canon = {c: c for c in candidates}
+                    rankings = []
+                    mark = end = end + 1
+                    continue
+                value, end = scan(text, end)
+                if end == len(text) and read is not None:
+                    raise IndexError("a number may go on past the edge")
+                doc[key] = value
+                mark = end
+        # a fault in the text (StopIteration: no value where one must be;
+        # IndexError: the window ends early), an unhashable candidate or
+        # bytes (TypeError), which a refill or json.loads settles
+        except (ValueError, StopIteration, IndexError, RecursionError, TypeError):
+            if read is None:
+                break
+            # keep the item being read and read at least as much again, so a
+            # value longer than the window doubles it
+            keep = text[max(mark, 0):]
+            size = max(_CHUNK, len(keep))
+            more = read(size)
+            text, read = keep + more, read if len(more) == size else None
+            mark = min(mark, 0)
+    if isinstance(source, _Input):  # the whole text, read again
+        source.handle.seek(0)
+        source = source.read()
+    return json.loads(source, parse_float=_exact_decimal), False
 
 
-def parse_instance(text: str) -> ElectionInstance:
+def parse_instance(text: str | _Input) -> ElectionInstance:
     """Read a JSON instance document, naming the first violation.
 
     The parser checks the document's shape only: field types, required
@@ -225,6 +271,12 @@ def parse_instance(text: str) -> ElectionInstance:
     rankings without a second check.  Otherwise ``voters`` is decoded
     whole and the profile checks it.  Either way a fault is named by the
     same checks, in the same order, on the same decoded values.
+
+    ``text`` is the document's text, or an ``_Input``: the CLI reads an
+    input file in chunks, so the text is never held whole beside the
+    profile (stdin and inputs that cannot seek are read whole).  A
+    document with a fault is read again whole for ``json.loads``, so its
+    error is json's either way.
     """
     try:
         doc, interned = _decode(text)
@@ -367,13 +419,21 @@ def result_to_document(result: SolveResult) -> dict:
 
 
 def _read_text(path: str) -> str:
-    try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except UnicodeDecodeError as exc:  # cannot be read as text: an io error
-        raise OSError(f"{path}: not UTF-8 text: {exc}") from None
+    """The whole text of the input at ``path`` ('-' for stdin)."""
+    if path == "-":
+        return _Input(path, sys.stdin).read()
+    with open(path, encoding="utf-8") as handle:
+        return _Input(path, handle).read()
+
+
+def _read_instance(path: str) -> ElectionInstance:
+    """The instance at ``path``: a file that can seek back, to re-read a
+    faulty document, is read in chunks; stdin and any other input whole."""
+    if path == "-":
+        return parse_instance(_read_text(path))
+    with open(path, encoding="utf-8") as handle:
+        source = _Input(path, handle)
+        return parse_instance(source if handle.seekable() else source.read())
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -385,7 +445,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    instance = parse_instance(_read_text(args.input))
+    instance = _read_instance(args.input)
     result = solve_instance(instance, solver=args.solver, budget=args.budget)
     document = result_to_document(result)
     _write_text(args.output, json.dumps(document, indent=2) + "\n")
@@ -395,7 +455,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    instance = parse_instance(_read_text(args.input))
+    instance = _read_instance(args.input)
     names = [part.strip() for part in args.committee.split(",") if part.strip()]
     universe = set(instance.profile.candidates)
     stray = sorted(set(names) - universe)

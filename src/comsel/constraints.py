@@ -192,8 +192,18 @@ class ConstraintSet:
     def chain_violation(self) -> tuple[str, str, str] | None:
         """Two incomparable labels that both dominate a third, or None when
         the dominance relation is tree-like."""
-        reach = self.reach
-        for target, above in self.dominators.items():
+        reach, dominators = self.reach, self.dominators
+        size = {name: len(above) for name, above in dominators.items()}
+        for target, above in dominators.items():
+            # in order of their own dominator counts, a chain's labels each
+            # reach the next; only a label whose dominators fail that is
+            # scanned pair by pair for the witness
+            chain = sorted(above, key=size.__getitem__)
+            for first, second in zip(chain, chain[1:]):
+                if second not in reach[first]:
+                    break
+            else:
+                continue
             for i, first in enumerate(above):
                 for second in above[i + 1 :]:
                     if second not in reach[first] and first not in reach[second]:

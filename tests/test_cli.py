@@ -1,6 +1,7 @@
 """JSON document parsing, serialization, and the command-line verbs."""
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -278,11 +279,11 @@ def _broken_members(rng):
     return members
 
 
-def _outcome(text):
+def _outcome(text, parse=parse_instance):
     """The parsed instance, its rankings checked to hold the candidates' own
     name objects, or the error's code and message."""
     try:
-        instance = parse_instance(text)
+        instance = parse(text)
     except InputError as exc:
         return exc.code, str(exc)
     own = {id(name) for name in instance.profile.candidates}
@@ -293,24 +294,57 @@ def _outcome(text):
     return instance
 
 
+@pytest.fixture(params=(1, 2, 3, 7))
+def parse_file(request, tmp_path, monkeypatch):
+    """``parse_instance`` through the CLI's file source: the text is written
+    to a file, read back in chunks of 1, 2, 3 or 7 characters, so every
+    member, ranking and number of a small document meets the window's edge."""
+    monkeypatch.setattr(cli, "_CHUNK", request.param)
+    path = tmp_path / "instance.json"
+
+    def parse(text):
+        path.write_bytes(text.encode("utf-8"))
+        return cli._read_instance(str(path))
+
+    return parse
+
+
 class TestDecoding:
     def test_both_member_orders_read_alike(self):
+        self.member_orders_read_alike(parse_instance, 2000)
+
+    def test_both_member_orders_read_alike_in_chunks(self, parse_file):
+        # the first quarter of the documents, as each is written to a file
+        self.member_orders_read_alike(parse_file, 500)
+
+    @staticmethod
+    def member_orders_read_alike(parse, rounds):
         # rankings read after the candidates are checked as they are read;
         # read first, they are checked when the profile is built
         rng = random.Random(29)
         parsed = 0
-        for _ in range(2000):
+        for _ in range(rounds):
             members = _broken_members(rng)
             outcomes = [
-                _outcome(_write(sorted(members, key=lambda m: m[0] != first), indent))
+                _outcome(
+                    _write(sorted(members, key=lambda m: m[0] != first), indent),
+                    parse,
+                )
                 for first in ("candidates", "voters")
                 for indent in (None, 2)
             ]
             assert all(outcome == outcomes[0] for outcome in outcomes), outcomes
             parsed += not isinstance(outcomes[0], tuple)
-        assert 200 < parsed < 1800
+        assert rounds // 10 < parsed < rounds * 9 // 10
 
     def test_text_faults_are_json_faults(self):
+        self.text_faults_are_json_faults(parse_instance)
+
+    def test_text_faults_are_json_faults_in_chunks(self, parse_file):
+        self.text_faults_are_json_faults(parse_file)
+
+    @staticmethod
+    def text_faults_are_json_faults(parse):
         rng = random.Random(30)
         members = list(document().items())
         for _ in range(1000):
@@ -334,14 +368,57 @@ class TestDecoding:
                 doc = json.loads(text)
             except ValueError as exc:
                 with pytest.raises(InputError) as info:
-                    parse_instance(text)
+                    parse(text)
                 assert info.value.code == "malformed-json"
                 assert str(info.value) == f"not valid JSON: {exc}"
             else:
                 assert isinstance(doc, dict)
-                assert _outcome(text) == _outcome(json.dumps(doc))
+                assert _outcome(text, parse) == _outcome(json.dumps(doc))
 
     def test_a_well_formed_document_checks_each_ranking_once(self, monkeypatch):
+        from comsel import elections
+
+        checked = self.count_checks(monkeypatch)
+        for indent in (None, 2):
+            checked.clear()
+            instance = parse_instance(json.dumps(document(), indent=indent))
+            assert len(checked) == instance.profile.num_voters == 5
+        checked.clear()
+        elections.ElectionProfile(("a", "b"), (("a", "b"), ("b", "a")), 1)
+        assert len(checked) == 2
+
+    def test_a_well_formed_document_checks_each_ranking_once_in_chunks(
+        self, monkeypatch, parse_file
+    ):
+        # k's two digits, after whitespace of each width from 0 to 15 and
+        # with k written first, meet the window's edge between them at
+        # every chunk size, where json's scanner stops as if the number ended
+        checked = self.count_checks(monkeypatch)
+        rng = random.Random(32)
+        names = [f"c{i}" for i in range(12)]
+        wide = document(
+            candidates=names,
+            voters=[rng.sample(names, len(names)) for _ in range(11)],
+            k=10,
+            rule={"type": "weakly_separable",
+                  "gamma": [120, 96.25, 80, 64, 50, 40, 30, 20, 12, 10, 1, 0]},
+        )
+        for doc in (document(), wide):
+            voters_first = {"voters": doc["voters"], **doc}
+            k_first = {"k": doc["k"], **doc}
+            for layout in (doc, voters_first, k_first):
+                for indent, pad in itertools.product((None, 2), range(16)):
+                    text = json.dumps(layout, indent=indent)
+                    checked.clear()
+                    instance = parse_file(text.replace('"k": ', '"k": ' + " " * pad))
+                    assert instance.k == doc["k"]
+                    assert len(checked) == instance.profile.num_voters
+                    assert len(checked) == len(doc["voters"])
+
+    @staticmethod
+    def count_checks(monkeypatch):
+        """The rankings ``intern_ranking`` checks, listed as it checks them;
+        a call to ``json.loads`` fails the test."""
         from comsel import elections
 
         checked = []
@@ -357,13 +434,7 @@ class TestDecoding:
         monkeypatch.setattr(cli, "intern_ranking", counted)
         monkeypatch.setattr(cli.json, "loads", refused)
         monkeypatch.setattr(elections, "intern_ranking", counted)
-        for indent in (None, 2):
-            checked.clear()
-            instance = parse_instance(json.dumps(document(), indent=indent))
-            assert len(checked) == instance.profile.num_voters == 5
-        checked.clear()
-        elections.ElectionProfile(("a", "b"), (("a", "b"), ("b", "a")), 1)
-        assert len(checked) == 2
+        return checked
 
     def test_parse_peak_memory_stays_near_the_text(self):
         # the decoded rankings' name strings are dropped as each ranking is
@@ -383,6 +454,66 @@ class TestDecoding:
         finally:
             tracemalloc.stop()
         assert peak < 3 * len(text)
+
+    def test_a_file_parse_peaks_below_its_text(self, tmp_path):
+        # read in chunks, the text is never held whole: the peak is the
+        # profile and a few chunks, under the text's own size
+        rng = random.Random(34)
+        names = [f"candidate-{i:02d}-{'x' * 14}" for i in range(100)]
+        text = json.dumps({
+            "candidates": names,
+            "voters": [rng.sample(names, len(names)) for _ in range(600)],
+            "k": 3,
+            "rule": {"type": "weakly_separable", "gamma": "borda"},
+        })
+        assert len(text) >= 20 * cli._CHUNK
+        path = tmp_path / "instance.json"
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            instance = cli._read_instance(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert instance.profile.num_voters == 600
+        assert peak < 0.6 * len(text)
+
+    def test_a_large_file_is_scanned_in_linear_time(self, tmp_path, monkeypatch):
+        # voters written first are one value longer than any window, so the
+        # window doubles until it holds them; read after the candidates,
+        # each ranking meets the edge at most a few times.  Either way the
+        # scanner covers each character a few times, not once per chunk.
+        monkeypatch.setattr(cli, "_CHUNK", 7)
+        rng = random.Random(33)
+        names = [f"c{i:02d}" for i in range(100)]
+        voters = [rng.sample(names, len(names)) for _ in range(1500)]
+        rest = {"k": 3, "rule": {"type": "weakly_separable", "gamma": "borda"}}
+        scan = cli._DECODER.scan_once
+        path = tmp_path / "instance.json"
+        for doc in ({"voters": voters, "candidates": names, **rest},
+                    {"candidates": names, "voters": voters, **rest}):
+            text = json.dumps(doc)
+            assert len(text) > 1 << 20
+            path.write_text(text)
+            covered = 0
+
+            def counted(s, idx):
+                nonlocal covered
+                try:
+                    value, end = scan(s, idx)
+                except (ValueError, StopIteration):
+                    covered += len(s) - idx  # all a failing scan can cover
+                    raise
+                else:
+                    covered += end - idx
+                    return value, end
+                finally:  # a quadratic read stops here, not after hours
+                    if covered > 4 * len(text):
+                        raise AssertionError(f"{covered} characters scanned")
+
+            monkeypatch.setattr(cli._DECODER, "scan_once", counted)
+            assert cli._read_instance(str(path)).profile.num_voters == 1500
+            assert len(text) <= covered <= 4 * len(text)
 
 
 class TestSerialization:
@@ -721,6 +852,78 @@ class TestMain:
             err = capsys.readouterr().err
             assert err.startswith("error[io]"), err
             assert "Traceback" not in err
+
+    def test_an_invalid_byte_after_the_first_chunk_is_an_io_error(
+        self, tmp_path, capsys
+    ):
+        # the io layer decodes a read's bytes at once, so the byte sits past
+        # two chunks' worth of them
+        path = tmp_path / "late.json"
+        text = json.dumps(document(voters=[list("abcd")] * 20000))
+        assert text.index('"score"') > 2 * cli._CHUNK
+        path.write_bytes(text.replace('"score"', '"sc\xffore"').encode("latin-1"))
+        target = tmp_path / "result.json"
+        for argv in (
+            ["solve", "--input", str(path), "--output", str(target)],
+            ["check", "--input", str(path), "--committee", "a,b"],
+        ):
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert err.startswith(f"error[io]: {path}: not UTF-8 text"), err
+            assert "Traceback" not in err
+            assert out == ""
+            assert not target.exists()
+
+    def test_stdin_and_pipes_are_read_whole_and_decode_alike(
+        self, tmp_path, monkeypatch
+    ):
+        import io
+
+        sources = []
+        parse = cli.parse_instance
+
+        def traced(source):
+            sources.append(source)
+            return parse(source)
+
+        monkeypatch.setattr(cli, "parse_instance", traced)
+        doc = document(labels={"l1": ["a", "b"]}, k=3,
+                       rule={"type": "weakly_separable", "gamma": [3, 2.5, 1, 0]})
+        text = json.dumps(doc, indent=2)
+        from_file = cli._read_instance(self.write(tmp_path, doc))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        from_stdin = cli._read_instance("-")
+        read, write = os.pipe()
+        with os.fdopen(write, "w") as pipe:  # far below a pipe's buffer
+            pipe.write(text)
+        try:
+            from_pipe = cli._read_instance(f"/dev/fd/{read}")
+        finally:
+            os.close(read)
+        assert from_file == from_stdin == from_pipe == parse_instance(text)
+        assert [type(source) for source in sources] == [cli._Input, str, str]
+        assert sources[1] == sources[2] == text
+
+    def test_solve_and_check_parse_the_file_once_in_chunks(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # as perfbench's tracer sees it: one parse_instance call per run,
+        # whose argument's len() is the file's size in bytes
+        sizes = []
+        parse = cli.parse_instance
+
+        def traced(source):
+            assert isinstance(source, cli._Input)
+            sizes.append(len(source))
+            return parse(source)
+
+        monkeypatch.setattr(cli, "parse_instance", traced)
+        path = self.write(tmp_path, document())
+        assert main(["solve", "--input", path]) == 0
+        assert json.loads(capsys.readouterr().out)["score"] == 17
+        assert main(["check", "--input", path, "--committee", "b,c"]) == 0
+        assert capsys.readouterr().out == "ok\n"
+        assert sizes == [os.path.getsize(path)] * 2
 
     def test_check_verb(self, tmp_path, capsys):
         doc = document(
