@@ -9,7 +9,7 @@ raised as ``SystemExit(2)`` when ``main`` is called in-process.
 
 Instance documents are read by ``parse_instance``, which decodes the top
 level one member at a time with json's own scanner, so that each ranking
-is checked and interned as it is read (see its docstring).  ``solve`` and
+is checked and coded as it is read (see its docstring).  ``solve`` and
 ``check`` read an ``--input`` file in fixed-size chunks, so its whole text
 is never held; stdin and inputs that cannot seek are read whole.  A faulty
 document is read again whole, so that its error is json's.
@@ -27,7 +27,7 @@ from typing import Any, Sequence, TextIO
 
 from .bruteforce import OracleBudget
 from .constraints import ConstraintSet, Dominance, Interval, check_committee
-from .elections import ElectionProfile, Score, _Interned, intern_ranking
+from .elections import ElectionProfile, Score, intern_ranking
 from .errors import ComselError, InputError
 from .instances import (
     MODES,
@@ -152,16 +152,19 @@ class _Input:
 
 
 def _decode(source: str | _Input) -> tuple[Any, bool]:
-    """``json.loads(text, parse_float=_exact_decimal)``, and whether every
-    ranking of its ``voters`` was interned against its ``candidates``.
+    """``json.loads(text, parse_float=_exact_decimal)``, and whether its
+    ``voters`` is the one code string (see ``ElectionProfile``) of rankings
+    that ``intern_ranking`` accepted against its ``candidates``.
 
     The text is scanned in a window, all of a ``str`` or an ``_Input``'s
     chunks.  A top-level object with distinct keys is read one member at a
     time by json's own scanner, a ``voters`` array after a ``candidates``
-    list one ranking at a time, each interned as it is read.  What runs off
+    list one ranking at a time, each coded as it is read.  What runs off
     the window's edge, a number ending on it included, is read again after
-    a refill.  A fault once all the text is in, or a refused ranking, sends
-    the whole text to ``json.loads``, whose errors name the fault."""
+    a refill, which comes early when less than a chunk lies ahead of a
+    member's value, or less than a chunk and the last ranking's length
+    ahead of a ranking.  A fault once all the text is in, or a refused
+    ranking, sends the whole text to ``json.loads``, whose errors name it."""
     scan = _DECODER.scan_once
     if isinstance(source, _Input):
         text = source.read(_CHUNK)
@@ -183,6 +186,9 @@ def _decode(source: str | _Input) -> tuple[Any, bool]:
             while True:
                 if rankings is not None:
                     while True:
+                        # less than the last ranking's length, and a chunk, ahead
+                        if read is not None and span > len(text) - end < _CHUNK:
+                            raise IndexError("the ranking may run past the edge")
                         if text[end] in _SPACE:  # _skip inline, once per ranking
                             end = _skip_space(text, end).end()
                         if rankings:  # a separator before all but the first
@@ -195,7 +201,7 @@ def _decode(source: str | _Input) -> tuple[Any, bool]:
                                 end = _skip_space(text, end).end()
                         ranking, end = scan(text, end)
                         try:
-                            checked = (intern_ranking(canon, ranking)
+                            checked = (intern_ranking(codes, ranking)
                                       if type(ranking) is list else None)
                         except TypeError:  # an unhashable entry
                             checked = None
@@ -203,8 +209,8 @@ def _decode(source: str | _Input) -> tuple[Any, bool]:
                             read = None
                             raise ValueError("a refused ranking")
                         rankings.append(checked)
-                        mark = end
-                    doc["voters"], rankings = rankings, None
+                        span, mark = end - mark, end
+                    doc["voters"], rankings = "".join(rankings), None
                     interned = True
                     mark = end = end + 1
                 end = _skip(text, end)
@@ -227,10 +233,12 @@ def _decode(source: str | _Input) -> tuple[Any, bool]:
                 end = _skip(text, end + 1)
                 candidates = doc.get("candidates")
                 if key == "voters" and text[end] == "[" and isinstance(candidates, list):
-                    canon = {c: c for c in candidates}
-                    rankings = []
+                    codes = {c: chr(j) for j, c in enumerate(candidates)}
+                    rankings, span = [], 0
                     mark = end = end + 1
                     continue
+                if read is not None and len(text) - end < _CHUNK:
+                    raise IndexError("the value may run past the edge")
                 value, end = scan(text, end)
                 if end == len(text) and read is not None:
                     raise IndexError("a number may go on past the edge")
@@ -267,8 +275,8 @@ def parse_instance(text: str | _Input) -> ElectionInstance:
 
     Each ranking of ``voters`` is decoded and checked as it is read when
     ``candidates`` comes first, as every writer in this package puts it,
-    and only its interned tuple is kept; the profile then takes the
-    rankings without a second check.  Otherwise ``voters`` is decoded
+    and only its code string is kept; the profile then takes the joined
+    string without a second check.  Otherwise ``voters`` is decoded
     whole and the profile checks it.  Either way a fault is named by the
     same checks, in the same order, on the same decoded values.
 
@@ -288,10 +296,9 @@ def parse_instance(text: str | _Input) -> ElectionInstance:
     if unknown:
         raise InputError(f"unknown field {unknown[0]!r}", code="unknown-field")
     candidates = _string_list(_require(doc, "candidates"), "candidates")
-    voters = _typed(_require(doc, "voters"), list, "voters", "a list")
-    if interned:  # tuples of list rankings that intern_ranking accepted
-        voters = _Interned(voters)
-    else:
+    voters = _require(doc, "voters")
+    if not interned:
+        _typed(voters, list, "voters", "a list")
         for index, ranking in enumerate(voters):
             if not isinstance(ranking, list):
                 raise InputError(
@@ -302,7 +309,7 @@ def parse_instance(text: str | _Input) -> ElectionInstance:
     # the profile's permutation check rejects every entry that is not a
     # candidate; only an unhashable one makes it raise TypeError
     try:
-        profile = ElectionProfile(tuple(candidates), voters, k)
+        profile = ElectionProfile(tuple(candidates), voters, k, _coded=interned)
     except TypeError:
         raise InputError(
             "field 'voters' must hold lists of strings", code="malformed-field"

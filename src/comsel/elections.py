@@ -1,21 +1,22 @@
 """Election data model and positional scoring.
 
-``intern_ranking`` is the one ranking check.  ``ElectionProfile`` runs it
-on every ranking it is given; the document decoder in ``comsel.cli`` runs
-it on each ranking as it reads it, and hands the profile the accepted
-tuples as ``_Interned`` rankings, which it keeps without a second check.
+``intern_ranking`` is the one ranking check; it codes a ranking as one
+code point per entry.  ``ElectionProfile`` runs it on every ranking it is
+given; the document decoder in ``comsel.cli`` runs it on each ranking as
+it reads it and hands the profile the joined codes, kept unchecked.
 
 ``score_all`` scores every candidate under a ``WeaklySeparableRule``, whose
 ``vector(profile)`` (in ``comsel.instances``) sizes and checks the vector.
 A profile with fewer voters than scored positions is counted one ballot at
 a time; otherwise one ``Counter`` per position counts the column, whose
-set-up cost pays off only when many voters repeat names in it.  A lexi
+set-up cost pays off only when many voters repeat codes in it.  A lexi
 order's tiers are the groups of equal scores (``comsel.orders``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
@@ -51,86 +52,99 @@ def as_score(value: object) -> Score:
     raise InputError(f"unsupported score value {value!r}", code="invalid-gamma")
 
 
-def intern_ranking(canon: dict[str, str], ranking: Sequence) -> tuple[str, ...] | None:
-    """``ranking`` as a tuple of ``canon``'s own name objects, or None when
-    it is not a permutation of ``canon``'s keys.  ``canon`` maps each
-    candidate to itself.  An unhashable entry raises TypeError whatever
+def intern_ranking(codes: dict[str, str], ranking: Sequence) -> str | None:
+    """``ranking`` as a string of its entries' codes, or None when it is
+    not a permutation of ``codes``' keys.  ``codes`` maps each candidate
+    to ``chr`` of its index.  An unhashable entry raises TypeError whatever
     the ranking's length, since the lookup comes first."""
     try:
         if len(ranking) > 1:
-            interned = itemgetter(*ranking)(canon)
+            coded = itemgetter(*ranking)(codes)
         else:  # itemgetter needs a key, and returns a single one bare
-            interned = tuple(canon[c] for c in ranking)
+            coded = tuple(codes[c] for c in ranking)
     except KeyError:
         set(ranking)  # raises TypeError on an unhashable entry
         return None
-    m = len(canon)
-    if len(interned) != m or len(set(interned)) != m:
+    m = len(codes)
+    if len(coded) != m or len(set(coded)) != m:
         return None
-    return interned
+    return "".join(coded)
 
 
-class _Interned(tuple):
-    """Rankings ``intern_ranking`` has already accepted against the
-    candidates of the profile they are given to, which keeps them as they
-    are.  Private: the public constructor checks every ranking."""
+def _code_points(ballots: str, m: int) -> Sequence[int]:
+    """``ballots``' codes as ints: its latin-1 bytes, or its utf-32 past the BOM."""
+    if m <= 256:
+        return ballots.encode("latin-1")
+    return memoryview(ballots.encode("utf-32", "surrogatepass"))[4:].cast("I")
 
 
-@dataclass(frozen=True)
+def _check_codable(m: int) -> None:
+    """Refuse more candidates than there are code points to stand for them."""
+    if m > sys.maxunicode + 1:
+        raise InputError(
+            f"a profile holds at most {sys.maxunicode + 1} candidates",
+            code="too-many-candidates",
+        )
+
+
+@dataclass(frozen=True, init=False)
 class ElectionProfile:
     """Candidates, strict voter rankings (best first), and the committee size.
 
     Every ranking must be a permutation of the full candidate set.  The
-    rankings are validated once, by ``intern_ranking``, and stored as
-    tuples of the candidates' own name objects, so scoring and counting
-    compare names by identity with cached hashes.  The committee size may
+    rankings are validated once, by ``intern_ranking``, and stored as one
+    string ``ballots``: voter i's ranking is ``ballots[i*m:(i+1)*m]``, and
+    ``chr(j)`` stands for ``candidates[j]``, one byte per entry up to
+    m = 256.  ``voters`` decodes it on each access.  The committee size may
     be zero; an empty committee is a legal outcome.
     """
 
     candidates: tuple[str, ...]
-    voters: tuple[tuple[str, ...], ...]
+    ballots: str
     k: int
 
-    def __post_init__(self) -> None:
-        if not self.candidates:
+    def __init__(self, candidates: tuple[str, ...], voters: Sequence, k: int,
+                 *, _coded: bool = False) -> None:
+        """``_coded`` (private): ``voters`` is accepted codes, kept as is."""
+        if not candidates:
             raise InputError(
                 "a profile needs at least one candidate", code="empty-profile"
             )
-        canon = {c: c for c in self.candidates}
-        if len(canon) != len(self.candidates):
-            dupe = next(c for c in self.candidates if self.candidates.count(c) > 1)
+        _check_codable(len(candidates))
+        if len(set(candidates)) != len(candidates):
+            dupe = next(c for c in candidates if candidates.count(c) > 1)
             raise InputError(
                 f"candidate identifiers must be distinct; {dupe!r} repeats",
                 code="duplicate-candidate",
             )
-        if not self.voters:
+        if not voters:
             raise InputError("a profile needs at least one voter", code="empty-profile")
-        if isinstance(self.voters, _Interned):
-            rankings = list(self.voters)
-        else:
+        if not _coded:
+            codes = {c: chr(j) for j, c in enumerate(candidates)}
             rankings = []
-            for index, ranking in enumerate(self.voters):
-                interned = intern_ranking(canon, ranking)
-                if interned is None:
+            for index, ranking in enumerate(voters):
+                coded = intern_ranking(codes, ranking)
+                if coded is None:
                     raise InputError(
                         f"voter {index}: ranking is not a permutation of the "
                         f"candidate set (voter index {index}, counting from 0)",
                         code="non-permutation-ranking",
                     )
-                rankings.append(interned)
-        object.__setattr__(self, "voters", tuple(rankings))
-        if not isinstance(self.k, int) or isinstance(self.k, bool):
-            shown = repr(self.k)
-            if isinstance(self.k, Fraction):  # a document's decimal, as written
-                shown = Decimal(self.k.numerator) / self.k.denominator + Decimal("0.0")
+                rankings.append(coded)
+            voters = "".join(rankings)
+        if not isinstance(k, int) or isinstance(k, bool):
+            shown = repr(k)
+            if isinstance(k, Fraction):  # a document's decimal, as written
+                shown = Decimal(k.numerator) / k.denominator + Decimal("0.0")
             raise InputError(
                 f"committee size must be an integer, got {shown}", code="invalid-k"
             )
-        if not 0 <= self.k <= len(self.candidates):
+        if not 0 <= k <= len(candidates):
             raise InputError(
-                f"committee size {self.k} outside 0..{len(self.candidates)}",
+                f"committee size {k} outside 0..{len(candidates)}",
                 code="invalid-k",
             )
+        vars(self).update(candidates=candidates, ballots=voters, k=k)
 
     @classmethod
     def build(
@@ -142,12 +156,21 @@ class ElectionProfile:
         return cls(tuple(candidates), tuple(voters), k)
 
     @property
+    def voters(self) -> tuple[tuple[str, ...], ...]:
+        """The rankings as tuples of the candidates' own name objects."""
+        names, ballots, m = self.candidates, self.ballots, len(self.candidates)
+        if m == 1:  # itemgetter returns a single entry bare
+            return ((names[0],),) * len(ballots)
+        codes = _code_points(ballots, m)
+        return tuple(itemgetter(*codes[i:i + m])(names) for i in range(0, len(codes), m))
+
+    @property
     def num_candidates(self) -> int:
         return len(self.candidates)
 
     @property
     def num_voters(self) -> int:
-        return len(self.voters)
+        return len(self.ballots) // len(self.candidates)
 
 
 def score_all(profile: ElectionProfile, rule: WeaklySeparableRule) -> dict[str, Score]:
@@ -158,22 +181,25 @@ def score_all(profile: ElectionProfile, rule: WeaklySeparableRule) -> dict[str, 
     position's column is counted by one ``Counter`` and the counts are
     weighted; with fewer, each ballot is walked once, adding its positions'
     weights.  A ``Counter`` has a fixed set-up cost per column, which pays
-    off only when the column repeats names, that is with many voters."""
+    off only when the column repeats codes, that is with many voters."""
     gamma = rule.vector(profile)
     scale = math.lcm(*(v.denominator for v in gamma))
     weights = [int(v * scale) for v in gamma]
     while weights and not weights[-1]:
         weights.pop()
-    totals = dict.fromkeys(profile.candidates, 0)
-    if len(profile.voters) < len(weights):
-        for ranking in profile.voters:
-            for candidate, weight in zip(ranking, weights):
-                totals[candidate] += weight
+    m, ballots = profile.num_candidates, profile.ballots
+    by_code = [0] * m  # in the candidates' order
+    if len(ballots) < m * len(weights):
+        codes = _code_points(ballots, m)
+        for start in range(0, len(codes), m):
+            for code, weight in zip(codes[start:start + m], weights):
+                by_code[code] += weight
     else:
-        for weight, column in zip(weights, zip(*profile.voters)):
-            if weight:
-                for candidate, count in Counter(column).items():
-                    totals[candidate] += weight * count
+        for j, weight in enumerate(weights):
+            if weight:  # column j holds every voter's j-th preference
+                for code, count in Counter(ballots[j::m]).items():
+                    by_code[ord(code)] += weight * count
+    totals = dict(zip(profile.candidates, by_code))
     if scale == 1:
         return totals
     return {c: as_score(Fraction(total, scale)) for c, total in totals.items()}

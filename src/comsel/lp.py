@@ -41,6 +41,7 @@ from typing import Sequence
 
 _TOL = 1e-9
 _BLAND_AFTER = 8  # degenerate steps in a row before the anti-cycling rule
+_STEPS_PER_COLUMN = 50  # the iteration cap, per column of the tableau
 
 Piece = tuple[float, float, float]  # start, end and slope of a linear stretch
 Solved = tuple[bool, list[float], "Simplex | None"]
@@ -190,7 +191,7 @@ class Simplex:
         tab, value, basic, pieces = self.tab, self.value, self.basic, self.pieces
         z, slopes = self.z, self.slopes
         degenerate = 0
-        for _ in range(50 * len(value)):
+        for _ in range(_STEPS_PER_COLUMN * len(value)):
             # the row whose column lies farthest outside its piece, or the
             # lowest-numbered such column when cycling
             bland = degenerate > _BLAND_AFTER

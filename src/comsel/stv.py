@@ -7,22 +7,24 @@ eliminated candidates trail in reverse order of elimination.  The bare
 order.  Rankings are plain tuples; all tallies are exact rationals.
 
 The count keeps one invariant: each hopeful candidate holds a pile
-``{weight: [(ranking, position), ...]}`` of the ballots whose first hopeful
-preference, at ``ranking[position]``, it is.  A round pops only the elected
-or eliminated candidate's pile and moves each of its ballots on to its next
+``{weight: [ranking, ...]}`` of the ballots whose first hopeful preference
+it is, each ranking an iterator over the ballot's codes (``ElectionProfile``)
+left just past that preference.  A round pops only the elected or
+eliminated candidate's pile and moves each of its ballots on to its next
 hopeful preference, at the Gregory surplus factor on election and at full
 weight on elimination.  The moved ballots of one weight are grouped by
 destination first, so each pile receives a weight once per group, not once
 per ballot.  Tallies are re-summed from the piles every round, one product
 per distinct weight: after a few Gregory transfers a running tally's
-denominator grows with every add, so re-summing is cheaper.
+denominator grows with every add, so re-summing is cheaper.  Piles are
+keyed by code; the round log and the result name candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .elections import ElectionProfile
 from .errors import InputError
@@ -45,12 +47,13 @@ def _count(
     if variant not in VARIANTS:
         raise InputError(f"unknown stv variant {variant!r}", code="invalid-rule")
     quota = profile.num_voters // (profile.k + 1) + 1
-    # in name order, so the first largest or smallest tally wins a tie
-    piles: dict[str, dict[int | Fraction, list[tuple[tuple[str, ...], int]]]] = {
-        c: {} for c in sorted(profile.candidates)
-    }
-    for ranking in profile.voters:
-        piles[ranking[0]].setdefault(1, []).append((ranking, 0))
+    m = profile.num_candidates
+    # codes in name order, so the first largest or smallest tally wins a tie
+    names = dict(sorted(zip(map(chr, range(m)), profile.candidates), key=lambda p: p[1]))
+    piles: dict[str, dict[int | Fraction, list[Iterator[str]]]] = {c: {} for c in names}
+    for start in range(0, len(profile.ballots), m):
+        ranking = iter(profile.ballots[start:start + m])  # one ballot's codes
+        piles[next(ranking)].setdefault(1, []).append(ranking)
     rounds: list[StvRound] = []
     elected: list[str] = []
     eliminated: list[str] = []
@@ -65,24 +68,24 @@ def _count(
             if tallies[top] >= quota:
                 action, chosen = "elect", top
                 factor = (tallies[top] - quota) / tallies[top]
-        rounds.append(StvRound(tallies, action, chosen))
-        (elected if action == "elect" else eliminated).append(chosen)
+        named = {names[c]: tally for c, tally in tallies.items()}
+        rounds.append(StvRound(named, action, names[chosen]))
+        (elected if action == "elect" else eliminated).append(names[chosen])
         for weight, group in piles.pop(chosen).items():
             weight *= factor
             if weight == 0:
                 continue
-            moved: dict[str, list[tuple[tuple[str, ...], int]]] = {}
-            for ranking, position in group:
+            moved: dict[str, list[Iterator[str]]] = {}
+            for ranking in group:
                 # rankings are full permutations and a hopeful candidate
                 # remains after the pop, so this stops inside the ranking
-                position += 1
-                while ranking[position] not in piles:
-                    position += 1
-                moved.setdefault(ranking[position], []).append((ranking, position))
-            for candidate, ballots in moved.items():
-                piles[candidate].setdefault(weight, []).extend(ballots)
-    order = tuple(elected) + tuple(piles) + tuple(reversed(eliminated))
-    return rounds, order
+                for code in ranking:
+                    if code in piles:
+                        break
+                moved.setdefault(code, []).append(ranking)
+            for code, ballots in moved.items():
+                piles[code].setdefault(weight, []).extend(ballots)
+    return rounds, (*elected, *map(names.get, piles), *reversed(eliminated))
 
 
 def stv_rounds(profile: ElectionProfile, variant: str = "simple") -> list[StvRound]:

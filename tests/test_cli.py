@@ -478,6 +478,37 @@ class TestDecoding:
         assert instance.profile.num_voters == 600
         assert peak < 0.6 * len(text)
 
+    def test_a_chunk_edge_seldom_cuts_what_is_read(self, tmp_path, monkeypatch):
+        # a member's value is read once the window holds a chunk ahead of
+        # it, a ranking once it holds the last ranking's length (up to a
+        # chunk): the labels that cross the first edge are read whole, and
+        # across 200 edges only the first ranking, read before any length
+        # is known, may be cut
+        monkeypatch.setattr(cli, "_CHUNK", 1000)
+        rng = random.Random(36)
+        names = [f"c{i:02d}" for i in range(100)]
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({
+            "candidates": names,
+            "labels": {"g": names},
+            "voters": [rng.sample(names, len(names)) for _ in range(300)],
+            "k": 3,
+            "rule": {"type": "weakly_separable", "gamma": "borda"},
+        }))
+        assert path.stat().st_size > 200 * cli._CHUNK
+        scan, cut = cli._DECODER.scan_once, []
+
+        def counted(s, idx):
+            try:
+                return scan(s, idx)
+            except (ValueError, StopIteration):
+                cut.append(s[idx])
+                raise
+
+        monkeypatch.setattr(cli._DECODER, "scan_once", counted)
+        assert cli._read_instance(str(path)).profile.num_voters == 300
+        assert cut in ([], ["["])
+
     def test_a_large_file_is_scanned_in_linear_time(self, tmp_path, monkeypatch):
         # voters written first are one value longer than any window, so the
         # window doubles until it holds them; read after the candidates,

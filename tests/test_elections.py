@@ -1,15 +1,22 @@
 """Profiles, positional rule vectors and scores."""
 
+import json
+import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from comsel import (
     ElectionProfile,
     InputError,
     WeaklySeparableRule,
+    gen_random,
     score_all,
 )
+from comsel.cli import _read_instance
 
 
 class TestProfileValidation:
@@ -24,6 +31,17 @@ class TestProfileValidation:
     def test_empty_voter_list_rejected(self):
         with pytest.raises(InputError, match="at least one voter"):
             ElectionProfile.build("ab", (), 1)
+
+    def test_more_candidates_than_codes_rejected(self):
+        # a range has a length without a million names behind it
+        too_many = sys.maxunicode + 2
+        for refuse in (
+            lambda: ElectionProfile(range(too_many), [[0]], 1),
+            lambda: gen_random(too_many, 1, 1, 0),
+        ):
+            with pytest.raises(InputError, match="at most 1114112") as caught:
+                refuse()
+            assert caught.value.code == "too-many-candidates"
 
     def test_non_permutation_ranking_names_the_voter(self):
         with pytest.raises(InputError, match="voter 1"):
@@ -167,3 +185,82 @@ class TestScoring:
             repeated = ElectionProfile.build("abcde", voters * r, 2)
             assert score_all(repeated, rule) == {c: r * s for c, s in scores.items()}
 
+
+@st.composite
+def coded_profiles(draw, m):
+    """Candidates, rankings and k over ``m`` candidates.  Names are drawn
+    in a shuffled order, so code order and name order differ."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    candidates = tuple(rng.sample([f"c{i:03d}" for i in range(m)], m))
+    pool = [rng.sample(candidates, m) for _ in range(draw(st.integers(1, 3)))]
+    voters = [rng.choice(pool) for _ in range(draw(st.integers(1, 12)))]
+    k = draw(st.integers(0, m))
+    return candidates, voters, k
+
+
+class TestCodedProfile:
+    """The rankings held as one code string, read the way tuples were."""
+
+    # one- and two-byte codes, on both sides of the edge; test_stv.py
+    # checks the STV count on such profiles
+    @pytest.mark.parametrize("m", [1, 2, 255, 256, 300])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_codes_read_as_the_rankings(self, m, data):
+        candidates, voters, k = data.draw(coded_profiles(m))
+        # equal names that are distinct objects, as a JSON parser makes them
+        copies = [["".join(list(name)) for name in ranking] for ranking in voters]
+        profile = ElectionProfile(candidates, copies, k)
+        m, n = len(candidates), len(voters)
+        assert len(profile.ballots) == n * m and profile.num_voters == n
+        assert profile.voters == tuple(map(tuple, voters))
+        by_name = {c: c for c in candidates}
+        assert all(
+            type(ranking) is tuple
+            and all(entry is by_name[entry] for entry in ranking)
+            for ranking in profile.voters
+        )
+        # equality and hashing follow (candidates, voters, k)
+        same = ElectionProfile(candidates, voters, k)
+        assert same == profile and hash(same) == hash(profile)
+        others = [ElectionProfile(candidates, voters, (k + 1) % (m + 1))]
+        if m > 1:
+            swapped = [list(ranking) for ranking in voters]
+            swapped[-1][:2] = swapped[-1][1::-1]
+            others.append(ElectionProfile(candidates, swapped, k))
+            others.append(ElectionProfile(candidates[::-1], voters, k))
+        for other in others:
+            equal = (other.candidates, other.voters, other.k) == (
+                profile.candidates, profile.voters, profile.k
+            )
+            assert (other == profile) is equal
+        # scores equal a count over the decoded rankings
+        for gamma in ("borda", "sntv", "bloc"):
+            rule = WeaklySeparableRule(gamma)
+            vector = rule.vector(profile)
+            expected = dict.fromkeys(candidates, 0)
+            for ranking in profile.voters:
+                for candidate, value in zip(ranking, vector):
+                    expected[candidate] += value
+            assert score_all(profile, rule) == expected
+
+    def test_a_parsed_profile_holds_about_a_byte_per_entry(self, tmp_path):
+        m, n = 200, 5000
+        names = [f"candidate-{i:03d}" for i in range(m)]
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({
+            "candidates": names,
+            "voters": [names[i % m:] + names[:i % m] for i in range(n)],
+            "k": 3,
+            "rule": {"type": "weakly_separable", "gamma": "borda"},
+        }))
+        tracemalloc.start()
+        try:
+            instance = _read_instance(str(path))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert instance.profile.num_voters == n
+        # the names and the rest of the instance come to about 1.5% of this;
+        # a tuple per ranking held 8 B per entry
+        assert held <= 1.2 * n * m

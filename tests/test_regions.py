@@ -20,6 +20,7 @@ from comsel import (
     solve_bruteforce,
     solve_region_ip,
 )
+from comsel import lp
 from comsel.cli import main, parse_instance
 from comsel.instances import StvRule, WeaklySeparableRule
 from comsel.lp import Simplex
@@ -448,6 +449,24 @@ def test_the_search_stays_exact_when_the_lp_gives_up(monkeypatch):
     # bound and branch on the greedy count
     monkeypatch.setattr(Simplex, "_dual", lambda self: None)
     assert _agree_with_the_oracle(range(40)) > 40
+
+
+def test_the_search_stays_exact_at_the_iteration_cap(monkeypatch):
+    # the simplex's own cap: at 0 steps per column every LP stops there and
+    # leaves its node the greedy bound; at 1 the LPs run, on a tight cap
+    dual, capped = Simplex._dual, []
+
+    def counted(self):
+        found = dual(self)
+        capped.append(found is None)
+        return found
+
+    monkeypatch.setattr(Simplex, "_dual", counted)
+    for steps in (0, 1):
+        monkeypatch.setattr(lp, "_STEPS_PER_COLUMN", steps)
+        capped.clear()
+        assert _agree_with_the_oracle(range(40))
+        assert capped and all(capped) == (steps == 0)
 
 
 def test_any_finite_multipliers_keep_the_search_exact(monkeypatch):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -127,11 +128,12 @@ def test_all_rankings_candidate_cap():
 
 def recount(profile, variant):
     """The count done plainly: every ballot carries its own weight, and
-    every round rescans every ballot for its first hopeful preference."""
+    every round rescans every ballot for its first hopeful preference.
+    The rounds as ``(action, candidate, tallies)`` and the ranking."""
     quota = profile.num_voters // (profile.k + 1) + 1
     ballots = [[ranking, Fraction(1)] for ranking in profile.voters]
-    hopeful = sorted(profile.candidates)
-    rounds = []
+    hopeful = dict.fromkeys(sorted(profile.candidates))
+    rounds, elected, eliminated = [], [], []
     while len(hopeful) > 1:
         tops = [next(c for c in ranking if c in hopeful) for ranking, _ in ballots]
         tallies = {c: Fraction(0) for c in hopeful}
@@ -146,8 +148,9 @@ def recount(profile, variant):
             if top == chosen:
                 ballot[1] *= factor
         rounds.append((action, chosen, tallies))
-        hopeful.remove(chosen)
-    return rounds
+        (elected if action == "elect" else eliminated).append(chosen)
+        del hopeful[chosen]
+    return rounds, (*elected, *hopeful, *reversed(eliminated))
 
 
 def random_profiles(count, seed):
@@ -161,12 +164,25 @@ def random_profiles(count, seed):
         yield ElectionProfile.build(names, voters, rng.randint(0, len(names)))
 
 
+def wide_profiles(seed):
+    """Profiles on both sides of 256 candidates, where a profile's codes
+    take a second byte, with names listed in a shuffled order, so that
+    code order and name order differ."""
+    rng = random.Random(seed)
+    for m in (255, 256, 300):
+        names = rng.sample([f"c{i:03d}" for i in range(m)], m)
+        pool = [rng.sample(names, m) for _ in range(rng.randint(1, 3))]
+        voters = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+        yield ElectionProfile.build(names, voters, rng.randint(0, m))
+
+
 @pytest.mark.parametrize("variant", ["simple", "droop_gregory"])
 def test_rounds_match_a_per_ballot_recount(variant):
-    for profile in random_profiles(300, seed=11):
+    for profile in chain(random_profiles(300, seed=11), wide_profiles(seed=36)):
         rounds = stv_rounds(profile, variant)
-        expected = recount(profile, variant)
+        expected, ranking = recount(profile, variant)
         assert [(r.action, r.candidate, r.tallies) for r in rounds] == expected
+        assert stv_ranking(profile, variant) == ranking
         assert all(
             type(value) is Fraction for r in rounds for value in r.tallies.values()
         )
