@@ -410,7 +410,15 @@ def instance_to_document(instance: ElectionInstance) -> dict:
 
 
 def serialize_instance(instance: ElectionInstance) -> str:
-    return json.dumps(instance_to_document(instance), indent=2) + "\n"
+    """The document indented, each ranking on one line: json's C encoder
+    writes the rankings, as it never does under an indent."""
+    document = instance_to_document(instance)
+    rankings = ",\n    ".join(map(json.dumps, document["voters"]))
+    # a placeholder: JSON strings escape their quotes, so only the key matches
+    document["voters"] = None
+    text = json.dumps(document, indent=2)
+    voters = f'"voters": [\n    {rankings}\n  ]'
+    return text.replace('"voters": null', voters, 1) + "\n"
 
 
 def result_to_document(result: SolveResult) -> dict:

@@ -184,13 +184,13 @@ class _LagrangianBound:
         self.regions = regions
         self.rows = rows
         self.m = m
-        self.negated = [tuple(-g for g in region.gains) for region in regions]
+        # propagating the size row caps every count at k before a bound
+        # reads the box, so each table keeps a region's best k gains only
+        best = [region.gains[: rows[0].low] for region in regions]
+        self.prefixes = [tuple(accumulate(gains, initial=0)) for gains in best]
+        self.negated = [tuple(-g for g in gains) for gains in best]
         # with every gain 0, for the Farkas check, one table serves as both
-        self.zeros = [(0,) * (region.size + 1) for region in regions]
-
-    @cached_property
-    def prefixes(self) -> list[tuple[int, ...]]:
-        return [tuple(accumulate(region.gains, initial=0)) for region in self.regions]
+        self.zeros = [(0,) * (len(gains) + 1) for gains in best]
 
     @cached_property
     def keys(self) -> tuple[int, list[list[float]]]:

@@ -565,6 +565,31 @@ class TestSerialization:
             instance = gen_random(7, 3, 2, 2, "overlapping", "arbitrary", seed=seed)
             assert parse_instance(serialize_instance(instance)) == instance
 
+    def test_each_ranking_is_written_on_one_line(self):
+        # json's indented layout but for the rankings, one a line; a name
+        # that spells the placeholder's line stays a name
+        sly = '"voters": null'
+        for instance in (
+            gen_random(12, 6, 3, 2, seed=3),
+            parse(candidates=["a", "b", "c", sly],
+                  voters=[["a", "c", "b", sly], [sly, "b", "c", "a"]]),
+        ):
+            text = serialize_instance(instance)
+            assert parse_instance(text) == instance
+            doc = instance_to_document(instance)
+            assert json.loads(text) == doc
+            m, n = instance.profile.num_candidates, instance.profile.num_voters
+            lines = text.splitlines()
+            start = lines.index('  "voters": [') + 1
+            rankings = [f"    {json.dumps(r)}," for r in doc["voters"]]
+            rankings[-1] = rankings[-1][:-1]
+            assert lines[start:start + n] == rankings
+            # under the indent each ranking takes a line per entry and two
+            indented = json.dumps(doc, indent=2).splitlines()
+            assert lines[:start] == indented[:start]
+            assert lines[start + n:] == indented[start + n * (m + 2):]
+            assert text.endswith("}\n")
+
     def test_document_key_order_is_stable(self):
         doc = instance_to_document(parse())
         assert list(doc) == [

@@ -1,9 +1,14 @@
 """Graph handling, reduction generators, and random instances."""
 
+import hashlib
+import itertools
+import json
+
 import pytest
 
 from comsel import (
     BudgetExceededError,
+    ComselError,
     Graph,
     InputError,
     Interval,
@@ -19,6 +24,7 @@ from comsel import (
     parse_graph,
 )
 from comsel import generators
+from comsel.cli import instance_to_document
 from comsel.generators import _pad_for_bloc
 from conftest import (
     feasible, format_graph, has_clique, has_cover, reference_witness,
@@ -337,3 +343,43 @@ def test_size_cap_counts_what_each_reduction_builds(monkeypatch):
         with pytest.raises(BudgetExceededError):
             generate(graph, size)
         monkeypatch.undo()
+
+
+def reduction_digest(max_vertices):
+    """``(cases, sha256)`` over every labeled graph on at most
+    ``max_vertices`` vertices: each of the four reductions at every size
+    (cover sizes -1 to n + 1, clique sizes 0 to 4), as its document in
+    ``json.dumps``, or its refusal's code and message."""
+    digest = hashlib.sha256()
+    cases = 0
+    for n in range(max_vertices + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            graph = Graph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1))
+            for generate, sizes in (
+                (gen_vertex_cover_intervals, range(-1, n + 2)),
+                (gen_vertex_cover_dominance, range(-1, n + 2)),
+                (gen_clique_sntv, range(5)),
+                (gen_clique_bloc, range(5)),
+            ):
+                for size in sizes:
+                    try:
+                        text = json.dumps(instance_to_document(generate(graph, size)))
+                    except ComselError as exc:
+                        text = f"{exc.code}: {exc}"
+                    case = f"{generate.__name__} {n} {mask} {size} {text}\n"
+                    digest.update(case.encode())
+                    cases += 1
+    return cases, digest.hexdigest()
+
+
+def test_reductions_build_the_documents_they_always_built():
+    # pins every generated document and refusal; the digest was taken
+    # before the reductions shared their builders, with
+    #   PYTHONPATH=src:tests python -c \
+    #     "import test_generators as t; print(t.reduction_digest(4))"
+    # (on 5 vertices, 28 410 cases: 76c3caea075b5f6ad67d156af5ce4f4f
+    # 21005ffb7c65f5a0e941cc4f2412e53d)
+    assert reduction_digest(4) == (
+        1786, "fc5f6a342f3d629cfc1e6f2f678d3736964ee1bf9be9a64dc180cdd5b958138d"
+    )

@@ -444,6 +444,38 @@ def _agree_with_the_oracle(seeds):
     return solved
 
 
+def test_a_region_wider_than_k_keeps_only_its_best_k_gains():
+    # propagating the size row caps every count at k before a bound reads
+    # a region's tables, so each holds min(size, k) + 1 entries, negated
+    # gains one fewer; searches over regions wider than k stay exact
+    wide = feasible = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        m, k = rng.randint(6, 12), rng.randint(1, 3)
+        instance = gen_random(
+            m, 5, k, rng.randint(1, 3), "overlapping", "arbitrary",
+            seed=seed, order_kind=("score", "leximin")[seed % 2],
+        )
+        order = build_order(instance)
+        packed = pack(order)
+        candidates, constraints = instance.profile.candidates, instance.constraints
+        regions = compute_regions(candidates, constraints, packed)
+        rows = build_rows(regions, k, constraints)
+        bounds = _LagrangianBound(regions, rows, len(packed))
+        sizes = [min(r.size, k) for r in regions]
+        assert [len(p) - 1 for p in bounds.prefixes] == sizes, seed
+        assert [len(z) - 1 for z in bounds.zeros] == sizes, seed
+        assert [len(g) for g in bounds.negated] == sizes, seed
+        wide += any(r.size > k for r in regions)
+        result = solve_region_ip(candidates, k, constraints, order)
+        oracle = solve_bruteforce(candidates, k, constraints, order)
+        assert (result.status, result.committee, result.score) == (
+            oracle.status, oracle.committee, oracle.score,
+        ), seed
+        feasible += result.is_optimal
+    assert wide >= 35 and feasible >= 30
+
+
 def test_the_search_stays_exact_when_the_lp_gives_up(monkeypatch):
     # every LP solve hits the iteration cap: the nodes keep the greedy
     # bound and branch on the greedy count
@@ -536,12 +568,16 @@ class TestLagrangian:
     def boxes(cls, seed):
         """The pool's ``_LagrangianBound``, then ``(lows, highs, best)``
         for random boxes, ``best`` the oracle's highest packed sum over
-        the feasible committees whose counts lie in the box."""
+        the feasible committees whose counts lie in the box.  No count
+        passes k, as in every box the search bounds, where propagating
+        the size row has capped them; so ``best`` is as without the cap."""
         rng, bounds, feasible = cls.pool(seed)
-        regions = bounds.regions
+        regions, k = bounds.regions, bounds.rows[0].low
         boxes = []
         for _ in range(8):
-            limits = [sorted(rng.randint(0, r.size) for _ in "ab") for r in regions]
+            limits = [
+                sorted(min(rng.randint(0, r.size), k) for _ in "ab") for r in regions
+            ]
             lows, highs = [a for a, _ in limits], [b for _, b in limits]
             boxes.append((lows, highs, cls.best_in(feasible, lows, highs)))
         return rng, bounds, boxes
