@@ -27,7 +27,7 @@ from typing import Any, Sequence, TextIO
 
 from .bruteforce import OracleBudget
 from .constraints import ConstraintSet, Dominance, Interval, check_committee
-from .elections import ElectionProfile, Score, intern_ranking
+from .elections import _BATCH, ElectionProfile, Score, intern_ranking
 from .errors import ComselError, InputError
 from .instances import (
     MODES,
@@ -159,12 +159,14 @@ def _decode(source: str | _Input) -> tuple[Any, bool]:
     The text is scanned in a window, all of a ``str`` or an ``_Input``'s
     chunks.  A top-level object with distinct keys is read one member at a
     time by json's own scanner, a ``voters`` array after a ``candidates``
-    list one ranking at a time, each coded as it is read.  What runs off
-    the window's edge, a number ending on it included, is read again after
-    a refill, which comes early when less than a chunk lies ahead of a
-    member's value, or less than a chunk and the last ranking's length
-    ahead of a ranking.  A fault once all the text is in, or a refused
-    ranking, sends the whole text to ``json.loads``, whose errors name it."""
+    list one ranking at a time, each coded as it is read and appended,
+    ``_BATCH`` at a time, to one code string grown in place, so the codes
+    are never held twice.  What runs off the window's edge, a number
+    ending on it included, is read again after a refill, which comes early
+    when less than a chunk lies ahead of a member's value, or less than a
+    chunk and the last ranking's length ahead of a ranking.  A fault once
+    all the text is in, or a refused ranking, sends the whole text to
+    ``json.loads``, whose errors name it."""
     scan = _DECODER.scan_once
     if isinstance(source, _Input):
         text = source.read(_CHUNK)
@@ -172,7 +174,7 @@ def _decode(source: str | _Input) -> tuple[Any, bool]:
     else:
         text, read = source, None
     doc: dict[str, Any] = {}
-    rankings = None  # the voters array while its rankings are read
+    batch = None  # the voters array's latest rankings while it is read
     interned = False
     mark = -1  # where the member or ranking being read starts; -1: the "{"
     while True:
@@ -184,14 +186,14 @@ def _decode(source: str | _Input) -> tuple[Any, bool]:
                     raise ValueError("not an object")
                 mark = end = end + 1
             while True:
-                if rankings is not None:
+                if batch is not None:
                     while True:
                         # less than the last ranking's length, and a chunk, ahead
                         if read is not None and span > len(text) - end < _CHUNK:
                             raise IndexError("the ranking may run past the edge")
                         if text[end] in _SPACE:  # _skip inline, once per ranking
                             end = _skip_space(text, end).end()
-                        if rankings:  # a separator before all but the first
+                        if span:  # a separator before all but the first (span 0)
                             if text[end] == "]":
                                 break
                             if text[end] != ",":
@@ -208,9 +210,13 @@ def _decode(source: str | _Input) -> tuple[Any, bool]:
                         if checked is None:  # json.loads decodes the whole text
                             read = None
                             raise ValueError("a refused ranking")
-                        rankings.append(checked)
+                        batch.append(checked)
                         span, mark = end - mark, end
-                    doc["voters"], rankings = "".join(rankings), None
+                        if len(batch) == _BATCH:
+                            coded += "".join(batch)  # in place: see _BATCH
+                            batch.clear()
+                    coded += "".join(batch)
+                    doc["voters"], batch = coded, None
                     interned = True
                     mark = end = end + 1
                 end = _skip(text, end)
@@ -234,7 +240,7 @@ def _decode(source: str | _Input) -> tuple[Any, bool]:
                 candidates = doc.get("candidates")
                 if key == "voters" and text[end] == "[" and isinstance(candidates, list):
                     codes = {c: chr(j) for j, c in enumerate(candidates)}
-                    rankings, span = [], 0
+                    batch, coded, span = [], "", 0
                     mark = end = end + 1
                     continue
                 if read is not None and len(text) - end < _CHUNK:
@@ -315,17 +321,19 @@ def parse_instance(text: str | _Input) -> ElectionInstance:
             "field 'voters' must hold lists of strings", code="malformed-field"
         ) from None
     labels = _typed(doc.get("labels", {}), dict, "labels", "an object")
-    groups = {
-        name: _string_list(members, f"labels[{name!r}]")
-        for name, members in labels.items()
-    }
+    # members become the candidates' own objects, freeing the decoded ones
+    own = {c: c for c in candidates}
+    for name, members in labels.items():
+        labels[name] = [
+            own.get(c, c) for c in _string_list(members, f"labels[{name!r}]")
+        ]
     entries = _typed(doc.get("constraints", []), list, "constraints", "a list")
     records = [
         _parse_constraint(entry, f"constraints[{position}]")
         for position, entry in enumerate(entries)
     ]
     constraints = ConstraintSet.build(
-        groups,
+        labels,
         [r for r in records if isinstance(r, Interval)],
         [r for r in records if isinstance(r, Dominance)],
     )
@@ -370,20 +378,13 @@ def _exact_json_number(index: int, value: Score) -> int | float:
 
 def instance_to_document(instance: ElectionInstance) -> dict:
     labeling = instance.constraints.labeling
-    constraints: list[dict] = []
-    for interval in instance.constraints.intervals:
-        constraints.append(
-            {
-                "type": "interval",
-                "label": interval.label,
-                "min": interval.lower,
-                "max": interval.upper,
-            }
-        )
-    for dominance in instance.constraints.dominances:
-        constraints.append(
-            {"type": "dominance", "over": dominance.over, "under": dominance.under}
-        )
+    constraints = [
+        {"type": "interval", "label": i.label, "min": i.lower, "max": i.upper}
+        for i in instance.constraints.intervals
+    ] + [
+        {"type": "dominance", "over": d.over, "under": d.under}
+        for d in instance.constraints.dominances
+    ]
     if isinstance(instance.rule, WeaklySeparableRule):
         gamma = instance.rule.gamma
         rule: dict[str, Any] = {

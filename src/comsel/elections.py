@@ -52,6 +52,13 @@ def as_score(value: object) -> Score:
     raise InputError(f"unsupported score value {value!r}", code="invalid-gamma")
 
 
+# Rankings coded between appends to a profile's code string.  ``coded +=
+# part`` grows the string in place while that local is its only reference,
+# so the codes are never held twice; a second reference before the last
+# append would make every append a copy.
+_BATCH = 256
+
+
 def intern_ranking(codes: dict[str, str], ranking: Sequence) -> str | None:
     """``ranking`` as a string of its entries' codes, or None when it is
     not a permutation of ``codes``' keys.  ``codes`` maps each candidate
@@ -121,17 +128,21 @@ class ElectionProfile:
             raise InputError("a profile needs at least one voter", code="empty-profile")
         if not _coded:
             codes = {c: chr(j) for j, c in enumerate(candidates)}
-            rankings = []
+            coded, batch = "", []
             for index, ranking in enumerate(voters):
-                coded = intern_ranking(codes, ranking)
-                if coded is None:
+                checked = intern_ranking(codes, ranking)
+                if checked is None:
                     raise InputError(
                         f"voter {index}: ranking is not a permutation of the "
                         f"candidate set (voter index {index}, counting from 0)",
                         code="non-permutation-ranking",
                     )
-                rankings.append(coded)
-            voters = "".join(rankings)
+                batch.append(checked)
+                if len(batch) == _BATCH:
+                    coded += "".join(batch)
+                    batch.clear()
+            coded += "".join(batch)
+            voters = coded
         if not isinstance(k, int) or isinstance(k, bool):
             shown = repr(k)
             if isinstance(k, Fraction):  # a document's decimal, as written

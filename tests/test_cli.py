@@ -15,8 +15,8 @@ from fractions import Fraction
 import pytest
 
 from comsel import (
-    ContractViolation, InputError, StvRule, WeaklySeparableRule, gen_random,
-    solve_instance,
+    ContractViolation, ElectionProfile, InputError, StvRule, WeaklySeparableRule,
+    gen_random, solve_instance,
 )
 from comsel import cli, generators
 from comsel.cli import (
@@ -128,8 +128,26 @@ class TestParseInstance:
         expect_code("malformed-field", labels=[])
         expect_code("empty-label", labels={"": ["a"]})
         expect_code("empty-label", labels={"l": []})
-        expect_code("unknown-candidate", labels={"l": ["a", "z"]})
+        assert expect_code("unknown-candidate", labels={"l": ["a", "z"]}) == (
+            "label 'l' names unknown candidates: z"
+        )
         expect_code("malformed-field", labels={"l": "ab"})
+
+    def test_label_members_are_the_candidates_own_names(self):
+        # json makes a new string for each name it reads; a label keeps the
+        # candidate's own, so a name is held once however many labels list it
+        names = [f"candidate-{i}" for i in range(4)]
+        instance = parse(
+            candidates=names,
+            voters=[names, names[::-1]],
+            labels={"l1": names[:2], "l2": names[1:]},
+        )
+        own = {name: name for name in instance.profile.candidates}
+        labeling = instance.constraints.labeling
+        assert all(
+            member is own[member]
+            for name in labeling.names for member in labeling.members(name)
+        )
 
     def test_constraint_diagnostics(self):
         expect_code("malformed-field", constraints={})
@@ -435,6 +453,43 @@ class TestDecoding:
         monkeypatch.setattr(cli.json, "loads", refused)
         monkeypatch.setattr(elections, "intern_ranking", counted)
         return checked
+
+    @pytest.mark.parametrize("spaced", [False, True])
+    @pytest.mark.parametrize(
+        "count", [cli._BATCH - 1, cli._BATCH, cli._BATCH + 1, 2 * cli._BATCH + 1]
+    )
+    def test_rankings_decode_across_batch_and_chunk_edges(
+        self, count, spaced, tmp_path, monkeypatch
+    ):
+        # the codes are appended a batch at a time, and a 64-character
+        # window puts chunk edges among them: every ranking is read and
+        # coded in turn, with or without whitespace around each separator,
+        # and none sends the text to json.loads
+        rng = random.Random(count)
+        names = [f"c{i}" for i in range(6)]
+        text = json.dumps(
+            document(candidates=names,
+                     voters=[rng.sample(names, 6) for _ in range(count)]),
+            separators=(",", ":"),
+        )
+        if spaced:
+            for mark in ",:[]{}":
+                text = text.replace(mark, f" \n{mark}\t ")
+        whole = json.loads(text)
+        self.count_checks(monkeypatch)
+        monkeypatch.setattr(cli, "_CHUNK", 64)
+        path = tmp_path / "instance.json"
+        path.write_text(text)
+        with open(path, encoding="utf-8") as handle:
+            doc, interned = cli._decode(cli._Input(str(path), handle))
+        assert interned
+        assert {**doc, "voters": None} == {**whole, "voters": None}
+        profile = ElectionProfile(
+            tuple(doc["candidates"]), doc["voters"], doc["k"], _coded=True
+        )
+        assert profile == ElectionProfile.build(
+            whole["candidates"], whole["voters"], whole["k"]
+        )
 
     def test_parse_peak_memory_stays_near_the_text(self):
         # the decoded rankings' name strings are dropped as each ranking is

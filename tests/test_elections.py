@@ -16,6 +16,7 @@ from comsel import (
     gen_random,
     score_all,
 )
+from comsel import cli
 from comsel.cli import _read_instance
 
 
@@ -257,10 +258,31 @@ class TestCodedProfile:
         tracemalloc.start()
         try:
             instance = _read_instance(str(path))
-            held = tracemalloc.get_traced_memory()[0]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert instance.profile.num_voters == n
         # the names and the rest of the instance come to about 1.5% of this;
         # a tuple per ranking held 8 B per entry
         assert held <= 1.2 * n * m
+        # the code string grows in place, so the parse peaks near it and the
+        # read window (at a refill, the reader's last chunk, the bytes read
+        # and their text: 0.3 MB here); a string per ranking, joined at the
+        # end, peaked at 2.5 B per entry
+        assert peak <= 1.3 * n * m + 4 * cli._CHUNK
+
+    def test_a_profile_built_from_rankings_peaks_near_its_codes(self):
+        # the path of ElectionProfile.build and of a document that lists
+        # its voters first: each ranking is checked and coded in turn
+        m, n = 200, 5000
+        names = [f"candidate-{i:03d}" for i in range(m)]
+        voters = [names[i % m:] + names[:i % m] for i in range(n)]
+        tracemalloc.start()
+        try:
+            profile = ElectionProfile.build(names, voters, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert profile.voters == tuple(map(tuple, voters))
+        # a string per ranking, joined at the end, peaked at 2.4 B per entry
+        assert peak <= 1.3 * n * m
