@@ -16,8 +16,7 @@ _EXPORTS = {
     "bruteforce": ("OracleBudget", "enumerate_feasible", "solve_bruteforce"),
     "constraints": (
         "ConstraintSet", "Dominance", "DominanceForest", "Interval",
-        "Labeling", "Violation", "build_dominance_graph", "check_committee",
-        "transitive_closure",
+        "Labeling", "Violation", "check_committee", "transitive_closure",
     ),
     "elections": ("ElectionProfile", "Score", "score_all"),
     "errors": (

@@ -135,8 +135,9 @@ _CHUNK = 1 << 16  # characters per read of an input file
 
 
 class _Input:
-    """An open input: ``len()`` is its size in bytes, and ``read(n)`` gives
-    its next ``n`` characters."""
+    """An open input, a text stream or a byte stream read as UTF-8:
+    ``len()`` is its size in bytes, and ``read(n)`` gives its next ``n``
+    characters, or the text of its next ``n`` bytes."""
 
     def __init__(self, path: str, handle: TextIO) -> None:
         self.path, self.handle = path, handle
@@ -146,7 +147,8 @@ class _Input:
 
     def read(self, size: int = -1) -> str:
         try:
-            return self.handle.read(size)
+            text = self.handle.read(size)
+            return text if isinstance(text, str) else text.decode("utf-8")
         except UnicodeDecodeError as exc:  # cannot be read as text: an io error
             raise OSError(f"{self.path}: not UTF-8 text: {exc}") from None
 
@@ -168,11 +170,8 @@ def _decode(source: str | _Input) -> tuple[Any, bool]:
     all the text is in, or a refused ranking, sends the whole text to
     ``json.loads``, whose errors name it."""
     scan = _DECODER.scan_once
-    if isinstance(source, _Input):
-        text = source.read(_CHUNK)
-        read = source.read if len(text) == _CHUNK else None
-    else:
-        text, read = source, None
+    # an _Input's window starts empty: its first chunk comes by a refill
+    text, read = ("", source.read) if isinstance(source, _Input) else (source, None)
     doc: dict[str, Any] = {}
     batch = None  # the voters array's latest rankings while it is read
     interned = False
@@ -435,9 +434,13 @@ def result_to_document(result: SolveResult) -> dict:
 
 
 def _read_text(path: str) -> str:
-    """The whole text of the input at ``path`` ('-' for stdin)."""
+    """The whole text of the input at ``path`` ('-' for stdin), UTF-8 either
+    way: stdin's bytes are decoded as UTF-8, not in the interpreter's stdin
+    encoding; only a text stream with no bytes below it is read as it is."""
     if path == "-":
-        return _Input(path, sys.stdin).read()
+        if sys.stdin is None:  # closed when the process started
+            raise OSError("stdin is closed")
+        return _Input(path, getattr(sys.stdin, "buffer", sys.stdin)).read()
     with open(path, encoding="utf-8") as handle:
         return _Input(path, handle).read()
 
@@ -473,12 +476,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
     names = [part.strip() for part in args.committee.split(",") if part.strip()]
-    universe = set(instance.profile.candidates)
-    stray = sorted(set(names) - universe)
+    stray = sorted(set(names) - set(instance.profile.candidates))
     if stray:
         raise InputError(f"unknown candidate {stray[0]!r}")
-    committee = tuple(sorted(set(names)))
-    violations = check_committee(committee, instance.k, instance.constraints)
+    violations = check_committee(names, instance.k, instance.constraints)
     if not violations:
         print("ok")
         return 0

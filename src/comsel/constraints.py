@@ -174,10 +174,12 @@ class ConstraintSet:
 
     @cached_property
     def reach(self) -> dict[str, frozenset[str]]:
-        """Transitive closure of the dominance graph."""
-        return transitive_closure(
-            build_dominance_graph(self.labeling, self.dominances)
-        )
+        """Transitive closure of the dominance graph, whose edges point
+        from over to under."""
+        graph: dict[str, set[str]] = {name: set() for name in self.labeling.names}
+        for dominance in self.dominances:
+            graph[dominance.over].add(dominance.under)
+        return transitive_closure(graph)
 
     @cached_property
     def dominators(self) -> dict[str, tuple[str, ...]]:
@@ -247,18 +249,8 @@ def check_committee(
     return tuple(found)
 
 
-def build_dominance_graph(
-    labeling: Labeling, dominances: Iterable[Dominance]
-) -> dict[str, frozenset[str]]:
-    """Adjacency over label names; an edge points from over to under."""
-    out: dict[str, set[str]] = {name: set() for name in labeling.names}
-    for dominance in dominances:
-        out[dominance.over].add(dominance.under)
-    return {name: frozenset(targets) for name, targets in out.items()}
-
-
 def transitive_closure(
-    graph: Mapping[str, frozenset[str]]
+    graph: Mapping[str, Iterable[str]]
 ) -> dict[str, frozenset[str]]:
     """Reachability along at least one edge; a node reaches itself only
     through a cycle."""

@@ -180,6 +180,9 @@ class _LagrangianBound:
     to ints.  The bound they give is then computed exactly, so a float
     error can make a bound weaker but never wrong."""
 
+    bits: int  # set with ``base``, as is ``shift``
+    shift: float
+
     def __init__(self, regions: tuple[Region, ...], rows: tuple[Row, ...], m: int):
         self.regions = regions
         self.rows = rows
@@ -193,29 +196,21 @@ class _LagrangianBound:
         self.zeros = [(0,) * (len(gains) + 1) for gains in best]
 
     @cached_property
-    def keys(self) -> tuple[int, list[list[float]]]:
-        """``(bits, gains)``: each region's keys as floats, ``key / 2**bits``,
-        all within [-1, 1]."""
+    def base(self) -> Simplex:
+        """The LP over the whole box, not yet solved: built on a search's
+        first LP solve, then shared by all of them.  Its gains are each
+        region's keys as floats, ``key / 2**bits`` within [-1, 1], less
+        ``shift``, the midpoint of the k-th and (k+1)-th largest."""
         keys = [[g >> self.m for g in region.gains] for region in self.regions]
         bits = max((abs(key).bit_length() for row in keys for key in row), default=0)
         cut = max(bits - 53, 0)
         scale = 2.0 ** (bits - cut)
-        return bits, [[(key >> cut) / scale for key in row] for row in keys]
-
-    @cached_property
-    def shifted(self) -> tuple[float, list[list[float]]]:
-        """``(λ, gains)``: the float keys less ``λ``, the midpoint of the
-        k-th and (k+1)-th largest, which the LP sees in their place."""
+        floats = [[(key >> cut) / scale for key in row] for row in keys]
         k = self.rows[0].low
-        ordered = sorted((key for row in self.keys[1] for key in row), reverse=True)
+        ordered = sorted((key for row in floats for key in row), reverse=True)
         shift = (ordered[k - 1] + ordered[k]) / 2 if 0 < k < len(ordered) else 0.0
-        return shift, [[key - shift for key in row] for row in self.keys[1]]
-
-    @cached_property
-    def base(self) -> Simplex:
-        """The LP over the whole box on the shifted keys, not yet solved:
-        built on a search's first LP solve, then shared by all of them."""
-        return Simplex(self.rows, self.shifted[1])
+        self.bits, self.shift = bits, shift
+        return Simplex(self.rows, [[key - shift for key in row] for row in floats])
 
     def greedy(self, lows: list[int], highs: list[int]) -> tuple[bool, list[int]]:
         """The size row's multiplier alone, one below the last gain a greedy
@@ -243,7 +238,7 @@ class _LagrangianBound:
             return None
         feasible, duals, state = found
         if feasible:
-            duals[0] += self.shifted[0]  # the size row prices the shift
+            duals[0] += self.shift  # the size row prices the shift
         mu = []
         for dual, row in zip(duals, self.rows):
             scaled = round(dual * (1 << _FRACTION_BITS))
@@ -251,7 +246,7 @@ class _LagrangianBound:
                 scaled = 0  # the row has no upper bound to price
             # a certificate holds at any scale; a bound needs packed units
             if feasible:
-                scaled = (scaled << self.keys[0] + self.m) >> _FRACTION_BITS
+                scaled = (scaled << self.bits + self.m) >> _FRACTION_BITS
             mu.append(scaled)
         return feasible, mu, state
 
@@ -363,7 +358,7 @@ def solve_region_ip(
         # count stands in with no feasible LP above the node, or with keys
         # cut to a float's 53 bits, whose LP misses the low tiers and ties
         guess = counts[index]
-        if lp is not None and bounds.keys[0] <= 53:
+        if lp is not None and bounds.bits <= 53:
             guess = min(max(round(lp.value[index]), lows[index]), highs[index])
         values = sorted(
             range(lows[index], highs[index] + 1),

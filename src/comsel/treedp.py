@@ -216,13 +216,10 @@ def solve_tree(
         return outcome("dp", weights, None, counter, pre.reason)
     tables: dict[int, list[Column]] = {}
     leaves: dict[int, tuple[list[int], int]] = {}
-    pending = [(root, False) for root in forest.roots]
-    while pending:
-        node, expanded = pending.pop()
-        if not expanded:
-            pending.append((node, True))
-            pending.extend((child, False) for child in forest.children[node])
-            continue
+    # a child's labels have its parent's dominators and the parent's own
+    # labels too, so the most dominators first puts children first
+    above = [len(constraints.dominators[labels[0]]) for labels in forest.nodes]
+    for node in sorted(range(len(above)), key=above.__getitem__, reverse=True):
         counter["tables"] += 1
         labels = forest.nodes[node]
         width = len(labels)
@@ -242,8 +239,9 @@ def solve_tree(
         counter["tables"] += 1
         tops.append((_own_prefixes(packed, [pre.unlabeled], k), 0))
     final = _leaf_column(tops, k, k)
-    for table in tables.values():
-        final = _convolve(final, table[-1], [], k, counter)
+    for root in reversed(forest.roots):
+        if root in tables:
+            final = _convolve(final, tables[root][-1], [], k, counter)
     cell = final[k] if len(final) > k else None
     committee = None if cell is None else unpack(cell, packed)
     return outcome("dp", weights, committee, counter)

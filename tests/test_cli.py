@@ -1015,6 +1015,59 @@ class TestMain:
         assert [type(source) for source in sources] == [cli._Input, str, str]
         assert sources[1] == sources[2] == text
 
+    def test_stdin_is_decoded_as_utf8_like_a_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # an interpreter whose stdin encoding is latin-1 still reads stdin's
+        # bytes as UTF-8, so both inputs elect the same committee
+        import io
+
+        doc = document(candidates=["é", "b"], voters=[["é", "b"]] * 3, k=1)
+        data = json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        path = tmp_path / "accent.json"
+        path.write_bytes(data)
+        assert main(["solve", "--input", str(path)]) == 0
+        from_file = capsys.readouterr().out
+        assert json.loads(from_file)["committee"] == ["é"]
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="latin-1")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["solve", "--input", "-"]) == 0
+        assert capsys.readouterr().out == from_file
+
+    def test_non_utf8_stdin_is_an_io_error(self, capsys, monkeypatch):
+        # decoded with surrogateescape, the document would elect "\udcff"
+        import io
+
+        text = json.dumps(document(candidates=["X", "b"], voters=[["X", "b"]], k=1))
+        doc = text.encode().replace(b'"X"', b'"\xff"')
+        for data, argv in (
+            (doc, ["solve"]),
+            (doc, ["check", "--committee", "b"]),
+            (b"2 1\n0 \xff\n", ["gen", "clique-bloc", "--clique-size", "2"]),
+        ):
+            stdin = io.TextIOWrapper(
+                io.BytesIO(data), encoding="utf-8", errors="surrogateescape"
+            )
+            monkeypatch.setattr(sys, "stdin", stdin)
+            assert main([*argv, "--input", "-"]) == 2, argv
+            out, err = capsys.readouterr()
+            assert err.startswith("error[io]: -: not UTF-8 text"), err
+            assert "Traceback" not in err
+            assert out == ""
+
+    def test_a_closed_stdin_is_an_io_error(self, capsys, monkeypatch):
+        # a process started with its stdin closed has sys.stdin None
+        monkeypatch.setattr(sys, "stdin", None)
+        for argv in (
+            ["solve"],
+            ["check", "--committee", "a"],
+            ["gen", "clique-bloc", "--clique-size", "2"],
+        ):
+            assert main([*argv, "--input", "-"]) == 2, argv
+            out, err = capsys.readouterr()
+            assert err == "error[io]: stdin is closed\n", err
+            assert out == ""
+
     def test_solve_and_check_parse_the_file_once_in_chunks(
         self, tmp_path, capsys, monkeypatch
     ):

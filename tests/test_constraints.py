@@ -12,7 +12,6 @@ from comsel import (
     InputError,
     Interval,
     Labeling,
-    build_dominance_graph,
     check_committee,
     transitive_closure,
 )
@@ -143,35 +142,29 @@ def labels(*names):
 
 class TestDominanceStructure:
     def test_graph_adjacency(self):
-        labeling = labels("x", "y", "z")
-        graph = build_dominance_graph(
-            labeling, (Dominance("x", "y"), Dominance("x", "z"))
+        # with no chain, each label reaches exactly the labels it dominates
+        constraints = ConstraintSet(
+            labels("x", "y", "z"), dominances=(Dominance("x", "y"), Dominance("x", "z"))
         )
-        assert graph == {
+        assert constraints.reach == {
             "x": frozenset({"y", "z"}),
             "y": frozenset(),
             "z": frozenset(),
         }
 
     def test_closure_adds_chain_edge(self):
-        labeling = labels("l1", "l2", "l3")
-        graph = build_dominance_graph(
-            labeling, (Dominance("l1", "l2"), Dominance("l2", "l3"))
-        )
+        graph = {"l1": frozenset({"l2"}), "l2": frozenset({"l3"}), "l3": frozenset()}
         reach = transitive_closure(graph)
         assert reach["l1"] == frozenset({"l2", "l3"})
         assert reach["l2"] == frozenset({"l3"})
         assert reach["l3"] == frozenset()
+        chain = (Dominance("l1", "l2"), Dominance("l2", "l3"))
+        assert ConstraintSet(labels("l1", "l2", "l3"), dominances=chain).reach == reach
 
     def test_self_reachability_needs_a_cycle(self):
-        labeling = labels("p", "q")
-        cycle = transitive_closure(
-            build_dominance_graph(labeling, (Dominance("p", "q"), Dominance("q", "p")))
-        )
+        cycle = transitive_closure({"p": frozenset("q"), "q": frozenset("p")})
         assert cycle["p"] == frozenset({"p", "q"})
-        acyclic = transitive_closure(
-            build_dominance_graph(labeling, (Dominance("p", "q"),))
-        )
+        acyclic = transitive_closure({"p": frozenset("q"), "q": frozenset()})
         assert "p" not in acyclic["p"]
 
     def test_tree_like_cases(self):
@@ -362,3 +355,20 @@ def test_one_analysis_matches_the_reference():
         cyclic += any(len(node) > 1 for node in forest.nodes)
     # both outcomes, and forests with cycles, are well represented
     assert tree_like > 10_000 and cyclic > 3_000, (tree_like, cyclic)
+
+
+def test_a_child_has_more_dominators_than_its_parent():
+    # the tree solver builds its tables in one pass, most dominators first,
+    # which puts every child before its parent
+    edges = 0
+    for constraints in digraphs():
+        if constraints.chain_violation is not None:
+            continue
+        forest = DominanceForest.build(constraints)
+        count = {name: len(above) for name, above in constraints.dominators.items()}
+        for parent, kids in enumerate(forest.children):
+            for child in kids:
+                first = count[forest.nodes[child][0]]
+                assert first > count[forest.nodes[parent][0]], constraints.dominances
+                edges += 1
+    assert edges > 20_000, edges

@@ -690,6 +690,12 @@ class TestLagrangian:
         assert free >= 30
 
     @staticmethod
+    def float_keys(bounds):
+        """The LP's float keys before the shift, ``key / 2**bits``: the
+        base's gains with ``shift`` added back, within float rounding."""
+        return [[g + bounds.shift for g in row] for row in bounds.base.gains]
+
+    @staticmethod
     def lp_objective(state, gains):
         """The LP objective at a final state: each count's gains, the last
         unit pro rata."""
@@ -736,7 +742,7 @@ class TestLagrangian:
                 outcomes.append(warm[0])
                 if warm[0]:
                     objectives = [
-                        self.lp_objective(lp, bounds.keys[1])
+                        self.lp_objective(lp, self.float_keys(bounds))
                         for lp in (warm[2], rebased[2])
                     ]
                     assert math.isclose(*objectives, abs_tol=1e-6), seed
@@ -819,14 +825,13 @@ class TestLagrangian:
                             continue
                         state = found[2]
                         duals = state.duals()
-                        duals[0] += bounds.shifted[0]
-                        dual = self.dual_objective(
-                            duals, bounds.rows, *box, bounds.keys[1]
-                        )
-                        primal = self.lp_objective(state, bounds.keys[1])
+                        duals[0] += bounds.shift
+                        keys = self.float_keys(bounds)
+                        dual = self.dual_objective(duals, bounds.rows, *box, keys)
+                        primal = self.lp_objective(state, keys)
                         assert math.isclose(dual, primal, abs_tol=1e-6), seed
                         # rounded to 2**-30, then floored to packed units
-                        unit = 2 ** (bounds.keys[0] + bounds.m)
+                        unit = 2 ** (bounds.bits + bounds.m)
                         for mu, pi in zip(found[1], duals):
                             assert abs(mu - pi * unit) <= 1 + unit / 2**30, seed
                         solves += 1
