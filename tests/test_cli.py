@@ -19,6 +19,7 @@ from comsel import (
     gen_random, solve_instance,
 )
 from comsel import cli, generators
+from comsel import document as fmt
 from comsel.cli import (
     build_parser,
     instance_to_document,
@@ -317,7 +318,7 @@ def parse_file(request, tmp_path, monkeypatch):
     """``parse_instance`` through the CLI's file source: the text is written
     to a file, read back in chunks of 1, 2, 3 or 7 characters, so every
     member, ranking and number of a small document meets the window's edge."""
-    monkeypatch.setattr(cli, "_CHUNK", request.param)
+    monkeypatch.setattr(fmt, "_CHUNK", request.param)
     path = tmp_path / "instance.json"
 
     def parse(text):
@@ -449,14 +450,14 @@ class TestDecoding:
         def refused(*args, **kwargs):
             raise AssertionError("the whole text went through json.loads")
 
-        monkeypatch.setattr(cli, "intern_ranking", counted)
+        monkeypatch.setattr(fmt, "intern_ranking", counted)
         monkeypatch.setattr(cli.json, "loads", refused)
         monkeypatch.setattr(elections, "intern_ranking", counted)
         return checked
 
     @pytest.mark.parametrize("spaced", [False, True])
     @pytest.mark.parametrize(
-        "count", [cli._BATCH - 1, cli._BATCH, cli._BATCH + 1, 2 * cli._BATCH + 1]
+        "count", [fmt._BATCH - 1, fmt._BATCH, fmt._BATCH + 1, 2 * fmt._BATCH + 1]
     )
     def test_rankings_decode_across_batch_and_chunk_edges(
         self, count, spaced, tmp_path, monkeypatch
@@ -477,11 +478,11 @@ class TestDecoding:
                 text = text.replace(mark, f" \n{mark}\t ")
         whole = json.loads(text)
         self.count_checks(monkeypatch)
-        monkeypatch.setattr(cli, "_CHUNK", 64)
+        monkeypatch.setattr(fmt, "_CHUNK", 64)
         path = tmp_path / "instance.json"
         path.write_text(text)
         with open(path, encoding="utf-8") as handle:
-            doc, interned = cli._decode(cli._Input(str(path), handle))
+            doc, interned = fmt._decode(fmt._Input(str(path), handle))
         assert interned
         assert {**doc, "voters": None} == {**whole, "voters": None}
         profile = ElectionProfile(
@@ -521,7 +522,7 @@ class TestDecoding:
             "k": 3,
             "rule": {"type": "weakly_separable", "gamma": "borda"},
         })
-        assert len(text) >= 20 * cli._CHUNK
+        assert len(text) >= 20 * fmt._CHUNK
         path = tmp_path / "instance.json"
         path.write_text(text)
         tracemalloc.start()
@@ -539,7 +540,7 @@ class TestDecoding:
         # chunk): the labels that cross the first edge are read whole, and
         # across 200 edges only the first ranking, read before any length
         # is known, may be cut
-        monkeypatch.setattr(cli, "_CHUNK", 1000)
+        monkeypatch.setattr(fmt, "_CHUNK", 1000)
         rng = random.Random(36)
         names = [f"c{i:02d}" for i in range(100)]
         path = tmp_path / "instance.json"
@@ -550,8 +551,8 @@ class TestDecoding:
             "k": 3,
             "rule": {"type": "weakly_separable", "gamma": "borda"},
         }))
-        assert path.stat().st_size > 200 * cli._CHUNK
-        scan, cut = cli._DECODER.scan_once, []
+        assert path.stat().st_size > 200 * fmt._CHUNK
+        scan, cut = fmt._DECODER.scan_once, []
 
         def counted(s, idx):
             try:
@@ -560,7 +561,7 @@ class TestDecoding:
                 cut.append(s[idx])
                 raise
 
-        monkeypatch.setattr(cli._DECODER, "scan_once", counted)
+        monkeypatch.setattr(fmt._DECODER, "scan_once", counted)
         assert cli._read_instance(str(path)).profile.num_voters == 300
         assert cut in ([], ["["])
 
@@ -569,12 +570,12 @@ class TestDecoding:
         # window doubles until it holds them; read after the candidates,
         # each ranking meets the edge at most a few times.  Either way the
         # scanner covers each character a few times, not once per chunk.
-        monkeypatch.setattr(cli, "_CHUNK", 7)
+        monkeypatch.setattr(fmt, "_CHUNK", 7)
         rng = random.Random(33)
         names = [f"c{i:02d}" for i in range(100)]
         voters = [rng.sample(names, len(names)) for _ in range(1500)]
         rest = {"k": 3, "rule": {"type": "weakly_separable", "gamma": "borda"}}
-        scan = cli._DECODER.scan_once
+        scan = fmt._DECODER.scan_once
         path = tmp_path / "instance.json"
         for doc in ({"voters": voters, "candidates": names, **rest},
                     {"candidates": names, "voters": voters, **rest}):
@@ -597,7 +598,7 @@ class TestDecoding:
                     if covered > 4 * len(text):
                         raise AssertionError(f"{covered} characters scanned")
 
-            monkeypatch.setattr(cli._DECODER, "scan_once", counted)
+            monkeypatch.setattr(fmt._DECODER, "scan_once", counted)
             assert cli._read_instance(str(path)).profile.num_voters == 1500
             assert len(text) <= covered <= 4 * len(text)
 
@@ -971,7 +972,7 @@ class TestMain:
         # two chunks' worth of them
         path = tmp_path / "late.json"
         text = json.dumps(document(voters=[list("abcd")] * 20000))
-        assert text.index('"score"') > 2 * cli._CHUNK
+        assert text.index('"score"') > 2 * fmt._CHUNK
         path.write_bytes(text.replace('"score"', '"sc\xffore"').encode("latin-1"))
         target = tmp_path / "result.json"
         for argv in (
@@ -1067,6 +1068,56 @@ class TestMain:
             out, err = capsys.readouterr()
             assert err == "error[io]: stdin is closed\n", err
             assert out == ""
+
+    def test_a_full_stderr_leaves_the_exit_status(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # as under ``2>/dev/full``: a diagnostic that cannot be written is
+        # dropped, and the error still exits 2, never 1 ("infeasible")
+        import errno
+
+        class Full:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        broken = tmp_path / "broken.json"
+        broken.write_text("{")
+        monkeypatch.setattr(sys, "stderr", Full())
+        assert main(["solve", "--input", str(broken)]) == 2
+        assert main(["solve", "--input", str(tmp_path / "nope.json")]) == 2
+        monkeypatch.setattr("comsel.cli.solve_instance", crash)
+        assert main(["solve", "--input", self.write(tmp_path, document())]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_a_closed_stderr_keeps_stdout_one_document(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # a process started with its stderr closed has sys.stderr None; the
+        # infeasible solve's note must not land on stdout
+        doc = document(
+            labels={"l": ["a"]},
+            constraints=[{"type": "interval", "label": "l", "min": 2, "max": 2}],
+        )
+        path = self.write(tmp_path, doc)
+        expected = result_to_document(solve_instance(parse(**doc)))
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(["solve", "--input", path]) == 1
+        assert main(["solve", "--input", str(tmp_path / "nope.json")]) == 2
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+    def test_a_closed_stdout_is_an_io_error(self, tmp_path, capsys, monkeypatch):
+        # a process started with its stdout closed has sys.stdout None
+        path = self.write(tmp_path, document())
+        monkeypatch.setattr(sys, "stdout", None)
+        for argv in (
+            ["solve", "--input", path],
+            ["gen", "random", "--candidates", "4", "--voters", "2",
+             "--committee-size", "2"],
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err == "error[io]: stdout is closed\n", err
 
     def test_solve_and_check_parse_the_file_once_in_chunks(
         self, tmp_path, capsys, monkeypatch
@@ -1304,6 +1355,40 @@ def test_the_module_runs_as_a_script(monkeypatch, capsys):
         runpy.run_module("comsel.cli", run_name="__main__")
     assert info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: comsel")
+
+
+def test_the_document_module_loads_no_solver_and_no_argparse(tmp_path):
+    # a fresh interpreter reads, writes and reports through comsel.document
+    # alone: the format needs neither the commands nor any solver
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(document()))
+    script = (
+        "import json, sys\n"
+        "from comsel import document\n"
+        "from comsel.result import SolveResult\n"
+        "instance = document.parse_instance(open(sys.argv[1]).read())\n"
+        "again = document.parse_instance(document.serialize_instance(instance))\n"
+        "result = SolveResult('optimal', ('a', 'b'), 17, 'dp')\n"
+        "print(json.dumps({\n"
+        "    'same': again == instance,\n"
+        "    'result': document.result_to_document(result),\n"
+        "    'loaded': sorted({'argparse', 'comsel.cli', 'comsel.solve',\n"
+        "                      'comsel.regions', 'comsel.lp', 'comsel.treedp',\n"
+        "                      'comsel.bruteforce'} & set(sys.modules)),\n"
+        "}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert json.loads(done.stdout) == {
+        "same": True,
+        "result": {"status": "optimal", "committee": ["a", "b"], "score": 17,
+                   "solver": "dp"},
+        "loaded": [],
+    }
 
 
 def test_a_solve_loads_only_the_modules_it_runs(tmp_path):

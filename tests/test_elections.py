@@ -16,7 +16,7 @@ from comsel import (
     gen_random,
     score_all,
 )
-from comsel import cli
+from comsel import document
 from comsel.cli import _read_instance
 
 
@@ -269,7 +269,7 @@ class TestCodedProfile:
         # read window (at a refill, the reader's last chunk, the bytes read
         # and their text: 0.3 MB here); a string per ranking, joined at the
         # end, peaked at 2.5 B per entry
-        assert peak <= 1.3 * n * m + 4 * cli._CHUNK
+        assert peak <= 1.3 * n * m + 4 * document._CHUNK
 
     def test_a_profile_built_from_rankings_peaks_near_its_codes(self):
         # the path of ElectionProfile.build and of a document that lists
