@@ -18,7 +18,7 @@ _EXPORTS = {
         "ConstraintSet", "Dominance", "DominanceForest", "Interval",
         "Labeling", "Violation", "check_committee", "transitive_closure",
     ),
-    "elections": ("ElectionProfile", "Score", "score_all"),
+    "elections": ("ElectionProfile", "Score", "WeaklySeparableRule", "score_all"),
     "errors": (
         "BudgetExceededError", "ComselError", "ContractViolation", "InputError",
     ),
@@ -27,15 +27,12 @@ _EXPORTS = {
         "gen_vertex_cover_dominance", "gen_vertex_cover_intervals",
         "parse_graph",
     ),
-    "instances": (
-        "ORDER_KINDS", "ElectionInstance", "Rule", "StvRule",
-        "WeaklySeparableRule",
-    ),
+    "instances": ("ORDER_KINDS", "ElectionInstance", "Rule"),
     "orders": ("best_singletons", "leximax_weights", "leximin_weights"),
     "regions": ("solve_region_ip",),
     "result": ("SolveResult",),
     "solve": ("SOLVERS", "build_order", "choose_solver", "solve_instance"),
-    "stv": ("StvRound", "stv_ranking", "stv_rounds"),
+    "stv": ("StvRound", "StvRule", "stv_ranking", "stv_rounds"),
     "treedp": ("solve_tree",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

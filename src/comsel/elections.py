@@ -2,11 +2,13 @@
 
 ``intern_ranking`` is the one ranking check; it codes a ranking as one
 code point per entry.  ``ElectionProfile`` runs it on every ranking it is
-given; the document decoder in ``comsel.cli`` runs it on each ranking as
-it reads it and hands the profile the joined codes, kept unchecked.
+given; the document decoder in ``comsel.document`` runs it on each ranking
+as it reads it and hands the profile the joined codes, kept unchecked.
 
-``score_all`` scores every candidate under a ``WeaklySeparableRule``, whose
-``vector(profile)`` (in ``comsel.instances``) sizes and checks the vector.
+``WeaklySeparableRule`` is the one positional rule type: its constructor
+checks a preset name or coerces each explicit entry, and ``vector(profile)``
+sizes a preset, or checks an explicit vector's length, for a profile.
+``score_all`` scores every candidate under such a rule.
 A profile with fewer voters than scored positions is counted one ballot at
 a time; otherwise one ``Counter`` per position counts the column, whose
 set-up cost pays off only when many voters repeat codes in it.  A lexi
@@ -22,12 +24,9 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
-
-if TYPE_CHECKING:  # instances imports this module
-    from .instances import WeaklySeparableRule
 
 # an int whenever the value is integral, an exact Fraction otherwise
 Score = int | Fraction
@@ -182,6 +181,56 @@ class ElectionProfile:
     @property
     def num_voters(self) -> int:
         return len(self.ballots) // len(self.candidates)
+
+
+# each preset's vector for m candidates and committee size k, 0 <= k <= m
+_PRESETS = {
+    "sntv": lambda m, k: (1,) + (0,) * (m - 1),
+    "borda": lambda m, k: tuple(range(m - 1, -1, -1)),
+    "bloc": lambda m, k: (1,) * k + (0,) * (m - k),
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
+@dataclass(frozen=True)
+class WeaklySeparableRule:
+    """Positional scoring rule named by preset or given as an explicit vector.
+
+    Entry 0 of a vector is the value of a voter's top position.  An
+    explicit vector must have one entry per candidate; presets are sized
+    when the profile is known.
+    """
+
+    gamma: str | tuple[Score, ...]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.gamma, (tuple, list)):
+            if self.gamma not in PRESET_NAMES:
+                raise InputError(
+                    f"unknown scoring preset {self.gamma!r}; expected one of "
+                    f"{', '.join(PRESET_NAMES)} or a list of numbers",
+                    code="invalid-gamma",
+                )
+            return
+        values = tuple(as_score(v) for v in self.gamma)
+        if not values:
+            raise InputError(
+                "an explicit scoring vector needs at least one entry",
+                code="invalid-gamma",
+            )
+        object.__setattr__(self, "gamma", values)
+
+    def vector(self, profile: ElectionProfile) -> tuple[Score, ...]:
+        """The vector sized for the profile: one entry per candidate."""
+        m = profile.num_candidates
+        if isinstance(self.gamma, str):
+            return _PRESETS[self.gamma](m, profile.k)
+        if len(self.gamma) != m:
+            raise InputError(
+                f"scoring vector has {len(self.gamma)} entries for {m} candidates",
+                code="invalid-gamma",
+            )
+        return self.gamma
 
 
 def score_all(profile: ElectionProfile, rule: WeaklySeparableRule) -> dict[str, Score]:

@@ -1,8 +1,8 @@
 """Self-contained problem instances: profile, constraints, rule, order.
 
-``WeaklySeparableRule`` is the one positional rule type: its constructor
-checks a preset name or coerces each explicit entry, and ``vector(profile)``
-sizes a preset, or checks an explicit vector's length, for a profile.
+Each rule type lives with its count: ``WeaklySeparableRule`` in
+``comsel.elections`` and ``StvRule`` in ``comsel.stv``.  ``Rule`` is
+either; ``ElectionInstance`` checks the parts against each other.
 """
 
 from __future__ import annotations
@@ -10,77 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .constraints import ConstraintSet
-from .elections import ElectionProfile, Score, as_score
+from .elections import ElectionProfile, WeaklySeparableRule
 from .errors import InputError
-from .stv import VARIANTS
+from .stv import StvRule
 
 ORDER_KINDS = ("score", "leximax", "leximin")
 # the label modes and dominance structures ``gen_random`` draws from
 MODES = ("disjoint", "overlapping")
 STRUCTURES = ("tree_like", "arbitrary")
-
-# each preset's vector for m candidates and committee size k, 0 <= k <= m
-_PRESETS = {
-    "sntv": lambda m, k: (1,) + (0,) * (m - 1),
-    "borda": lambda m, k: tuple(range(m - 1, -1, -1)),
-    "bloc": lambda m, k: (1,) * k + (0,) * (m - k),
-}
-PRESET_NAMES = tuple(_PRESETS)
-
-
-@dataclass(frozen=True)
-class WeaklySeparableRule:
-    """Positional scoring rule named by preset or given as an explicit vector.
-
-    Entry 0 of a vector is the value of a voter's top position.  An
-    explicit vector must have one entry per candidate; presets are sized
-    when the profile is known.
-    """
-
-    gamma: str | tuple[Score, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.gamma, (tuple, list)):
-            if self.gamma not in PRESET_NAMES:
-                raise InputError(
-                    f"unknown scoring preset {self.gamma!r}; expected one of "
-                    f"{', '.join(PRESET_NAMES)} or a list of numbers",
-                    code="invalid-gamma",
-                )
-            return
-        values = tuple(as_score(v) for v in self.gamma)
-        if not values:
-            raise InputError(
-                "an explicit scoring vector needs at least one entry",
-                code="invalid-gamma",
-            )
-        object.__setattr__(self, "gamma", values)
-
-    def vector(self, profile: ElectionProfile) -> tuple[Score, ...]:
-        """The vector sized for the profile: one entry per candidate."""
-        m = profile.num_candidates
-        if isinstance(self.gamma, str):
-            return _PRESETS[self.gamma](m, profile.k)
-        if len(self.gamma) != m:
-            raise InputError(
-                f"scoring vector has {len(self.gamma)} entries for {m} candidates",
-                code="invalid-gamma",
-            )
-        return self.gamma
-
-
-@dataclass(frozen=True)
-class StvRule:
-    variant: str = "simple"
-
-    def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise InputError(
-                f"unknown stv variant {self.variant!r}; "
-                f"expected one of {', '.join(VARIANTS)}",
-                code="invalid-rule",
-            )
-
 
 Rule = WeaklySeparableRule | StvRule
 

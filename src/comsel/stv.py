@@ -5,6 +5,7 @@ order of election, the last candidate left standing follows, and the
 eliminated candidates trail in reverse order of elimination.  The bare
 "simple" variant never elects, so its output is purely reverse elimination
 order.  Rankings are plain tuples; all tallies are exact rationals.
+``StvRule`` names a variant; its constructor is the one variant check.
 
 The count keeps one invariant: each hopeful candidate holds a pile
 ``{weight: [ranking, ...]}`` of the ballots whose first hopeful preference
@@ -33,6 +34,19 @@ VARIANTS = ("simple", "droop_gregory")
 
 
 @dataclass(frozen=True)
+class StvRule:
+    variant: str = "simple"
+
+    def __post_init__(self) -> None:
+        if self.variant not in VARIANTS:
+            raise InputError(
+                f"unknown stv variant {self.variant!r}; "
+                f"expected one of {', '.join(VARIANTS)}",
+                code="invalid-rule",
+            )
+
+
+@dataclass(frozen=True)
 class StvRound:
     """Tallies observed at the start of one round and the action taken."""
 
@@ -44,8 +58,7 @@ class StvRound:
 def _count(
     profile: ElectionProfile, variant: str
 ) -> tuple[list[StvRound], tuple[str, ...]]:
-    if variant not in VARIANTS:
-        raise InputError(f"unknown stv variant {variant!r}", code="invalid-rule")
+    StvRule(variant)  # checks the variant
     quota = profile.num_voters // (profile.k + 1) + 1
     m = profile.num_candidates
     # codes in name order, so the first largest or smallest tally wins a tie

@@ -5,6 +5,7 @@ written."""
 import ast
 import contextlib
 import fnmatch
+import inspect
 import io
 import re
 import shlex
@@ -59,6 +60,47 @@ def test_every_exported_name_resolves(monkeypatch):
         patch.setattr(solve, "solve_instance", lambda *a, **k: None)
         assert comsel.solve_instance is solve.solve_instance is not original
     assert comsel.solve_instance is solve.solve_instance is original
+
+
+def test_each_export_is_listed_under_its_defining_module():
+    """A patch of the defining module shows through the package only when
+    ``_EXPORTS`` looks the name up there."""
+    misplaced = [
+        f"{name}: listed under {module}, defined in {obj.__module__}"
+        for module, names in comsel._EXPORTS.items()
+        for name in names
+        if (inspect.isclass(obj := getattr(comsel, name)) or inspect.isfunction(obj))
+        and obj.__module__ != f"comsel.{module}"
+    ]
+    assert misplaced == []
+
+
+def test_the_package_has_no_import_cycle():
+    """Every relative import in ``src/comsel`` is an edge, also one under
+    ``if TYPE_CHECKING:`` or inside a function; no edge lies on a cycle."""
+    package = Path(comsel.__file__).parent
+    imports = {path.stem: set() for path in package.glob("*.py")}
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                # ``from . import x`` names a module; ``from .x import y`` too
+                named = [node.module] if node.module else [a.name for a in node.names]
+                imports[path.stem].update(n.split(".")[0] for n in named)
+    imports = {m: targets & imports.keys() for m, targets in imports.items()}
+
+    def reached(start: str) -> set[str]:
+        seen, stack = set(), [start]
+        while stack:
+            module = stack.pop()
+            if module not in seen:
+                seen.add(module)
+                stack.extend(imports[module])
+        return seen
+
+    on_cycle = [
+        f"{a} -> {b}" for a in sorted(imports) for b in sorted(imports[a]) if a in reached(b)
+    ]
+    assert on_cycle == []
 
 
 def test_readme_examples_run_as_written(tmp_path, monkeypatch, capsys):

@@ -245,6 +245,8 @@ class TestCodedProfile:
                     expected[candidate] += value
             assert score_all(profile, rule) == expected
 
+    # CPython appends to a string in place only when no tracer is set
+    @pytest.mark.untraced
     def test_a_parsed_profile_holds_about_a_byte_per_entry(self, tmp_path):
         m, n = 200, 5000
         names = [f"candidate-{i:03d}" for i in range(m)]
@@ -271,6 +273,8 @@ class TestCodedProfile:
         # end, peaked at 2.5 B per entry
         assert peak <= 1.3 * n * m + 4 * document._CHUNK
 
+    # CPython appends to a string in place only when no tracer is set
+    @pytest.mark.untraced
     def test_a_profile_built_from_rankings_peaks_near_its_codes(self):
         # the path of ElectionProfile.build and of a document that lists
         # its voters first: each ranking is checked and coded in turn

@@ -10,6 +10,7 @@ from comsel import (
     BudgetExceededError,
     ElectionProfile,
     InputError,
+    StvRule,
     stv_ranking,
     stv_rounds,
 )
@@ -17,8 +18,14 @@ from conftest import stv_simple_all_rankings
 
 
 def test_unknown_variant(profile_b):
-    with pytest.raises(InputError, match="unknown stv variant"):
+    with pytest.raises(InputError, match="unknown stv variant") as counted:
         stv_ranking(profile_b, "meek")
+    # the count and a document's rule refuse a variant with one message
+    with pytest.raises(InputError) as named:
+        StvRule("meek")
+    assert (str(counted.value), counted.value.code) == (
+        str(named.value), named.value.code,
+    )
 
 
 def test_simple_elimination_order(profile_b):
