@@ -9,10 +9,8 @@ errors (a missing or ill-typed option) are argparse's: a ``usage:`` line
 and exit status 2, raised as ``SystemExit(2)`` when ``main`` is called
 in-process.
 
-``solve`` and ``check`` read an ``--input`` file in fixed-size chunks
-(see ``comsel.document``); stdin and inputs that cannot seek are read whole.
-The document functions stay bound here for callers that import them from
-this module.
+``comsel.document`` reads each ``--input``; its document functions stay
+bound here for perfbench, which reaches them through this module.
 """
 
 from __future__ import annotations
@@ -26,9 +24,10 @@ from typing import Sequence
 # first: compiled (with no cached bytecode) while the heap is still small;
 # compiled after the solvers load, it raised a run's peak RSS by 0.2 MB
 from .document import (
-    _Input,
     instance_to_document,
     parse_instance,
+    read_instance,
+    read_text,
     result_to_document,
     serialize_instance,
 )
@@ -39,33 +38,10 @@ from .instances import (
     MODES,
     ORDER_KINDS,
     STRUCTURES,
-    ElectionInstance,
     StvRule,
     WeaklySeparableRule,
 )
 from .solve import SOLVERS, solve_instance
-
-
-def _read_text(path: str) -> str:
-    """The whole text of the input at ``path`` ('-' for stdin), UTF-8 either
-    way: stdin's bytes are decoded as UTF-8, not in the interpreter's stdin
-    encoding; only a text stream with no bytes below it is read as it is."""
-    if path == "-":
-        if sys.stdin is None:  # closed when the process started
-            raise OSError("stdin is closed")
-        return _Input(path, getattr(sys.stdin, "buffer", sys.stdin)).read()
-    with open(path, encoding="utf-8") as handle:
-        return _Input(path, handle).read()
-
-
-def _read_instance(path: str) -> ElectionInstance:
-    """The instance at ``path``: a file that can seek back, to re-read a
-    faulty document, is read in chunks; stdin and any other input whole."""
-    if path == "-":
-        return parse_instance(_read_text(path))
-    with open(path, encoding="utf-8") as handle:
-        source = _Input(path, handle)
-        return parse_instance(source if handle.seekable() else source.read())
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -89,7 +65,7 @@ def _diagnose(text: str) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    instance = _read_instance(args.input)
+    instance = read_instance(args.input)
     result = solve_instance(instance, solver=args.solver, budget=args.budget)
     document = result_to_document(result)
     _write_text(args.output, json.dumps(document, indent=2) + "\n")
@@ -99,7 +75,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    instance = _read_instance(args.input)
+    instance = read_instance(args.input)
     names = [part.strip() for part in args.committee.split(",") if part.strip()]
     stray = sorted(set(names) - set(instance.profile.candidates))
     if stray:
@@ -134,7 +110,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             order_kind=args.order,
         )
     else:
-        graph = generators.parse_graph(_read_text(args.input))
+        graph = generators.parse_graph(read_text(args.input))
         if args.generator == "vertex-cover":
             if args.variant == "intervals":
                 instance = generators.gen_vertex_cover_intervals(graph, args.cover_size)

@@ -5,10 +5,12 @@ level one member at a time with json's own scanner, so that each ranking
 is checked and coded as it is read (see its docstring).  An ``_Input``, an
 open file, is read in fixed-size chunks, so its whole text is never held;
 a ``str`` is the whole text.  A faulty document is read again whole, so
-that its error is json's.  ``instance_to_document`` and
-``serialize_instance`` write an instance back, and ``result_to_document``
-writes a solve's result.  Only this module knows the format, and it loads
-no solver: a library caller reads and writes documents without them.
+that its error is json's: ``read_instance`` passes an ``_Input`` only for
+a file that can seek back to its start, and reads any other input whole.
+``instance_to_document`` and ``serialize_instance`` write an instance
+back, and ``result_to_document`` writes a solve's result.  Only this
+module knows the format, and it loads no solver: a library caller reads
+and writes documents without them.
 """
 
 from __future__ import annotations
@@ -269,9 +271,9 @@ def parse_instance(text: str | _Input) -> ElectionInstance:
     whole and the profile checks it.  Either way a fault is named by the
     same checks, in the same order, on the same decoded values.
 
-    ``text`` is the document's text, or an ``_Input``: the CLI reads an
-    input file in chunks, so the text is never held whole beside the
-    profile (stdin and inputs that cannot seek are read whole).  A
+    ``text`` is the document's text, or an ``_Input``: ``read_instance``
+    reads a file that can seek in chunks, so the text is never held whole
+    beside the profile (it reads stdin and other inputs whole).  A
     document with a fault is read again whole for ``json.loads``, so its
     error is json's either way.
     """
@@ -327,6 +329,28 @@ def parse_instance(text: str | _Input) -> ElectionInstance:
     return ElectionInstance(
         profile, constraints, rule, doc.get("order", "score"), tuple(reference)
     )
+
+
+def read_text(path: str) -> str:
+    """The whole text of the input at ``path`` ('-' for stdin), UTF-8 either
+    way: stdin's bytes are decoded as UTF-8, not in the interpreter's stdin
+    encoding; only a text stream with no bytes below it is read as it is."""
+    if path == "-":
+        if sys.stdin is None:  # closed when the process started
+            raise OSError("stdin is closed")
+        return _Input(path, getattr(sys.stdin, "buffer", sys.stdin)).read()
+    with open(path, encoding="utf-8") as handle:
+        return _Input(path, handle).read()
+
+
+def read_instance(path: str) -> ElectionInstance:
+    """The instance at ``path``: a file that can seek back, to re-read a
+    faulty document, is read in chunks; stdin and any other input whole."""
+    if path == "-":
+        return parse_instance(read_text(path))
+    with open(path, encoding="utf-8") as handle:
+        source = _Input(path, handle)
+        return parse_instance(source if handle.seekable() else source.read())
 
 
 def _json_number(value: Score) -> int | float:

@@ -103,6 +103,20 @@ def test_the_package_has_no_import_cycle():
     assert on_cycle == []
 
 
+def test_the_cli_imports_no_private_name():
+    """``cli.py`` uses each comsel module through its public names only:
+    how an input is read belongs to ``comsel.document``, not to the CLI."""
+    source = (Path(comsel.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_readme_examples_run_as_written(tmp_path, monkeypatch, capsys):
     """Every ``$ `` command in README's shell transcripts, run through
     ``cli.main`` in order, prints the lines shown under it; the instance

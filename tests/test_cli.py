@@ -323,9 +323,21 @@ def parse_file(request, tmp_path, monkeypatch):
 
     def parse(text):
         path.write_bytes(text.encode("utf-8"))
-        return cli._read_instance(str(path))
+        return fmt.read_instance(str(path))
 
     return parse
+
+
+def parse_pipe(text):
+    """``parse_instance`` through the CLI's other file source: the text goes
+    down a pipe, which cannot seek, so ``read_instance`` reads it whole."""
+    read, write = os.pipe()
+    try:
+        with os.fdopen(write, "w", encoding="utf-8") as pipe:
+            pipe.write(text)  # a small document: far below a pipe's buffer
+        return fmt.read_instance(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
 
 
 class TestDecoding:
@@ -361,6 +373,9 @@ class TestDecoding:
 
     def test_text_faults_are_json_faults_in_chunks(self, parse_file):
         self.text_faults_are_json_faults(parse_file)
+
+    def test_text_faults_are_json_faults_through_a_pipe(self):
+        self.text_faults_are_json_faults(parse_pipe)
 
     @staticmethod
     def text_faults_are_json_faults(parse):
@@ -527,7 +542,7 @@ class TestDecoding:
         path.write_text(text)
         tracemalloc.start()
         try:
-            instance = cli._read_instance(str(path))
+            instance = fmt.read_instance(str(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -562,7 +577,7 @@ class TestDecoding:
                 raise
 
         monkeypatch.setattr(fmt._DECODER, "scan_once", counted)
-        assert cli._read_instance(str(path)).profile.num_voters == 300
+        assert fmt.read_instance(str(path)).profile.num_voters == 300
         assert cut in ([], ["["])
 
     def test_a_large_file_is_scanned_in_linear_time(self, tmp_path, monkeypatch):
@@ -599,7 +614,7 @@ class TestDecoding:
                         raise AssertionError(f"{covered} characters scanned")
 
             monkeypatch.setattr(fmt._DECODER, "scan_once", counted)
-            assert cli._read_instance(str(path)).profile.num_voters == 1500
+            assert fmt.read_instance(str(path)).profile.num_voters == 1500
             assert len(text) <= covered <= 4 * len(text)
 
 
@@ -992,28 +1007,28 @@ class TestMain:
         import io
 
         sources = []
-        parse = cli.parse_instance
+        parse = fmt.parse_instance
 
         def traced(source):
             sources.append(source)
             return parse(source)
 
-        monkeypatch.setattr(cli, "parse_instance", traced)
+        monkeypatch.setattr(fmt, "parse_instance", traced)
         doc = document(labels={"l1": ["a", "b"]}, k=3,
                        rule={"type": "weakly_separable", "gamma": [3, 2.5, 1, 0]})
         text = json.dumps(doc, indent=2)
-        from_file = cli._read_instance(self.write(tmp_path, doc))
+        from_file = fmt.read_instance(self.write(tmp_path, doc))
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        from_stdin = cli._read_instance("-")
+        from_stdin = fmt.read_instance("-")
         read, write = os.pipe()
         with os.fdopen(write, "w") as pipe:  # far below a pipe's buffer
             pipe.write(text)
         try:
-            from_pipe = cli._read_instance(f"/dev/fd/{read}")
+            from_pipe = fmt.read_instance(f"/dev/fd/{read}")
         finally:
             os.close(read)
         assert from_file == from_stdin == from_pipe == parse_instance(text)
-        assert [type(source) for source in sources] == [cli._Input, str, str]
+        assert [type(source) for source in sources] == [fmt._Input, str, str]
         assert sources[1] == sources[2] == text
 
     def test_stdin_is_decoded_as_utf8_like_a_file(
@@ -1125,14 +1140,14 @@ class TestMain:
         # as perfbench's tracer sees it: one parse_instance call per run,
         # whose argument's len() is the file's size in bytes
         sizes = []
-        parse = cli.parse_instance
+        parse = fmt.parse_instance
 
         def traced(source):
-            assert isinstance(source, cli._Input)
+            assert isinstance(source, fmt._Input)
             sizes.append(len(source))
             return parse(source)
 
-        monkeypatch.setattr(cli, "parse_instance", traced)
+        monkeypatch.setattr(fmt, "parse_instance", traced)
         path = self.write(tmp_path, document())
         assert main(["solve", "--input", path]) == 0
         assert json.loads(capsys.readouterr().out)["score"] == 17

@@ -17,7 +17,7 @@ from comsel import (
     score_all,
 )
 from comsel import document
-from comsel.cli import _read_instance
+from comsel.document import read_instance
 
 
 class TestProfileValidation:
@@ -259,7 +259,7 @@ class TestCodedProfile:
         }))
         tracemalloc.start()
         try:
-            instance = _read_instance(str(path))
+            instance = read_instance(str(path))
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

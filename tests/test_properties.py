@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -9,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from comsel import (
     ConstraintSet,
     ElectionProfile,
+    Interval,
     StvRule,
     WeaklySeparableRule,
+    build_order,
     enumerate_feasible,
     gen_random,
     leximax_weights,
@@ -336,3 +339,55 @@ def test_every_route_agrees_with_the_oracle():
             order_kind=("score", "score", "leximax", "leximin")[seed // 2 % 4],
         )
         assert_routes_agree(instance, ("gamma", seed))
+
+
+def pinned(instance, candidate, inside):
+    """``instance`` with ``candidate`` held in (``inside``) or out of every
+    committee by a fresh singleton label and the interval [1, 1] or [0, 0]."""
+    constraints = instance.constraints
+    labeling = constraints.labeling
+    groups = {name: labeling.members(name) for name in labeling.names}
+    assert "pin" not in groups
+    groups["pin"] = (candidate,)
+    seats = Interval("pin", int(inside), int(inside))
+    return replace(instance, constraints=ConstraintSet.build(
+        groups, (*constraints.intervals, seats), constraints.dominances
+    ))
+
+
+def test_a_pin_returns_the_answer_or_a_worse_one():
+    """The pin relation, a check where no oracle runs.  Pinning a member of
+    the answer C in, or a non-member out, allows only committees allowed
+    before, C among them, so C comes back.  Pinning it to the other side
+    ends infeasible or with a committee C beats: by weight sum, or at an
+    equal sum by the tie-break to the lexicographically smallest.  A pin
+    on a labeled candidate makes disjoint labels overlap, so on a
+    tree-like instance the base solve goes to dp and the pinned one to the
+    region search: the paper's two algorithms meet at m = 40 to 120."""
+    routes = set()
+    labels = (("disjoint", "tree_like"), ("overlapping", "arbitrary"))
+    for seed, (mode, structure), kind in itertools.product(
+        range(5), labels, ("score", "leximax", "leximin")
+    ):
+        # k reaches 24 at m = 120, so an answer may take more than 13
+        # members of one region, which no oracle-checked instance can
+        m = (40, 80, 120)[seed % 3]
+        instance = gen_random(m, 9, m // 5, 4, mode, structure, seed, order_kind=kind)
+        base = solve_instance(instance)
+        if not base.is_optimal:
+            continue
+        weights = build_order(instance)
+        answer, total = base.committee, sum(weights[c] for c in base.committee)
+        outside = [c for c in instance.profile.candidates if c not in answer]
+        for candidate in (answer[0], answer[-1], max(outside, key=weights.get)):
+            inside, tag = candidate in answer, (seed, mode, kind, candidate)
+            same = solve_instance(pinned(instance, candidate, inside))
+            assert same.committee == answer, tag
+            other = solve_instance(pinned(instance, candidate, not inside))
+            routes.add((base.solver, other.solver))
+            if other.is_optimal:
+                pinned_total = sum(weights[c] for c in other.committee)
+                assert pinned_total < total or (
+                    pinned_total == total and other.committee > answer
+                ), tag
+    assert ("dp", "region") in routes
