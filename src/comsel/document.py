@@ -1,16 +1,16 @@
 """The JSON instance document: reading and writing it, and the result document.
 
 Instance documents are read by ``parse_instance``, which decodes the top
-level one member at a time with json's own scanner, so that each ranking
-is checked and coded as it is read (see its docstring).  An ``_Input``, an
-open file, is read in fixed-size chunks, so its whole text is never held;
-a ``str`` is the whole text.  A faulty document is read again whole, so
-that its error is json's: ``read_instance`` passes an ``_Input`` only for
-a file that can seek back to its start, and reads any other input whole.
-``instance_to_document`` and ``serialize_instance`` write an instance
-back, and ``result_to_document`` writes a solve's result.  Only this
-module knows the format, and it loads no solver: a library caller reads
-and writes documents without them.
+level one member at a time with json's own scanner, feeding each ranking
+as it is read to ``RankingCoder``, the one builder of a profile's code
+string.  An ``_Input``, an open file, is read in fixed-size chunks, so its
+whole text is never held; a ``str`` is the whole text.  A faulty document
+is read again whole, so that its error is json's: ``read_instance`` passes
+an ``_Input`` only for a file that can seek back to its start, and reads
+any other input whole.  ``instance_to_document`` and
+``serialize_instance`` write an instance back, and ``result_to_document``
+writes a solve's result.  Only this module knows the format, and it loads
+no solver: a library caller reads and writes documents without them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Any, TextIO
 
 from .constraints import ConstraintSet, Dominance, Interval
-from .elections import _BATCH, ElectionProfile, Score, intern_ranking
+from .elections import ElectionProfile, RankingCoder, Score
 from .errors import InputError
 from .instances import ElectionInstance, Rule, StvRule, WeaklySeparableRule
 from .result import SolveResult
@@ -139,28 +139,26 @@ class _Input:
             raise OSError(f"{self.path}: not UTF-8 text: {exc}") from None
 
 
-def _decode(source: str | _Input) -> tuple[Any, bool]:
-    """``json.loads(text, parse_float=_exact_decimal)``, and whether its
-    ``voters`` is the one code string (see ``ElectionProfile``) of rankings
-    that ``intern_ranking`` accepted against its ``candidates``.
+def _decode(source: str | _Input) -> Any:
+    """``json.loads(text, parse_float=_exact_decimal)``, except that a
+    ``voters`` read ranking by ranking is a ``RankingCoder`` over its
+    ``candidates`` that accepted every ranking.
 
     The text is scanned in a window, all of a ``str`` or an ``_Input``'s
     chunks.  A top-level object with distinct keys is read one member at a
     time by json's own scanner, a ``voters`` array after a ``candidates``
-    list one ranking at a time, each coded as it is read and appended,
-    ``_BATCH`` at a time, to one code string grown in place, so the codes
-    are never held twice.  What runs off the window's edge, a number
-    ending on it included, is read again after a refill, which comes early
-    when less than a chunk lies ahead of a member's value, or less than a
-    chunk and the last ranking's length ahead of a ranking.  A fault once
-    all the text is in, or a refused ranking, sends the whole text to
-    ``json.loads``, whose errors name it."""
+    list one ranking at a time, each fed to the coder as it is read.  What
+    runs off the window's edge, a number ending on it included, is read
+    again after a refill, which comes early when less than a chunk lies
+    ahead of a member's value, or less than a chunk and the last ranking's
+    length ahead of a ranking.  A fault once all the text is in, or a
+    refused ranking, sends the whole text to ``json.loads``, whose errors
+    name it."""
     scan = _DECODER.scan_once
     # an _Input's window starts empty: its first chunk comes by a refill
     text, read = ("", source.read) if isinstance(source, _Input) else (source, None)
     doc: dict[str, Any] = {}
-    batch = None  # the voters array's latest rankings while it is read
-    interned = False
+    coder = None  # the voters array's coder while it is read
     mark = -1  # where the member or ranking being read starts; -1: the "{"
     while True:
         end = mark
@@ -171,7 +169,7 @@ def _decode(source: str | _Input) -> tuple[Any, bool]:
                     raise ValueError("not an object")
                 mark = end = end + 1
             while True:
-                if batch is not None:
+                if coder is not None:
                     while True:
                         # less than the last ranking's length, and a chunk, ahead
                         if read is not None and span > len(text) - end < _CHUNK:
@@ -188,26 +186,19 @@ def _decode(source: str | _Input) -> tuple[Any, bool]:
                                 end = _skip_space(text, end).end()
                         ranking, end = scan(text, end)
                         try:
-                            checked = (intern_ranking(codes, ranking)
-                                      if type(ranking) is list else None)
+                            accepted = type(ranking) is list and coder.add(ranking)
                         except TypeError:  # an unhashable entry
-                            checked = None
-                        if checked is None:  # json.loads decodes the whole text
+                            accepted = False
+                        if not accepted:  # json.loads decodes the whole text
                             read = None
                             raise ValueError("a refused ranking")
-                        batch.append(checked)
                         span, mark = end - mark, end
-                        if len(batch) == _BATCH:
-                            coded += "".join(batch)  # in place: see _BATCH
-                            batch.clear()
-                    coded += "".join(batch)
-                    doc["voters"], batch = coded, None
-                    interned = True
+                    doc["voters"], coder = coder, None
                     mark = end = end + 1
                 end = _skip(text, end)
                 if text[end] == "}":
                     if _skip(text, end + 1) == len(text) and read is None:
-                        return doc, interned
+                        return doc
                     raise ValueError("extra data, or text still to read")
                 if doc:
                     if text[end] != ",":
@@ -224,8 +215,7 @@ def _decode(source: str | _Input) -> tuple[Any, bool]:
                 end = _skip(text, end + 1)
                 candidates = doc.get("candidates")
                 if key == "voters" and text[end] == "[" and isinstance(candidates, list):
-                    codes = {c: chr(j) for j, c in enumerate(candidates)}
-                    batch, coded, span = [], "", 0
+                    coder, span = RankingCoder(candidates), 0
                     mark = end = end + 1
                     continue
                 if read is not None and len(text) - end < _CHUNK:
@@ -251,7 +241,7 @@ def _decode(source: str | _Input) -> tuple[Any, bool]:
     if isinstance(source, _Input):  # the whole text, read again
         source.handle.seek(0)
         source = source.read()
-    return json.loads(source, parse_float=_exact_decimal), False
+    return json.loads(source, parse_float=_exact_decimal)
 
 
 def parse_instance(text: str | _Input) -> ElectionInstance:
@@ -264,12 +254,12 @@ def parse_instance(text: str | _Input) -> ElectionInstance:
     malformed JSON.  Every semantic check is made by the model constructors,
     whose ``InputError`` codes pass through unchanged.
 
-    Each ranking of ``voters`` is decoded and checked as it is read when
-    ``candidates`` comes first, as every writer in this package puts it,
-    and only its code string is kept; the profile then takes the joined
-    string without a second check.  Otherwise ``voters`` is decoded
-    whole and the profile checks it.  Either way a fault is named by the
-    same checks, in the same order, on the same decoded values.
+    Each ranking of ``voters`` is decoded and fed to a ``RankingCoder`` as
+    it is read when ``candidates`` comes first, as every writer in this
+    package puts it; the profile keeps the coder's string without a second
+    check.  Otherwise ``voters`` is decoded whole and the profile checks it.
+    Either way a fault is named by the same checks, in the same order, on
+    the same decoded values.
 
     ``text`` is the document's text, or an ``_Input``: ``read_instance``
     reads a file that can seek in chunks, so the text is never held whole
@@ -278,7 +268,7 @@ def parse_instance(text: str | _Input) -> ElectionInstance:
     error is json's either way.
     """
     try:
-        doc, interned = _decode(text)
+        doc = _decode(text)
     except (ValueError, RecursionError) as exc:  # also too long or too deep
         raise InputError(f"not valid JSON: {exc}", code="malformed-json") from None
     if not isinstance(doc, dict):
@@ -288,7 +278,7 @@ def parse_instance(text: str | _Input) -> ElectionInstance:
         raise InputError(f"unknown field {unknown[0]!r}", code="unknown-field")
     candidates = _string_list(_require(doc, "candidates"), "candidates")
     voters = _require(doc, "voters")
-    if not interned:
+    if not isinstance(voters, RankingCoder):
         _typed(voters, list, "voters", "a list")
         for index, ranking in enumerate(voters):
             if not isinstance(ranking, list):
@@ -300,7 +290,7 @@ def parse_instance(text: str | _Input) -> ElectionInstance:
     # the profile's permutation check rejects every entry that is not a
     # candidate; only an unhashable one makes it raise TypeError
     try:
-        profile = ElectionProfile(tuple(candidates), voters, k, _coded=interned)
+        profile = ElectionProfile(tuple(candidates), voters, k)
     except TypeError:
         raise InputError(
             "field 'voters' must hold lists of strings", code="malformed-field"

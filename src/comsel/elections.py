@@ -1,9 +1,9 @@
 """Election data model and positional scoring.
 
 ``intern_ranking`` is the one ranking check; it codes a ranking as one
-code point per entry.  ``ElectionProfile`` runs it on every ranking it is
-given; the document decoder in ``comsel.document`` runs it on each ranking
-as it reads it and hands the profile the joined codes, kept unchecked.
+code point per entry.  ``RankingCoder`` is the one builder of a profile's
+code string: ``ElectionProfile`` feeds its rankings to one, or keeps the
+string of one the document decoder or ``gen_random`` filled.
 
 ``WeaklySeparableRule`` is the one positional rule type: its constructor
 checks a preset name or coerces each explicit entry, and ``vector(profile)``
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .errors import InputError
 
@@ -51,11 +51,7 @@ def as_score(value: object) -> Score:
     raise InputError(f"unsupported score value {value!r}", code="invalid-gamma")
 
 
-# Rankings coded between appends to a profile's code string.  ``coded +=
-# part`` grows the string in place while that local is its only reference,
-# so the codes are never held twice; a second reference before the last
-# append would make every append a copy.
-_BATCH = 256
+_BATCH = 256  # rankings coded between appends to a coder's string
 
 
 def intern_ranking(codes: dict[str, str], ranking: Sequence) -> str | None:
@@ -84,64 +80,91 @@ def _code_points(ballots: str, m: int) -> Sequence[int]:
     return memoryview(ballots.encode("utf-32", "surrogatepass"))[4:].cast("I")
 
 
-def _check_codable(m: int) -> None:
-    """Refuse more candidates than there are code points to stand for them."""
-    if m > sys.maxunicode + 1:
-        raise InputError(
-            f"a profile holds at most {sys.maxunicode + 1} candidates",
-            code="too-many-candidates",
-        )
+class RankingCoder:
+    """Builds a profile's code string; ``codes`` maps candidate j to ``chr(j)``."""
+
+    def __init__(self, candidates: Sequence[str]) -> None:
+        self.check_count(len(candidates))
+        self.codes = {c: chr(j) for j, c in enumerate(candidates)}
+        self._coded, self._batch = "", []
+
+    @staticmethod
+    def check_count(m: int) -> None:
+        """Refuse more candidates than there are code points to stand for them."""
+        if m > sys.maxunicode + 1:
+            message = f"a profile holds at most {sys.maxunicode + 1} candidates"
+            raise InputError(message, code="too-many-candidates")
+
+    def add(self, ranking: Sequence) -> bool:
+        """Append ``ranking``'s codes, unless ``intern_ranking`` refuses it."""
+        coded = intern_ranking(self.codes, ranking)
+        if coded is not None:
+            self._append(coded)
+        return coded is not None
+
+    def sample(self, rng: Any, count: int) -> None:
+        """Append ``count`` rankings drawn by ``random.Random.sample`` of the codes."""
+        codes = "".join(self.codes.values())
+        for _ in range(count):
+            self._append("".join(rng.sample(codes, len(codes))))
+
+    def _append(self, coded: str) -> None:
+        self._batch.append(coded)
+        if len(self._batch) == _BATCH:
+            self.joined()
+
+    def joined(self) -> str:
+        """The codes of every ranking so far.  ``coded += part`` grows the
+        string in place while the local is its only reference, so the codes
+        are never held twice; a second reference would make it a copy."""
+        coded, self._coded = self._coded, ""
+        coded += "".join(self._batch)
+        self._batch.clear()
+        self._coded = coded
+        return coded
 
 
 @dataclass(frozen=True, init=False)
 class ElectionProfile:
     """Candidates, strict voter rankings (best first), and the committee size.
 
-    Every ranking must be a permutation of the full candidate set.  The
-    rankings are validated once, by ``intern_ranking``, and stored as one
-    string ``ballots``: voter i's ranking is ``ballots[i*m:(i+1)*m]``, and
-    ``chr(j)`` stands for ``candidates[j]``, one byte per entry up to
-    m = 256.  ``voters`` decodes it on each access.  The committee size may
-    be zero; an empty committee is a legal outcome.
+    Every ranking must be a permutation of the candidates.  The rankings,
+    or a ``RankingCoder`` over the candidates that coded them, are checked
+    once and stored as one string ``ballots``: voter i's ranking is
+    ``ballots[i*m:(i+1)*m]``, and ``chr(j)`` stands for ``candidates[j]``,
+    one byte per entry up to m = 256.  The committee size may be zero.
     """
 
     candidates: tuple[str, ...]
     ballots: str
     k: int
 
-    def __init__(self, candidates: tuple[str, ...], voters: Sequence, k: int,
-                 *, _coded: bool = False) -> None:
-        """``_coded`` (private): ``voters`` is accepted codes, kept as is."""
+    def __init__(self, candidates: tuple[str, ...],
+                 voters: Sequence | RankingCoder, k: int) -> None:
         if not candidates:
             raise InputError(
                 "a profile needs at least one candidate", code="empty-profile"
             )
-        _check_codable(len(candidates))
+        coder = voters if isinstance(voters, RankingCoder) else RankingCoder(candidates)
         if len(set(candidates)) != len(candidates):
             dupe = next(c for c in candidates if candidates.count(c) > 1)
             raise InputError(
                 f"candidate identifiers must be distinct; {dupe!r} repeats",
                 code="duplicate-candidate",
             )
-        if not voters:
-            raise InputError("a profile needs at least one voter", code="empty-profile")
-        if not _coded:
-            codes = {c: chr(j) for j, c in enumerate(candidates)}
-            coded, batch = "", []
-            for index, ranking in enumerate(voters):
-                checked = intern_ranking(codes, ranking)
-                if checked is None:
+        if coder is not voters:
+            for index, ranking in enumerate(voters or ()):  # None: no voter
+                if not coder.add(ranking):
                     raise InputError(
                         f"voter {index}: ranking is not a permutation of the "
                         f"candidate set (voter index {index}, counting from 0)",
                         code="non-permutation-ranking",
                     )
-                batch.append(checked)
-                if len(batch) == _BATCH:
-                    coded += "".join(batch)
-                    batch.clear()
-            coded += "".join(batch)
-            voters = coded
+        elif tuple(coder.codes) != tuple(candidates):
+            raise InputError("the coder codes other candidates than the profile's")
+        ballots = coder.joined()
+        if not ballots:
+            raise InputError("a profile needs at least one voter", code="empty-profile")
         if not isinstance(k, int) or isinstance(k, bool):
             shown = repr(k)
             if isinstance(k, Fraction):  # a document's decimal, as written
@@ -154,7 +177,7 @@ class ElectionProfile:
                 f"committee size {k} outside 0..{len(candidates)}",
                 code="invalid-k",
             )
-        vars(self).update(candidates=candidates, ballots=voters, k=k)
+        vars(self).update(candidates=candidates, ballots=ballots, k=k)
 
     @classmethod
     def build(

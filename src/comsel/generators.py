@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .constraints import ConstraintSet, Dominance, Interval
-from .elections import ElectionProfile, _check_codable
+from .elections import ElectionProfile, RankingCoder
 from .errors import BudgetExceededError, InputError
 from .instances import (
     MODES,
@@ -353,7 +353,7 @@ def gen_random(
         raise InputError(
             f"unknown structure {structure!r}; expected one of {', '.join(STRUCTURES)}"
         )
-    _check_codable(num_candidates)  # before the codes are drawn
+    RankingCoder.check_count(num_candidates)  # before a name is built
     if mode == "disjoint" and num_labels > num_candidates:
         raise InputError(
             f"cannot split {num_candidates} candidates into {num_labels} "
@@ -363,10 +363,9 @@ def gen_random(
     rng = random.Random(seed)
     width = max(1, len(str(num_candidates - 1)))
     candidates = tuple(f"c{i:0{width}d}" for i in range(num_candidates))
-    # ElectionProfile's codes, drawn as sampling the names would draw them
-    codes = "".join(map(chr, range(num_candidates)))
-    voters = "".join("".join(rng.sample(codes, num_candidates)) for _ in range(num_voters))
-    profile = ElectionProfile(candidates, voters, k, _coded=True)
+    coder = RankingCoder(candidates)
+    coder.sample(rng, num_voters)  # the codes, drawn as sampling the names would
+    profile = ElectionProfile(candidates, coder, k)
 
     names = tuple(f"g{j}" for j in range(num_labels))
     groups: dict[str, tuple[str, ...]] = {}

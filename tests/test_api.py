@@ -104,17 +104,53 @@ def test_the_package_has_no_import_cycle():
 
 
 def test_the_cli_imports_no_private_name():
-    """``cli.py`` uses each comsel module through its public names only:
-    how an input is read belongs to ``comsel.document``, not to the CLI."""
-    source = (Path(comsel.__file__).parent / "cli.py").read_text(encoding="utf-8")
-    private = [
-        f"{node.module}.{alias.name}"
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.ImportFrom) and node.level
-        for alias in node.names
-        if alias.name.startswith("_")
-    ]
+    """Each module of the package, ``cli.py`` among them, uses the others
+    through their public names only: it imports no underscore name from
+    another comsel module and passes no underscore keyword.  How an input
+    is read belongs to ``comsel.document``, and how a profile's code string
+    is built to ``elections.RankingCoder``."""
+    private = []
+    for path in sorted(Path(comsel.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private += [
+                    f"{path.stem}: {node.module}.{alias.name}"
+                    for alias in node.names if alias.name.startswith("_")
+                ]
+            elif isinstance(node, ast.Call):
+                private += [
+                    f"{path.stem}: {keyword.arg}="
+                    for keyword in node.keywords
+                    if keyword.arg and keyword.arg.startswith("_")
+                ]
     assert private == []
+
+
+def test_the_readme_error_table_lists_every_code():
+    """README's error table has a row for each code the package can print,
+    and each row names one: a ``code="..."`` argument, a class-level
+    ``code``, ``InputError``'s default, or a code the CLI writes itself."""
+    def constant(node):
+        return node.value if isinstance(node, ast.Constant) else None
+
+    printed = {inspect.signature(comsel.InputError).parameters["code"].default}
+    for path in Path(comsel.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.keyword) and node.arg == "code":
+                printed.add(constant(node.value))
+            elif isinstance(node, ast.Assign):  # ``code = "..."`` in a class
+                if [getattr(t, "id", None) for t in node.targets] == ["code"]:
+                    printed.add(constant(node.value))
+            elif isinstance(node, ast.JoinedStr):  # the CLI's f"error[io]: ..."
+                for part in map(constant, node.values):
+                    printed.update(re.findall(r"error\[([a-z-]+)\]", part or ""))
+    printed.discard(None)  # a code passed on in a variable
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| code "):].split("\n\n")[0]
+    rows = set(re.findall(r"^\| `([a-z-]+)` ", table, flags=re.M))
+    assert {"io", "internal", "invalid-input", "budget"} <= printed
+    assert sorted(printed - rows) == []
+    assert sorted(rows - printed) == []
 
 
 def test_readme_examples_run_as_written(tmp_path, monkeypatch, capsys):

@@ -20,6 +20,7 @@ from comsel import (
 )
 from comsel import cli, generators
 from comsel import document as fmt
+from comsel.elections import _BATCH, RankingCoder
 from comsel.cli import (
     build_parser,
     instance_to_document,
@@ -465,14 +466,13 @@ class TestDecoding:
         def refused(*args, **kwargs):
             raise AssertionError("the whole text went through json.loads")
 
-        monkeypatch.setattr(fmt, "intern_ranking", counted)
         monkeypatch.setattr(cli.json, "loads", refused)
         monkeypatch.setattr(elections, "intern_ranking", counted)
         return checked
 
     @pytest.mark.parametrize("spaced", [False, True])
     @pytest.mark.parametrize(
-        "count", [fmt._BATCH - 1, fmt._BATCH, fmt._BATCH + 1, 2 * fmt._BATCH + 1]
+        "count", [_BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1]
     )
     def test_rankings_decode_across_batch_and_chunk_edges(
         self, count, spaced, tmp_path, monkeypatch
@@ -497,12 +497,10 @@ class TestDecoding:
         path = tmp_path / "instance.json"
         path.write_text(text)
         with open(path, encoding="utf-8") as handle:
-            doc, interned = fmt._decode(fmt._Input(str(path), handle))
-        assert interned
+            doc = fmt._decode(fmt._Input(str(path), handle))
+        assert isinstance(doc["voters"], RankingCoder)
         assert {**doc, "voters": None} == {**whole, "voters": None}
-        profile = ElectionProfile(
-            tuple(doc["candidates"]), doc["voters"], doc["k"], _coded=True
-        )
+        profile = ElectionProfile(tuple(doc["candidates"]), doc["voters"], doc["k"])
         assert profile == ElectionProfile.build(
             whole["candidates"], whole["voters"], whole["k"]
         )

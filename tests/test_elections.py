@@ -18,6 +18,7 @@ from comsel import (
 )
 from comsel import document
 from comsel.document import read_instance
+from comsel.elections import RankingCoder
 
 
 class TestProfileValidation:
@@ -40,9 +41,24 @@ class TestProfileValidation:
             lambda: ElectionProfile(range(too_many), [[0]], 1),
             lambda: gen_random(too_many, 1, 1, 0),
         ):
-            with pytest.raises(InputError, match="at most 1114112") as caught:
-                refuse()
+            tracemalloc.start()
+            try:
+                with pytest.raises(InputError, match="at most 1114112") as caught:
+                    refuse()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
             assert caught.value.code == "too-many-candidates"
+            # refused before a name is built: the names took 94 MB
+            assert peak < 1 << 20
+
+    def test_a_coder_over_other_candidates_rejected(self):
+        coder = RankingCoder(("a", "b"))
+        assert coder.add(("b", "a")) and not coder.add(("b", "c"))
+        with pytest.raises(InputError, match="other candidates"):
+            ElectionProfile(("a", "c"), coder, 1)
+        # a coder over the profile's candidates gives its string as it is
+        assert ElectionProfile(("a", "b"), coder, 1).ballots == "\x01\x00"
 
     def test_non_permutation_ranking_names_the_voter(self):
         with pytest.raises(InputError, match="voter 1"):
@@ -289,4 +305,19 @@ class TestCodedProfile:
             tracemalloc.stop()
         assert profile.voters == tuple(map(tuple, voters))
         # a string per ranking, joined at the end, peaked at 2.4 B per entry
+        assert peak <= 1.3 * n * m
+
+    # CPython appends to a string in place only when no tracer is set
+    @pytest.mark.untraced
+    def test_a_random_profile_peaks_near_its_codes(self):
+        # gen_random draws each ranking's codes into a RankingCoder; joined
+        # once at the end, the drawn strings peaked at 2.42 B per entry
+        m, n = 200, 5000
+        tracemalloc.start()
+        try:
+            instance = gen_random(m, n, 10, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert instance.profile.num_voters == n
         assert peak <= 1.3 * n * m

@@ -24,7 +24,7 @@ from comsel import (
     parse_graph,
 )
 from comsel import generators
-from comsel.cli import instance_to_document
+from comsel.cli import instance_to_document, serialize_instance
 from comsel.generators import _pad_for_bloc
 from conftest import (
     feasible, format_graph, has_clique, has_cover, reference_witness,
@@ -382,4 +382,33 @@ def test_reductions_build_the_documents_they_always_built():
     # 21005ffb7c65f5a0e941cc4f2412e53d)
     assert reduction_digest(4) == (
         1786, "fc5f6a342f3d629cfc1e6f2f678d3736964ee1bf9be9a64dc180cdd5b958138d"
+    )
+
+
+def random_digest() -> tuple[int, str]:
+    """How many ``gen_random`` documents seeds 0-19 give, and a sha256 over
+    their ``serialize_instance`` text: both label modes, each seed's
+    structure in turn, at m = 8 under Borda, at m = 300 (two-byte codes)
+    and under ``stv:droop_gregory``."""
+    digest, cases = hashlib.sha256(), 0
+    for seed, mode in itertools.product(range(20), ("disjoint", "overlapping")):
+        structure = ("tree_like", "arbitrary")[seed % 2]
+        for m, n, k, labels, rule in (
+            (8, 5, 3, 3, None),
+            (300, 3, 10, 4, None),
+            (7, 6, 2, 3, StvRule("droop_gregory")),
+        ):
+            instance = gen_random(m, n, k, labels, mode, structure, seed, rule=rule)
+            digest.update(serialize_instance(instance).encode())
+            cases += 1
+    return cases, digest.hexdigest()
+
+
+def test_random_instances_are_the_documents_they_always_were():
+    # pins every draw of gen_random; the digest was taken before the
+    # random codes were drawn through RankingCoder.sample, with
+    #   PYTHONPATH=src:tests python -c \
+    #     "import test_generators as t; print(t.random_digest())"
+    assert random_digest() == (
+        120, "088d9aadce0a845cfa26e8c17d20a2822b102fe8a341423ea7303dc736c64b22"
     )

@@ -341,18 +341,26 @@ def test_every_route_agrees_with_the_oracle():
         assert_routes_agree(instance, ("gamma", seed))
 
 
+def constrained(instance, intervals, dominances, **groups):
+    """``instance`` under other intervals and dominances, with its labels
+    and the further ``groups``."""
+    labeling = instance.constraints.labeling
+    labels = {name: labeling.members(name) for name in labeling.names}
+    assert not labels.keys() & groups.keys()
+    return replace(instance, constraints=ConstraintSet.build(
+        labels | groups, intervals, dominances
+    ))
+
+
 def pinned(instance, candidate, inside):
     """``instance`` with ``candidate`` held in (``inside``) or out of every
     committee by a fresh singleton label and the interval [1, 1] or [0, 0]."""
     constraints = instance.constraints
-    labeling = constraints.labeling
-    groups = {name: labeling.members(name) for name in labeling.names}
-    assert "pin" not in groups
-    groups["pin"] = (candidate,)
     seats = Interval("pin", int(inside), int(inside))
-    return replace(instance, constraints=ConstraintSet.build(
-        groups, (*constraints.intervals, seats), constraints.dominances
-    ))
+    return constrained(
+        instance, (*constraints.intervals, seats), constraints.dominances,
+        pin=(candidate,),
+    )
 
 
 def test_a_pin_returns_the_answer_or_a_worse_one():
@@ -363,7 +371,12 @@ def test_a_pin_returns_the_answer_or_a_worse_one():
     equal sum by the tie-break to the lexicographically smallest.  A pin
     on a labeled candidate makes disjoint labels overlap, so on a
     tree-like instance the base solve goes to dp and the pinned one to the
-    region search: the paper's two algorithms meet at m = 40 to 120."""
+    region search: the paper's two algorithms meet at m = 40 to 120.
+
+    Two relations share the base solves.  Tightening a label's interval to
+    C's own count of it narrows the committees allowed, C among them, so
+    C comes back.  Dropping a constraint widens them, so the answer's sum
+    does not fall, and at an equal sum the answer is C or one before it."""
     routes = set()
     labels = (("disjoint", "tree_like"), ("overlapping", "arbitrary"))
     for seed, (mode, structure), kind in itertools.product(
@@ -390,4 +403,25 @@ def test_a_pin_returns_the_answer_or_a_worse_one():
                 assert pinned_total < total or (
                     pinned_total == total and other.committee > answer
                 ), tag
+        constraints = instance.constraints
+        labeling = constraints.labeling
+        for name in labeling.names:
+            seats = len(set(labeling.members(name)) & set(answer))
+            intervals = [i for i in constraints.intervals if i.label != name]
+            tight = constrained(
+                instance, (*intervals, Interval(name, seats, seats)),
+                constraints.dominances,
+            )
+            assert solve_instance(tight).committee == answer, (seed, mode, kind, name)
+        for dropped in (*constraints.intervals, *constraints.dominances):
+            loose = solve_instance(constrained(
+                instance, [i for i in constraints.intervals if i is not dropped],
+                [d for d in constraints.dominances if d is not dropped],
+            ))
+            tag = (seed, mode, kind, dropped)
+            assert loose.is_optimal, tag
+            loose_total = sum(weights[c] for c in loose.committee)
+            assert loose_total > total or (
+                loose_total == total and loose.committee <= answer
+            ), tag
     assert ("dp", "region") in routes
