@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bruteforce": ("OracleBudget", "enumerate_feasible", "solve_bruteforce"),
     "constraints": (
-        "ConstraintSet", "Dominance", "DominanceForest", "Interval",
-        "Labeling", "Violation", "check_committee", "transitive_closure",
+        "ConstraintSet", "Dominance", "Interval", "Labeling", "Violation",
+        "check_committee",
     ),
     "elections": ("ElectionProfile", "Score", "WeaklySeparableRule", "score_all"),
     "errors": (
@@ -28,10 +28,10 @@ _EXPORTS = {
         "parse_graph",
     ),
     "instances": ("ORDER_KINDS", "ElectionInstance", "Rule"),
-    "orders": ("best_singletons", "leximax_weights", "leximin_weights"),
+    "orders": ("build_order", "leximax_weights", "leximin_weights"),
     "regions": ("solve_region_ip",),
     "result": ("SolveResult",),
-    "solve": ("SOLVERS", "build_order", "choose_solver", "solve_instance"),
+    "solve": ("SOLVERS", "choose_solver", "solve_instance"),
     "stv": ("StvRound", "StvRule", "stv_ranking", "stv_rounds"),
     "treedp": ("solve_tree",),
 }

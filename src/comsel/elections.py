@@ -8,7 +8,7 @@ string of one the document decoder or ``gen_random`` filled.
 ``WeaklySeparableRule`` is the one positional rule type: its constructor
 checks a preset name or coerces each explicit entry, and ``vector(profile)``
 sizes a preset, or checks an explicit vector's length, for a profile.
-``score_all`` scores every candidate under such a rule.
+``score_all`` scores every candidate under such a rule (``scores``).
 A profile with fewer voters than scored positions is counted one ballot at
 a time; otherwise one ``Counter`` per position counts the column, whose
 set-up cost pays off only when many voters repeat codes in it.  A lexi
@@ -254,6 +254,10 @@ class WeaklySeparableRule:
                 code="invalid-gamma",
             )
         return self.gamma
+
+    def scores(self, profile: ElectionProfile) -> dict[str, Score]:
+        """Every candidate's score under this rule (``score_all``)."""
+        return score_all(profile, self)
 
 
 def score_all(profile: ElectionProfile, rule: WeaklySeparableRule) -> dict[str, Score]:

@@ -103,9 +103,10 @@ def parse_graph(text: str) -> Graph:
         raise InputError(str(exc), code="invalid-graph") from None
 
 
-def _vertex_names(num_vertices: int) -> tuple[str, ...]:
-    width = max(1, len(str(num_vertices - 1)))
-    return tuple(f"v{i:0{width}d}" for i in range(num_vertices))
+def _names(prefix: str, count: int) -> tuple[str, ...]:
+    """``count`` names, the prefix and a zero-padded index, all one width."""
+    width = max(1, len(str(count - 1)))
+    return tuple(f"{prefix}{i:0{width}d}" for i in range(count))
 
 
 def _edge_names(graph: Graph) -> tuple[str, ...]:
@@ -148,7 +149,7 @@ def _cover_instance(
     if not 0 <= cover_size <= n:
         raise InputError(f"cover size {cover_size} outside 0..{n}")
     _check_size(n, n, dominance_rows)
-    vertices, edges = _vertex_names(n), _edge_names(graph)
+    vertices, edges = _names("v", n), _edge_names(graph)
     groups = {e: (vertices[u], vertices[v]) for e, (u, v) in zip(edges, graph.edges)}
     labels, intervals, dominances = rows(vertices, edges)
     return ElectionInstance(
@@ -214,7 +215,7 @@ def _clique_instance(
     candidates are the vertices, the edges, then the blocked members; each
     voter ranks one of ``heads(edges)`` first, then the rest by name.  The
     intervals name the blocked groups in reverse."""
-    vertices, edges = _vertex_names(graph.num_vertices), _edge_names(graph)
+    vertices, edges = _names("v", graph.num_vertices), _edge_names(graph)
     candidates = vertices + edges + sum(blocked.values(), ())
     ordered = tuple(sorted(candidates))
     dominances = [
@@ -251,8 +252,7 @@ def gen_clique_sntv(graph: Graph, clique_size: int) -> ElectionInstance:
     total = clique_size + pairs
     n, e = graph.num_vertices, graph.num_edges
     _check_size(n + e + total, e + pairs, 2 * e)
-    width = max(1, len(str(total - 1)))
-    refs = tuple(f"r{i:0{width}d}" for i in range(total))
+    refs = _names("r", total)
     return _clique_instance(
         graph,
         {"ref": refs},
@@ -305,9 +305,7 @@ def gen_clique_bloc(graph: Graph, clique_size: int) -> ElectionInstance:
     padded, k = _pad_for_bloc(graph, clique_size)
     pairs = math.comb(k, 2)
     total = k + pairs
-    width = max(1, len(str(total - 1)))
-    refs = tuple(f"r{i:0{width}d}" for i in range(total))
-    dummies = tuple(f"d{i:0{width}d}" for i in range(total))
+    refs, dummies = _names("r", total), _names("d", total)
     split = min(pairs, padded.num_edges)
     return _clique_instance(
         padded,
@@ -361,8 +359,7 @@ def gen_random(
         )
 
     rng = random.Random(seed)
-    width = max(1, len(str(num_candidates - 1)))
-    candidates = tuple(f"c{i:0{width}d}" for i in range(num_candidates))
+    candidates = _names("c", num_candidates)
     coder = RankingCoder(candidates)
     coder.sample(rng, num_voters)  # the codes, drawn as sampling the names would
     profile = ElectionProfile(candidates, coder, k)

@@ -4,8 +4,10 @@ A committee's key is the sum of its members' weights (larger is better),
 so solvers add the keys of disjoint parts instead of rescanning members.
 Keys rank equal-size committees only, and extending both sides with the
 same candidates never reverses a comparison.  Every order is built from
-one score per candidate: score orders weigh a candidate by its score, and
-the lexi orders by a mixed-radix digit of its tier of equal scores.
+one score per candidate, which the instance's rule gives (``rule.scores``):
+score orders weigh a candidate by its score, and the lexi orders by a
+mixed-radix digit of its tier of equal scores.  ``build_order`` applies
+the instance's order kind.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Iterable, Mapping
 
 from .elections import Score
 from .errors import InputError
+from .instances import ElectionInstance
 
 
 def pack(weights: Mapping[str, Score]) -> dict[str, int]:
@@ -78,6 +81,17 @@ def leximin_weights(scores: Mapping[str, Score]) -> dict[str, int]:
     and the weights are negated.
     """
     return {c: -w for c, w in _mixed_radix(scores, reverse=True).items()}
+
+
+def build_order(instance: ElectionInstance) -> dict[str, Score]:
+    """The instance's committee order as its per-candidate weights: of two
+    equal-size committees, the one with the larger weight sum is better."""
+    scores = instance.rule.scores(instance.profile)
+    if instance.order_kind == "leximax":
+        return leximax_weights(scores)
+    if instance.order_kind == "leximin":
+        return leximin_weights(scores)
+    return scores
 
 
 def best_singletons(

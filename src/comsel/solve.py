@@ -1,4 +1,5 @@
-"""Instance-level dispatch: derive the order, route to a solver, verify."""
+"""Instance-level dispatch: route to a solver, solve, verify.  The order
+comes from ``comsel.orders.build_order``, so no rule type is asked here."""
 
 from __future__ import annotations
 
@@ -6,33 +7,14 @@ from dataclasses import replace
 
 from .bruteforce import OracleBudget, solve_bruteforce
 from .constraints import check_committee
-from .elections import Score, score_all
 from .errors import ContractViolation, InputError
-from .instances import ElectionInstance, StvRule
-from .orders import leximax_weights, leximin_weights
+from .instances import ElectionInstance
+from .orders import build_order
 from .regions import solve_region_ip
 from .result import SolveResult
-from .stv import stv_ranking
 from .treedp import solve_tree
 
 SOLVERS = ("auto", "dp", "region", "oracle")
-
-
-def build_order(instance: ElectionInstance) -> dict[str, Score]:
-    """The instance's committee order as its per-candidate weights: of two
-    equal-size committees, the one with the larger weight sum is better.
-    STV scores each candidate by its place in the count's ranking."""
-    rule = instance.rule
-    if isinstance(rule, StvRule):
-        ranking = stv_ranking(instance.profile, rule.variant)
-        scores = {c: -place for place, c in enumerate(ranking)}
-    else:
-        scores = score_all(instance.profile, rule)
-        if instance.order_kind == "score":
-            return scores
-    if instance.order_kind == "leximax":
-        return leximax_weights(scores)
-    return leximin_weights(scores)
 
 
 def choose_solver(instance: ElectionInstance) -> str:
@@ -66,9 +48,8 @@ def solve_instance(
         raise InputError(
             f"unknown solver {solver!r}; expected one of {', '.join(SOLVERS)}"
         )
-    if budget < 1:
-        raise InputError("budget limits must be positive")
     candidates = instance.profile.candidates
+    oracle_budget = OracleBudget(len(candidates), budget)  # refuses one below 1
     chosen = choose_solver(instance) if solver == "auto" else solver
     k = instance.k
     constraints = instance.constraints
@@ -78,7 +59,6 @@ def solve_instance(
     elif chosen == "region":
         result = solve_region_ip(candidates, k, constraints, weights)
     else:
-        oracle_budget = OracleBudget(len(candidates), budget)
         result = solve_bruteforce(candidates, k, constraints, weights, oracle_budget)
     if instance.order_kind != "score":  # a lexi key is no score
         result = replace(result, score=None)

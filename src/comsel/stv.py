@@ -5,7 +5,8 @@ order of election, the last candidate left standing follows, and the
 eliminated candidates trail in reverse order of elimination.  The bare
 "simple" variant never elects, so its output is purely reverse elimination
 order.  Rankings are plain tuples; all tallies are exact rationals.
-``StvRule`` names a variant; its constructor is the one variant check.
+``StvRule`` names a variant, which its constructor checks, and scores
+each candidate by its negated place in the ranking (``scores``).
 
 The count keeps one invariant: each hopeful candidate holds a pile
 ``{weight: [ranking, ...]}`` of the ballots whose first hopeful preference
@@ -44,6 +45,10 @@ class StvRule:
                 f"expected one of {', '.join(VARIANTS)}",
                 code="invalid-rule",
             )
+
+    def scores(self, profile: ElectionProfile) -> dict[str, int]:
+        """Each candidate's place in the count's ranking, negated."""
+        return {c: -p for p, c in enumerate(stv_ranking(profile, self.variant))}
 
 
 @dataclass(frozen=True)

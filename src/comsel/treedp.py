@@ -208,9 +208,8 @@ def solve_tree(
     if not labeling.is_disjoint:
         raise ContractViolation("the tree solver needs disjoint labels")
     forest = DominanceForest.build(constraints)
-    names = sorted(set(candidates))
     packed = pack(weights)
-    pre = preprocess_intervals(names, k, constraints, packed)
+    pre = preprocess_intervals(candidates, k, constraints, packed)
     counter = {"joins": 0, "tables": 0, "cells": 0}
     if pre.reason is not None:
         return outcome("dp", weights, None, counter, pre.reason)

@@ -5,6 +5,8 @@ written."""
 import ast
 import contextlib
 import fnmatch
+import functools
+import importlib
 import inspect
 import io
 import re
@@ -124,6 +126,78 @@ def test_the_cli_imports_no_private_name():
                     if keyword.arg and keyword.arg.startswith("_")
                 ]
     assert private == []
+
+
+def test_only_validation_format_and_defaults_ask_which_rule():
+    """Each rule scores itself (``rule.scores``), so only the instance's
+    validation, the document format and ``gen_random``'s default order test
+    a rule's type; ``solve`` imports neither rule module."""
+    rules = {"StvRule", "WeaklySeparableRule"}
+    asking, solve_imports = set(), set()
+    for path in Path(comsel.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "isinstance"
+                and rules & {getattr(n, "id", None) for n in ast.walk(node.args[1])}
+            ):
+                asking.add(path.stem)
+            elif path.stem == "solve" and isinstance(node, ast.ImportFrom):
+                solve_imports.add(node.module)
+    assert sorted(asking - {"instances", "document", "generators"}) == []
+    assert solve_imports & {"elections", "stv"} == set()
+
+
+def test_every_name_perfbench_reaches_resolves():
+    """perfbench reaches into the package by name: its ``from comsel...
+    import``s, the attributes it reads off what those bind
+    (``cli.parse_instance``) and the functions ``spans.TARGETS`` wraps.
+    Each must still resolve, or a rename breaks the benchmark."""
+
+    def resolves(dotted: str) -> bool:
+        # the longest prefix that imports as a module, then attributes
+        parts = dotted.split(".")
+        for cut in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:cut]))
+            except ImportError:
+                continue
+            try:
+                functools.reduce(getattr, parts[cut:], obj)
+            except AttributeError:
+                return False
+            return True
+        return False
+
+    def dotted(node: ast.AST) -> list[str]:
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.insert(0, node.attr)
+            node = node.value
+        return [node.id, *parts] if isinstance(node, ast.Name) else []
+
+    reached = set()
+    for path in (README.parent / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}  # a local name -> what it binds, dotted from ``comsel``
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):  # ``import comsel.x`` binds comsel
+                if any(a.name.split(".")[0] == "comsel" for a in node.names):
+                    bound["comsel"] = "comsel"
+            elif isinstance(node, ast.ImportFrom) and (
+                (node.module or "").split(".")[0] == "comsel"
+            ):
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                    reached.add(f"{node.module}.{alias.name}")
+            elif isinstance(node, ast.Assign) and dotted(node.targets[0]) == ["TARGETS"]:
+                reached.update(f"{m}.{a}" for _, m, a in ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            parts = dotted(node) if isinstance(node, ast.Attribute) else []
+            if parts and parts[0] in bound:
+                reached.add(".".join([bound[parts[0]], *parts[1:]]))
+    assert len(reached) > 20  # the walk found perfbench's names
+    assert sorted(name for name in reached if not resolves(name)) == []
 
 
 def test_the_readme_error_table_lists_every_code():

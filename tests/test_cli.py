@@ -1237,7 +1237,7 @@ class TestMain:
         def unbuilt(*args):
             raise AssertionError("names built past the size cap")
 
-        monkeypatch.setattr(generators, "_vertex_names", unbuilt)
+        monkeypatch.setattr(generators, "_names", unbuilt)
         graph = tmp_path / "graph.txt"
         cases = (
             ("100000 0\n", ["vertex-cover", "--cover-size", "1"]),

@@ -8,13 +8,12 @@ from comsel import (
     ConstraintSet,
     ContractViolation,
     Dominance,
-    DominanceForest,
     InputError,
     Interval,
     Labeling,
     check_committee,
-    transitive_closure,
 )
+from comsel.constraints import DominanceForest, transitive_closure
 
 
 class TestLabeling:

@@ -8,11 +8,10 @@ import pytest
 
 from comsel import (
     InputError,
-    best_singletons,
     leximax_weights,
     leximin_weights,
 )
-from comsel.orders import pack, unpack
+from comsel.orders import best_singletons, pack, unpack
 from conftest import compare, key, obligatory_first
 
 FIVE = dict(zip("abcde", range(5, 0, -1)))  # a > b > c > d > e

@@ -25,8 +25,8 @@ from comsel import (
     solve_tree,
     stv_ranking,
     stv_rounds,
-    transitive_closure,
 )
+from comsel.constraints import transitive_closure
 from conftest import compare, key, obligatory_first, stv_simple_all_rankings
 
 ORDER_KINDS = ("score", "leximax", "leximin", "wrapped")
